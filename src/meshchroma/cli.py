@@ -37,7 +37,7 @@ from .errors import (
     WriteConflictError,
 )
 from .generators import FAMILIES, GeneratorSpec, generate
-from .mesh import Mesh, assemble, relabel, validate
+from .mesh import Mesh, assemble, relabel, stored_surface_ids, validate
 from .meshio import (
     NativeMesh,
     read_msh,
@@ -226,9 +226,7 @@ def _reassemble(mesh: Mesh, coloring: SurfaceColoring):
     their surfaces.  A refinement file records only elements and
     parents, so its base must be numbered this way to be rebuilt."""
     canon = assemble(mesh.vertices, mesh.elem_kind, mesh.elem_verts)
-    sides = mesh.elem_surfs >= 0
-    colors = np.empty_like(coloring.colors)
-    colors[canon.elem_surfs[sides]] = coloring.colors[mesh.elem_surfs[sides]]
+    colors = coloring.colors[stored_surface_ids(mesh, canon)]
     return canon, SurfaceColoring(colors, coloring.n_colors)
 
 

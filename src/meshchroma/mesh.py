@@ -363,109 +363,88 @@ def vizing_bound(graph: ConnectivityGraph) -> int:
     return int(graph.degrees.max()) + 1
 
 
+def stored_surface_ids(mesh: Mesh, canon: Mesh) -> np.ndarray:
+    """Stored id of each of ``canon``'s surfaces, read off the side slots.
+
+    ``canon`` is ``assemble`` of ``mesh``'s own elements, so both list
+    each element's sides in the same slots: the slot that holds
+    canonical id k in ``canon`` holds k's stored id in ``mesh``.  Where
+    the slots of one surface disagree one of them wins; ``validate``
+    reports the disagreement.
+    """
+    sides = canon.elem_surfs >= 0
+    stored = np.full(canon.n_surfaces, -1, dtype=np.int64)
+    stored[canon.elem_surfs[sides]] = mesh.elem_surfs[sides]
+    return stored
+
+
 def validate(mesh: Mesh) -> list[Diagnostic]:
-    """Check every structural invariant; return findings, never raise."""
+    """Check that ``mesh`` holds exactly the surfaces its elements imply.
+
+    The invariant: ``assemble(vertices, elem_kind, elem_verts)`` succeeds,
+    and ``mesh`` equals it up to a renumbering of the surfaces.  The
+    renumbering, read off the element side slots by
+    ``stored_surface_ids``, must be a bijection onto the stored ids.
+    Under it each stored surface has the canonical vertex row and the
+    canonical element pair with a left element; the pair may be swapped,
+    since ``relabel`` keeps left/right roles when it renumbers elements.
+    No two stored vertex rows repeat.  Returns the findings, each naming
+    the element or surface at fault; never raises.
+    """
+    try:
+        canon = assemble(mesh.vertices, mesh.elem_kind, mesh.elem_verts)
+    except DanglingVertexError as exc:
+        return [Diagnostic("dangling_vertex", str(exc))]
+    except NonManifoldError as exc:
+        return [Diagnostic("non_manifold", str(exc))]
+    except ValueError as exc:
+        return [Diagnostic("repeated_vertex", str(exc))]
     diags: list[Diagnostic] = []
-    nv = mesh.n_vertices
-    ne = mesh.n_elements
+    ns = mesh.n_surfaces
+    sides = canon.elem_surfs >= 0
+    listed = (mesh.elem_surfs >= 0).sum(axis=1)
+    for e in np.flatnonzero(listed != sides.sum(axis=1)):
+        diags.append(Diagnostic(
+            "side_count", f"element {e} lists {listed[e]} surfaces, "
+            f"expected {mesh.kind_of(e).n_sides}", element_id=int(e)))
 
-    side_count: dict[tuple[int, ...], list[int]] = {}
-    for i in range(ne):
-        kind = mesh.kind_of(i)
-        vids = mesh.elem_verts[i, : kind.n_vertices]
-        if (vids < 0).any() or (vids >= nv).any():
-            diags.append(Diagnostic(
-                "dangling_vertex",
-                f"element {i} references vertex ids outside [0, {nv})",
-                element_id=i,
-            ))
-            continue
-        if len(set(vids.tolist())) != kind.n_vertices:
-            diags.append(Diagnostic(
-                "repeated_vertex",
-                f"element {i} repeats a vertex id",
-                element_id=i,
-            ))
-            continue
-        sids = mesh.elem_surfs[i]
-        n_listed = int((sids >= 0).sum())
-        if n_listed != kind.n_sides:
-            diags.append(Diagnostic(
-                "side_count",
-                f"element {i} lists {n_listed} surfaces, "
-                f"expected {kind.n_sides}",
-                element_id=i,
-            ))
-        for local, pos in enumerate(_SIDE_POSITIONS[kind]):
-            key = tuple(sorted(int(vids[p]) for p in pos))
-            side_count.setdefault(key, []).append(i)
-            s = int(sids[local]) if local < MAX_SIDES else -1
-            if s < 0 or s >= mesh.n_surfaces:
-                continue
-            stored = tuple(int(v) for v in mesh.surf_verts[s]
-                           if v >= 0)
-            if stored != key:
-                diags.append(Diagnostic(
-                    "incidence",
-                    f"element {i} side {local} points at surface {s} "
-                    f"with different vertices",
-                    element_id=i, surface_id=s,
-                ))
+    stored = stored_surface_ids(mesh, canon)
+    slot_elem, slot_side = np.nonzero(sides)
+    ids = mesh.elem_surfs[sides]
+    other = stored[canon.elem_surfs[sides]]
+    bad = (ids < 0) | (ids >= ns) | (ids != other)
+    for e, j, s, t in zip(slot_elem[bad], slot_side[bad], ids[bad],
+                          other[bad]):
+        why = (f"outside [0, {ns})" if not 0 <= s < ns else
+               f"but another slot gives that side surface {t}")
+        diags.append(Diagnostic(
+            "incidence", f"element {e} side {j} lists surface {s}, {why}",
+            element_id=int(e)))
+    mapped = np.flatnonzero((stored >= 0) & (stored < ns))
+    uses = np.bincount(stored[mapped], minlength=ns)
+    for s in np.flatnonzero(uses != 1):
+        diags.append(Diagnostic(
+            "incidence", f"surface {s} stands for {uses[s]} of the "
+            f"surfaces the elements imply, expected 1", surface_id=int(s)))
 
-    for key, elems in side_count.items():
-        if len(elems) > 2:
-            diags.append(Diagnostic(
-                "non_manifold",
-                f"surface {key} is shared by elements {elems}",
-            ))
+    _, first, inverse = np.unique(mesh.surf_verts, axis=0,
+                                  return_index=True, return_inverse=True)
+    first = first[inverse.reshape(-1)]
+    for s in np.flatnonzero(first != np.arange(ns)):
+        diags.append(Diagnostic(
+            "duplicate_surface", f"surfaces {first[s]} and {s} share "
+            f"vertex set {mesh.surf_verts[s].tolist()}", surface_id=int(s)))
 
-    seen_rows: dict[tuple[int, ...], int] = {}
-    for k in range(mesh.n_surfaces):
-        row = tuple(int(v) for v in mesh.surf_verts[k] if v >= 0)
-        if row in seen_rows:
-            diags.append(Diagnostic(
-                "duplicate_surface",
-                f"surfaces {seen_rows[row]} and {k} share vertex set {row}",
-                surface_id=k,
-            ))
-        else:
-            seen_rows[row] = k
-        left, right = (int(x) for x in mesh.surf_elems[k])
-        incident = [e for e in (left, right) if e >= 0]
-        if not incident or left < 0:
-            diags.append(Diagnostic(
-                "incidence", f"surface {k} has no left element",
-                surface_id=k,
-            ))
-            continue
-        if right >= 0 and right == left:
-            diags.append(Diagnostic(
-                "incidence",
-                f"surface {k} lists element {left} on both sides",
-                surface_id=k,
-            ))
-        for e in incident:
-            if e >= ne:
-                diags.append(Diagnostic(
-                    "incidence",
-                    f"surface {k} references element {e} out of range",
-                    surface_id=k,
-                ))
-                continue
-            if k not in mesh.elem_surfs[e]:
-                diags.append(Diagnostic(
-                    "incidence",
-                    f"surface {k} lists element {e}, which does not "
-                    f"list it back",
-                    element_id=e, surface_id=k,
-                ))
-            kind = mesh.kind_of(e)
-            evset = set(mesh.elem_verts[e, : kind.n_vertices].tolist())
-            if not set(row) <= evset:
-                diags.append(Diagnostic(
-                    "incidence",
-                    f"surface {k} vertices {row} are not a subset of "
-                    f"element {e}",
-                    element_id=e, surface_id=k,
-                ))
+    sid = stored[mapped]
+    (l, r), (cl, cr) = mesh.surf_elems[sid].T, canon.surf_elems[mapped].T
+    same_pair = ((l == cl) & (r == cr)) | ((l == cr) & (r == cl))
+    wrong = ((mesh.surf_verts[sid] != canon.surf_verts[mapped]).any(axis=1)
+             | (l < 0) | ~same_pair)
+    for k, s in zip(mapped[wrong], sid[wrong]):
+        diags.append(Diagnostic(
+            "incidence", f"surface {s} has vertices "
+            f"{mesh.surf_verts[s].tolist()} and elements "
+            f"{mesh.surf_elems[s].tolist()}; its elements imply "
+            f"{canon.surf_verts[k].tolist()} and "
+            f"{canon.surf_elems[k].tolist()}", surface_id=int(s)))
     return diags

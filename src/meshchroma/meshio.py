@@ -169,6 +169,15 @@ def _section_header(line: str, path) -> tuple[str, list[int]]:
     return name, counts
 
 
+def _finite(coords: np.ndarray, path) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+    if bad.size:
+        raise MalformedSectionError(
+            f"{path}: non-finite coordinates at vertices {bad[:10].tolist()}"
+        )
+    return coords
+
+
 def _check_bijection(perm: np.ndarray, n: int, path) -> None:
     if not np.array_equal(np.sort(perm), np.arange(n)):
         raise MalformedSectionError(
@@ -193,6 +202,8 @@ def read_native(path) -> NativeMesh:
     if name != "VERTICES" or len(counts) != 1:
         raise MalformedSectionError(f"{path}: expected VERTICES <n>")
     nv = counts[0]
+    if nv < 1:
+        raise MalformedSectionError(f"{path}: VERTICES count must be >= 1")
     coords = []
     width = None
     for _ in range(nv):
@@ -213,12 +224,13 @@ def read_native(path) -> NativeMesh:
             raise MalformedSectionError(
                 f"{path}: bad vertex line {' '.join(parts)!r}"
             ) from None
-    if nv == 0:
-        raise MalformedSectionError(f"{path}: empty VERTICES section")
+    coords = _finite(np.array(coords, dtype=np.float64), path)
 
     name, counts = _section_header(sc.next("ELEMENTS"), path)
     if name != "ELEMENTS" or len(counts) != 1:
         raise MalformedSectionError(f"{path}: expected ELEMENTS <n>")
+    if counts[0] < 1:
+        raise MalformedSectionError(f"{path}: ELEMENTS count must be >= 1")
     elements = []
     for _ in range(counts[0]):
         parts = sc.next("an element line").split()
@@ -303,7 +315,7 @@ def read_native(path) -> NativeMesh:
         _check_bijection(element_perm, ne, path)
         # original element i is file element element_perm[i]
         elements = [elements[j] for j in element_perm]
-    mesh = build_surfaces(np.array(coords, dtype=np.float64), elements)
+    mesh = build_surfaces(coords, elements)
     ns = mesh.n_surfaces
     if colors is not None and len(colors) != ns:
         raise MalformedSectionError(
@@ -324,8 +336,12 @@ def read_native(path) -> NativeMesh:
         base = color_set_size(mesh)
         if parents is not None and (parents >= 0).any():
             base = 2 * base
-        n_colors = max(base, int(colors.max(initial=1)))
-        coloring = SurfaceColoring(colors.astype(np.int32), n_colors)
+        if colors.max() > base:
+            raise MalformedSectionError(
+                f"{path}: COLORS value {colors.max()} is above the "
+                f"palette of {base} colors"
+            )
+        coloring = SurfaceColoring(colors.astype(np.int32), base)
     return NativeMesh(mesh, coloring, parents, element_perm, surface_perm)
 
 
@@ -442,7 +458,7 @@ def read_msh(path) -> Mesh:
         raise MalformedSectionError(
             f"{path}: element references unknown node {exc.args[0]}"
         ) from None
-    return build_surfaces(coords, elements)
+    return build_surfaces(_finite(coords, path), elements)
 
 
 def write_report(report: ColoringReport | Mapping, path=None) -> None:

@@ -230,3 +230,19 @@ def test_shuffled_meshes_still_color_optimally(seed):
     coloring, _ = color(mesh, ColoringConfig(rng_seed=seed))
     assert coloring.n_colors == 3
     assert_complete_valid(mesh, coloring)
+
+
+def test_total_seconds_times_the_whole_call(monkeypatch):
+    import time
+
+    import meshchroma.coloring as coloring_module
+
+    real = coloring_module.connectivity_graph
+
+    def slow(mesh):
+        time.sleep(0.05)
+        return real(mesh)
+
+    monkeypatch.setattr(coloring_module, "connectivity_graph", slow)
+    _, report = color(gen_tri_rect(3, 3))
+    assert report.total_seconds >= 0.05

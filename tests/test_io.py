@@ -172,6 +172,23 @@ def test_native_section_errors(tmp_path):
            "ELEMENTS 1\ntri 0 1 2\nPERMUTATIONS 1 3\n0\n1\n1\n2\n")
     with pytest.raises(MalformedSectionError):
         read_native(_write(tmp_path, bad))
+    # a color above the palette of 3 for triangles
+    bad = ("MESHCHROMA 1\nVERTICES 3\n0 0\n1 0\n0 1\n"
+           "ELEMENTS 1\ntri 0 1 2\nCOLORS 3\n1\n2\n9\n")
+    with pytest.raises(MalformedSectionError, match="palette"):
+        read_native(_write(tmp_path, bad))
+    # a non-finite coordinate
+    bad = ("MESHCHROMA 1\nVERTICES 3\nnan 0.0\n1 0\n0 1\n"
+           "ELEMENTS 1\ntri 0 1 2\n")
+    with pytest.raises(MalformedSectionError, match="non-finite"):
+        read_native(_write(tmp_path, bad))
+    # counts below 1
+    bad = "MESHCHROMA 1\nVERTICES -5\nELEMENTS 1\ntri 0 1 2\n"
+    with pytest.raises(MalformedSectionError, match="VERTICES"):
+        read_native(_write(tmp_path, bad))
+    bad = "MESHCHROMA 1\nVERTICES 3\n0 0\n1 0\n0 1\nELEMENTS 0\n"
+    with pytest.raises(MalformedSectionError, match="ELEMENTS"):
+        read_native(_write(tmp_path, bad))
 
 
 def test_native_comments_and_blank_lines(tmp_path):
@@ -246,6 +263,13 @@ def test_read_msh_version_gate(tmp_path):
     p = tmp_path / "t.msh"
     p.write_text("$MeshFormat\n4.1 0 8\n$EndMeshFormat\n")
     with pytest.raises(UnsupportedVersionError):
+        read_msh(p)
+
+
+def test_read_msh_rejects_non_finite_coordinates(tmp_path):
+    p = tmp_path / "t.msh"
+    p.write_text(MSH_TRI.replace("3 1 1 0", "3 1 inf 0"))
+    with pytest.raises(MalformedSectionError, match="non-finite"):
         read_msh(p)
 
 

@@ -9,11 +9,16 @@ from meshchroma import (
     DanglingVertexError,
     ElementKind,
     NonManifoldError,
+    apply_plan,
+    build_plan,
     build_surfaces,
+    color,
     connectivity_graph,
     gen_quad_rect,
     gen_tet_prism,
     gen_tri_rect,
+    refine,
+    shuffle_elements,
     validate,
     vizing_bound,
 )
@@ -88,12 +93,26 @@ def test_three_elements_on_one_edge_rejected():
         ])
 
 
+def _refined():
+    mesh = gen_tri_rect(4, 4)
+    return refine(mesh, color(mesh)[0], [0, 5, 9])[0].mesh
+
+
+def _reordered():
+    # shuffled ids make the plan swap left/right roles on some surfaces
+    mesh = shuffle_elements(gen_tri_rect(5, 4), seed=3)
+    coloring, _ = color(mesh)
+    return apply_plan(mesh, coloring, build_plan(mesh, coloring))[0]
+
+
 def test_validate_clean_on_generated_meshes():
     for mesh in (
         gen_tri_rect(3, 4),
         gen_tri_rect(4, 4, (True, True)),
         gen_quad_rect(3, 3),
         gen_tet_prism(2, 2, 2),
+        _refined(),
+        _reordered(),
     ):
         assert validate(mesh) == []
 
@@ -129,6 +148,41 @@ def test_validate_reports_duplicate_surface(two_tri):
     bad = _tampered(two_tri, surf_verts=dup)
     codes = {d.code for d in validate(bad)}
     assert "duplicate_surface" in codes
+
+
+# gen_tri_rect(2, 2): element 3 is (2, 5, 4); surface 1 is the interior
+# edge (1, 4) of elements 0 and 2; element 2 lists surfaces (5, 6, 1).
+# assemble's own errors name their elements in the message.
+@pytest.mark.parametrize(
+    "field, index, value, code, element_id, surface_id, named", [
+        ("elem_verts", (3, 1), 99, "dangling_vertex", None, None,
+         "elements [3]"),
+        ("elem_verts", (3, 1), 2, "repeated_vertex", None, None,
+         "elements [3]"),
+        ("elem_verts", (3, 0), 1, "non_manifold", None, None,
+         "elements [0, 2, 3]"),
+        ("elem_surfs", (2, 1), -1, "side_count", 2, None, "element 2"),
+        ("elem_surfs", (2, 1), 99, "incidence", 2, None, "surface 99"),
+        ("elem_surfs", (2, 1), 2, "incidence", 2, None, "surface 6"),
+        ("elem_surfs", (0, 0), 1, "incidence", None, 0,
+         "surface 0 stands for 0"),
+        ("surf_elems", (1, 1), -1, "incidence", None, 1, "surface 1"),
+        ("surf_verts", 0, [0, 2], "incidence", None, 0, "surface 0"),
+        ("surf_verts", 1, [0, 1], "duplicate_surface", None, 1,
+         "surfaces 0 and 1"),
+    ], ids=["dangling_vertex", "repeated_vertex", "non_manifold",
+            "side_count", "slot_out_of_range", "slots_disagree",
+            "surface_unused",
+            "dropped_right_element", "wrong_vertices", "duplicate_surface"])
+def test_validate_names_planted_faults(field, index, value, code,
+                                       element_id, surface_id, named):
+    def plant(a):
+        a[index] = value
+
+    diags = validate(_tampered(gen_tri_rect(2, 2), **{field: plant}))
+    assert any(d.code == code and d.element_id == element_id
+               and d.surface_id == surface_id and named in d.message
+               for d in diags), diags
 
 
 def test_connectivity_graph_two_tri(two_tri):
