@@ -5,12 +5,42 @@ class MeshChromaError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NonManifoldError(MeshChromaError):
+class ElementFaultError(MeshChromaError):
+    """Element data that cannot form a mesh.
+
+    ``element_ids`` lists the elements at fault, the one to name first;
+    ``code`` is the diagnostic code ``validate`` reports it under.
+    """
+
+    code = "element_fault"
+
+    def __init__(self, message: str, element_ids=()):
+        super().__init__(message)
+        self.element_ids = tuple(int(e) for e in element_ids)
+
+
+class NonManifoldError(ElementFaultError):
     """Three or more elements share a single surface."""
 
+    code = "non_manifold"
 
-class DanglingVertexError(MeshChromaError):
+
+class DanglingVertexError(ElementFaultError):
     """An element references a vertex id outside the vertex table."""
+
+    code = "dangling_vertex"
+
+
+class RepeatedVertexError(ElementFaultError, ValueError):
+    """An element lists one vertex id twice."""
+
+    code = "repeated_vertex"
+
+
+class MixedKindsError(ElementFaultError, ValueError):
+    """One mesh holds both 2D and 3D element kinds."""
+
+    code = "mixed_kinds"
 
 
 class UnsupportedVersionError(MeshChromaError):

@@ -19,12 +19,19 @@ Conventions:
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DanglingVertexError, NonManifoldError
+from .errors import (
+    DanglingVertexError,
+    ElementFaultError,
+    MixedKindsError,
+    NonManifoldError,
+    RepeatedVertexError,
+)
 
 
 class ElementKind(enum.Enum):
@@ -196,7 +203,8 @@ def build_surfaces(vertices, elements) -> Mesh:
     is a sequence of ``Element`` or ``(kind, vertex_ids)`` pairs.
 
     Raises ``DanglingVertexError`` for out-of-range vertex ids,
-    ``ValueError`` for repeated vertices inside an element or mixed
+    ``RepeatedVertexError`` (a ``ValueError``) for repeated vertices
+    inside an element, ``MixedKindsError`` (a ``ValueError``) for mixed
     2D/3D element kinds, and ``NonManifoldError`` when a surface would
     be shared by more than two elements.
     """
@@ -204,8 +212,38 @@ def build_surfaces(vertices, elements) -> Mesh:
     return assemble(vertices, kinds, elem_verts)
 
 
+def _sort_within_rows(a: np.ndarray) -> np.ndarray:
+    """Sort each row of an (n, 2|3) array in place and return it, by
+    compare-exchange on whole columns: several times faster than
+    ``np.sort(a, axis=1)`` on rows this short."""
+    for i, j in ((0, 1), (1, 2), (0, 1))[: 1 if a.shape[1] == 2 else 3]:
+        low = np.minimum(a[:, i], a[:, j])
+        np.maximum(a[:, i], a[:, j], out=a[:, j])
+        a[:, i] = low
+    return a
+
+
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the rows of a 2-D integer array and find its runs of equal rows.
+
+    Returns ``order``, a lexicographic sort of the rows that keeps equal
+    rows in index order, and ``starts``, the positions in ``order`` where
+    each run begins; ``order[starts]`` is the first index of each
+    distinct row.
+    """
+    order = np.lexsort(rows.T[::-1])
+    new_run = np.zeros(len(rows), dtype=bool)
+    new_run[:1] = True
+    for c in range(rows.shape[1]):
+        col = rows[order, c]
+        new_run[1:] |= col[1:] != col[:-1]
+    return order, np.flatnonzero(new_run)
+
+
 def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
-    """Array-level mesh assembly; the fast path used by the generators."""
+    """Array-level mesh assembly; the fast path used by the generators
+    and the native reader.  Raises as ``build_surfaces`` does; each
+    ``ElementFaultError`` lists the elements it names."""
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     if vertices.ndim != 2 or vertices.shape[1] not in (2, 3):
         raise ValueError("vertices must be an (n, 2) or (n, 3) array")
@@ -220,7 +258,13 @@ def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
     present = [CODE_TO_KIND[c] for c in np.unique(kind_codes)]
     widths = {k.surface_width for k in present}
     if len(widths) != 1:
-        raise ValueError("cannot mix 2D and 3D element kinds in one mesh")
+        # name the elements of the rarer dimension
+        is_3d = kind_codes == KIND_TO_CODE[ElementKind.TET]
+        rare_3d = 2 * int(is_3d.sum()) <= ne
+        ids = np.flatnonzero(is_3d == rare_3d)[:10]
+        raise MixedKindsError(
+            "cannot mix 2D and 3D element kinds in one mesh; the "
+            f"{3 if rare_3d else 2}D ones are elements {ids.tolist()}", ids)
     width = widths.pop()
     if width == 3 and vertices.shape[1] != 3:
         raise ValueError("tetrahedral meshes need 3D vertex coordinates")
@@ -234,63 +278,64 @@ def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
         bad = np.flatnonzero(
             ((elem_verts < 0) | (elem_verts >= nv)) & slot_valid
         )
-        elems = sorted(set(int(b) // MAX_ELEM_VERTS for b in bad))
+        elems = np.unique(bad // MAX_ELEM_VERTS)[:10]
         raise DanglingVertexError(
-            f"vertex ids out of range [0, {nv}) in elements {elems[:10]}"
-        )
+            f"vertex ids out of range [0, {nv}) in elements {elems.tolist()}",
+            elems)
     for kind in present:
         rows = np.flatnonzero(kind_codes == KIND_TO_CODE[kind])
-        vv = np.sort(elem_verts[rows][:, : kind.n_vertices], axis=1)
-        dup = (vv[:, 1:] == vv[:, :-1]).any(axis=1)
+        vv = elem_verts[rows].T
+        dup = np.zeros(len(rows), dtype=bool)
+        for i, j in itertools.combinations(range(kind.n_vertices), 2):
+            dup |= vv[i] == vv[j]
         if dup.any():
-            raise ValueError(
-                f"repeated vertex ids in elements {rows[dup][:10].tolist()}"
-            )
+            elems = rows[dup][:10]
+            raise RepeatedVertexError(
+                f"repeated vertex ids in elements {elems.tolist()}", elems)
 
     # collect every element side in element-major, side-minor order
     sides_all = np.full((ne, MAX_SIDES, width), -1, dtype=np.int64)
     for kind in present:
         rows = np.flatnonzero(kind_codes == KIND_TO_CODE[kind])
         pos = np.array(_SIDE_POSITIONS[kind], dtype=np.int64)
-        sides_all[rows[:, None], np.arange(len(pos))[None, :], :] = (
-            elem_verts[rows][:, pos]
-        )
+        sides_all[rows, : len(pos)] = elem_verts[rows[:, None, None], pos]
     valid = sides_all[:, :, 0] >= 0
-    flat_valid = valid.reshape(-1)
-    rows = np.sort(sides_all.reshape(-1, width)[flat_valid], axis=1)
-    slot_elem = np.repeat(np.arange(ne, dtype=np.int64), MAX_SIDES)[flat_valid]
-    slot_side = np.tile(np.arange(MAX_SIDES, dtype=np.int64), ne)[flat_valid]
+    slot_elem, slot_side = np.nonzero(valid)
+    rows = _sort_within_rows(sides_all[valid])
+    del sides_all, valid
 
-    uniq, first_idx, inverse = np.unique(
-        rows, axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq))
-    sid = rank[inverse]
-    surf_verts = uniq[order]
+    # a surface is a run of equal rows; surface ids follow each run's
+    # first slot, so they come in first-encounter order
+    order, starts = _row_groups(rows)
+    n_surf = len(starts)
+    by_first = np.argsort(order[starts])
+    sid_of_run = np.empty(n_surf, dtype=np.int64)
+    sid_of_run[by_first] = np.arange(n_surf)
+    run_len = np.diff(starts, append=len(rows))
+    sid = np.empty(len(rows), dtype=np.int64)
+    sid[order] = np.repeat(sid_of_run, run_len)
+    starts, counts = starts[by_first], run_len[by_first]
+    surf_verts = rows[order[starts]]
 
-    counts = np.bincount(sid, minlength=len(uniq))
     if (counts > 2).any():
         offenders = np.flatnonzero(counts > 2)[:5]
         detail = []
+        named = []
         for s in offenders:
-            elems = slot_elem[sid == s]
+            elems = slot_elem[order[starts[s]:starts[s] + counts[s]]]
+            named.extend(elems.tolist())
             detail.append(
-                f"surface {tuple(surf_verts[s])} shared by elements "
+                f"surface {tuple(surf_verts[s].tolist())} shared by elements "
                 f"{elems.tolist()}"
             )
-        raise NonManifoldError("; ".join(detail))
+        raise NonManifoldError("; ".join(detail), named)
 
-    # slots are element-major, so within one surface the first slot holds
-    # the smaller element id: that element becomes the left
-    by_sid = np.argsort(sid, kind="stable")
-    starts = np.searchsorted(sid[by_sid], np.arange(len(uniq)))
-    left = slot_elem[by_sid[starts]]
-    right = np.full(len(uniq), -1, dtype=np.int64)
+    # equal rows keep slot order, and slots are element-major, so the
+    # first slot of a run holds the smaller element id: the left
+    left = slot_elem[order[starts]]
+    right = np.full(n_surf, -1, dtype=np.int64)
     two = counts == 2
-    right[two] = slot_elem[by_sid[starts[two] + 1]]
+    right[two] = slot_elem[order[starts[two] + 1]]
     surf_elems = np.stack([left, right], axis=1)
 
     elem_surfs = np.full((ne, MAX_SIDES), -1, dtype=np.int64)
@@ -393,12 +438,11 @@ def validate(mesh: Mesh) -> list[Diagnostic]:
     """
     try:
         canon = assemble(mesh.vertices, mesh.elem_kind, mesh.elem_verts)
-    except DanglingVertexError as exc:
-        return [Diagnostic("dangling_vertex", str(exc))]
-    except NonManifoldError as exc:
-        return [Diagnostic("non_manifold", str(exc))]
+    except ElementFaultError as exc:
+        return [Diagnostic(exc.code, str(exc),
+                           element_id=next(iter(exc.element_ids), None))]
     except ValueError as exc:
-        return [Diagnostic("repeated_vertex", str(exc))]
+        return [Diagnostic("malformed", str(exc))]
     diags: list[Diagnostic] = []
     ns = mesh.n_surfaces
     sides = canon.elem_surfs >= 0
@@ -427,9 +471,9 @@ def validate(mesh: Mesh) -> list[Diagnostic]:
             "incidence", f"surface {s} stands for {uses[s]} of the "
             f"surfaces the elements imply, expected 1", surface_id=int(s)))
 
-    _, first, inverse = np.unique(mesh.surf_verts, axis=0,
-                                  return_index=True, return_inverse=True)
-    first = first[inverse.reshape(-1)]
+    order, starts = _row_groups(mesh.surf_verts)
+    first = np.empty(ns, dtype=np.int64)
+    first[order] = np.repeat(order[starts], np.diff(starts, append=ns))
     for s in np.flatnonzero(first != np.arange(ns)):
         diags.append(Diagnostic(
             "duplicate_surface", f"surfaces {first[s]} and {s} share "

@@ -271,9 +271,12 @@ def test_io_failures_exit_four(tmp_path):
     badmsh.write_text("$MeshFormat\n4.1 0 8\n$EndMeshFormat\n")
     assert main(["verify", "-i", str(badmsh)]) == 4
     tri = "VERTICES 3\n0 0\n1 0\n0 1\nELEMENTS 1\ntri 0 1 2\n"
+    quad = "VERTICES 4\n0 0\n1 0\n1 1\n0 1\nELEMENTS 1\nquad 0 1 2 3\n"
     for body in (tri + "COLORS 3\n1\n2\n9\n",
                  tri.replace("0 0", "nan 0.0"),
-                 "VERTICES -5\nELEMENTS 1\ntri 0 1 2\n"):
+                 "VERTICES -5\nELEMENTS 1\ntri 0 1 2\n",
+                 tri + "COLORS 3\n1\n2\n99999999999999999999\n",
+                 quad + "PARENTS 1\n0\n"):
         garbled.write_text("MESHCHROMA 1\n" + body)
         assert main(["verify", "-i", str(garbled)]) == 4, body
 

@@ -152,15 +152,18 @@ def test_validate_reports_duplicate_surface(two_tri):
 
 # gen_tri_rect(2, 2): element 3 is (2, 5, 4); surface 1 is the interior
 # edge (1, 4) of elements 0 and 2; element 2 lists surfaces (5, 6, 1).
-# assemble's own errors name their elements in the message.
+# assemble's own errors name their elements in the message, and the
+# diagnostic's element_id is the first of them.
 @pytest.mark.parametrize(
     "field, index, value, code, element_id, surface_id, named", [
-        ("elem_verts", (3, 1), 99, "dangling_vertex", None, None,
+        ("elem_verts", (3, 1), 99, "dangling_vertex", 3, None,
          "elements [3]"),
-        ("elem_verts", (3, 1), 2, "repeated_vertex", None, None,
+        ("elem_verts", (3, 1), 2, "repeated_vertex", 3, None,
          "elements [3]"),
-        ("elem_verts", (3, 0), 1, "non_manifold", None, None,
-         "elements [0, 2, 3]"),
+        ("elem_verts", (3, 0), 1, "non_manifold", 0, None,
+         "surface (1, 4) shared by elements [0, 2, 3]"),
+        ("elem_kind", 0, 2, "mixed_kinds", 0, None,
+         "3D ones are elements [0]"),
         ("elem_surfs", (2, 1), -1, "side_count", 2, None, "element 2"),
         ("elem_surfs", (2, 1), 99, "incidence", 2, None, "surface 99"),
         ("elem_surfs", (2, 1), 2, "incidence", 2, None, "surface 6"),
@@ -171,7 +174,7 @@ def test_validate_reports_duplicate_surface(two_tri):
         ("surf_verts", 1, [0, 1], "duplicate_surface", None, 1,
          "surfaces 0 and 1"),
     ], ids=["dangling_vertex", "repeated_vertex", "non_manifold",
-            "side_count", "slot_out_of_range", "slots_disagree",
+            "mixed_kinds", "side_count", "slot_out_of_range", "slots_disagree",
             "surface_unused",
             "dropped_right_element", "wrong_vertices", "duplicate_surface"])
 def test_validate_names_planted_faults(field, index, value, code,
@@ -183,6 +186,17 @@ def test_validate_names_planted_faults(field, index, value, code,
     assert any(d.code == code and d.element_id == element_id
                and d.surface_id == surface_id and named in d.message
                for d in diags), diags
+
+
+def test_validate_reports_other_assembly_errors_as_malformed():
+    from meshchroma import Mesh
+
+    mesh = gen_tet_prism(1, 1, 1)
+    flat = Mesh(mesh.vertices[:, :2].copy(), mesh.elem_kind, mesh.elem_verts,
+                mesh.elem_surfs, mesh.surf_verts, mesh.surf_elems)
+    diags = validate(flat)
+    assert [d.code for d in diags] == ["malformed"]
+    assert "3D vertex coordinates" in diags[0].message
 
 
 def test_connectivity_graph_two_tri(two_tri):
