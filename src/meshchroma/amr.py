@@ -16,10 +16,22 @@ sees two halves of differently colored parent edges (distinct mod 3)
 plus an interior copy of the third color, and the interior child sees
 all three parent colors.
 
-Coarsening reads the parent's edge colors back off the interior child's
-edges, which by construction carry exactly the pre-refinement colors,
-so refine followed by coarsen over the same element set is an exact
-identity on both topology and coloring.
+The split is one fixed rule applied to whole arrays.  The midpoint of
+split base surface ``s`` is fine vertex ``n_base_vertices + rank(s)``,
+counting split surfaces in id order.  A parent ``(v0, v1, v2)`` with
+midpoints ``(m01, m12, m20)`` has children ``_CHILD_TEMPLATE`` over
+``(v0, v1, v2, m01, m12, m20)``: corner children ``(v0, m01, m20)``,
+``(v1, m12, m01)``, ``(v2, m20, m12)``, then ``(m01, m12, m20)``.
+Side k of child t is then, by the fixed tables ``_SIDE_ORIGIN`` and
+``_SIDE_PARENT``, either a half of parent side j (the half through the
+child's corner) or the interior edge parallel to parent side j, so
+every fine surface is classified from its element side slots.
+
+Coarsening reads the parent's edge colors back off the fine surfaces
+(the whole edge, or the half containing the lower endpoint) and
+requires every fine color, interior edges included, to follow from
+them, so refine followed by coarsen over the same element set is an
+exact identity on both topology and coloring.
 
 Only one level of refinement is supported: refining a refinement child
 raises LevelConstraintError.  Interfaces between a refined and an
@@ -30,21 +42,36 @@ fine side contributes the two halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .coloring import SurfaceColoring, verify_coloring
 from .errors import (
+    ElementFaultError,
     LevelConstraintError,
     MalformedSectionError,
     PartialFamilyError,
     UnrefinableKindError,
 )
-from .mesh import ElementKind, Mesh, build_surfaces
+from .mesh import KIND_TO_CODE, MAX_ELEM_VERTS, ElementKind, Mesh, assemble
 
 # Interior child side k runs parallel to parent side _PARALLEL[k].
 _PARALLEL = (2, 0, 1)
+
+# Child t lists these positions of (v0, v1, v2, m01, m12, m20).
+_CHILD_TEMPLATE = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
+# Side k of child t is a half (1) or the interior edge parallel (2) to
+# parent side _SIDE_PARENT[t, k]; the values are ``surf_origin`` codes.
+_SIDE_ORIGIN = np.array([[1, 2, 1], [1, 2, 1], [1, 2, 1], [2, 2, 2]],
+                        dtype=np.int8)
+_SIDE_PARENT = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], _PARALLEL])
+
+_TRIANGLE = KIND_TO_CODE[ElementKind.TRIANGLE]
+_MESH_ARRAYS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
+                "surf_verts", "surf_elems")
 
 FINE_PALETTE = 6
 
@@ -79,23 +106,42 @@ class FamilyRecord:
     interior_edge_colors: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinementMap:
-    """Which elements were refined and what each split produced."""
+    """Which elements were refined and what each split produced.
+
+    ``refined`` lists the parents in ascending order; the children of
+    ``refined[i]`` are fine elements ``first_child + 4 i`` onwards.
+    ``parent_edge_colors[i]`` holds the base colors of that parent's
+    sides; it is None only on the geometry ``_materialize`` builds
+    before the colors are known.  ``families`` is built on first read.
+    """
 
     refined: tuple[int, ...]
-    families: tuple[FamilyRecord, ...]
+    first_child: int
+    parent_edge_colors: np.ndarray | None = None
+
+    def _record(self, i: int) -> FamilyRecord:
+        pcol = tuple(int(c) for c in self.parent_edge_colors[i])
+        k0 = self.first_child + 4 * i
+        return FamilyRecord(
+            parent=self.refined[i],
+            children=(k0, k0 + 1, k0 + 2, k0 + 3),
+            parent_edge_colors=pcol,
+            child_edge_colors=tuple(
+                (child_color(c, 1), child_color(c, 2)) for c in pcol
+            ),
+            interior_edge_colors=tuple(pcol[_PARALLEL[k]] for k in range(3)),
+        )
+
+    @cached_property
+    def families(self) -> tuple[FamilyRecord, ...]:
+        return tuple(self._record(i) for i in range(len(self.refined)))
 
     def family(self, parent: int) -> FamilyRecord:
-        lo, hi = 0, len(self.refined)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.refined[mid] < parent:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.refined) and self.refined[lo] == parent:
-            return self.families[lo]
+        i = bisect_left(self.refined, parent)
+        if i < len(self.refined) and self.refined[i] == parent:
+            return self._record(i)
         raise KeyError(parent)
 
 
@@ -104,14 +150,19 @@ class RefinedMesh:
     """A base mesh, its refined counterpart, and the bookkeeping
     linking the two.
 
-    ``origin`` maps each fine element to the base element it came from
-    (itself for unrefined copies); ``child_slot`` is -1 for unrefined
-    copies and 0..3 for children, interior child last.  ``surf_origin``
-    classifies each fine surface: 0 = a base edge kept whole, 1 = half
-    of a split base edge, 2 = interior edge of a refined parent.
-    ``base_surface`` names the related base edge in all three cases
-    (the parallel one for interior edges) and ``half_index`` is 1 or 2
-    for halves, 0 otherwise.
+    The fine elements are the unrefined base elements in id order, then
+    four children per refined parent in ascending parent order, built
+    from the child template in the module docstring.  ``origin`` maps
+    each fine element to the base element it came from (itself for
+    unrefined copies); ``child_slot`` is -1 for unrefined copies and
+    0..3 for children, interior child last.  ``surf_origin`` classifies
+    each fine surface: 0 = a base edge kept whole, 1 = half of a split
+    base edge, 2 = interior edge of a refined parent.  ``base_surface``
+    names the related base edge in all three cases (the parallel one
+    for interior edges) and ``half_index`` is 1 or 2 for halves, 0
+    otherwise.  All three are read off the side slots: an unrefined
+    copy's sides through ``base.elem_surfs``, a child's through the
+    side tables ``_SIDE_ORIGIN`` and ``_SIDE_PARENT``.
     """
 
     base: Mesh
@@ -140,140 +191,91 @@ class RefinedMesh:
     def hanging_interfaces(self) -> tuple[tuple[int, int, int], ...]:
         """(coarse full edge, lower half, upper half) fine surface ids
         for every nonconforming interface."""
-        halves: dict[int, list[int]] = {}
-        for s in np.nonzero(self.surf_origin == 1)[0]:
-            halves.setdefault(int(self.base_surface[s]), []).append(int(s))
-        out = []
-        for s in np.nonzero(self.surf_origin == 0)[0]:
-            pair = halves.get(int(self.base_surface[s]))
-            if pair is None:
-                continue
-            first, second = pair
-            if self.half_index[first] != 1:
-                first, second = second, first
-            out.append((int(s), first, second))
-        return tuple(sorted(out))
+        halves = np.full((self.base.n_surfaces, 2), -1, dtype=np.int64)
+        h = np.flatnonzero(self.surf_origin == 1)
+        halves[self.base_surface[h], self.half_index[h] - 1] = h
+        full = np.flatnonzero(self.surf_origin == 0)
+        full = full[halves[self.base_surface[full], 0] >= 0]
+        rows = np.column_stack([full, halves[self.base_surface[full]]])
+        return tuple(tuple(row) for row in rows.tolist())
 
 
-def _derive_fine_colors(surf_origin, base_surface, half_index,
-                        base_colors) -> np.ndarray:
-    colors = base_colors[base_surface].astype(np.int32)
-    halves = surf_origin == 1
-    m = half_index[halves]
+def _derive_fine_colors(refined: RefinedMesh,
+                        base_colors: np.ndarray) -> np.ndarray:
+    colors = base_colors[refined.base_surface].astype(np.int32)
+    halves = refined.surf_origin == 1
+    m = refined.half_index[halves]
     colors[halves] = (colors[halves] + 3 * m - 4) % 6 + 1
     return colors
 
 
-def _materialize(base: Mesh, base_colors: np.ndarray,
-                 refined) -> tuple[RefinedMesh, SurfaceColoring]:
-    """Build the fine mesh for a refinement set.  Pure: the result is a
-    function of (base, base_colors, refined) alone."""
-    refined = tuple(sorted({int(e) for e in refined}))
-    rset = set(refined)
+def _materialize(base: Mesh, refined: np.ndarray) -> RefinedMesh:
+    """Build the fine mesh for the sorted, distinct parent ids
+    ``refined``, geometry only: the map carries no colors yet."""
     nbv = base.n_vertices
+    is_refined = np.zeros(base.n_elements, dtype=bool)
+    is_refined[refined] = True
+    unrefined = np.flatnonzero(~is_refined)
+    nu, nr = len(unrefined), len(refined)
 
-    split_sids = sorted({
-        int(s) for p in refined for s in base.elem_surfs[p, :3]
-    })
-    mid_of = {s: nbv + i for i, s in enumerate(split_sids)}
-    edge_of_mid = {
-        mid_of[s]: (int(base.surf_verts[s, 0]), int(base.surf_verts[s, 1]))
-        for s in split_sids
-    }
-    if split_sids:
-        ends = base.surf_verts[split_sids]
-        mid_coords = 0.5 * (base.vertices[ends[:, 0]]
-                            + base.vertices[ends[:, 1]])
-        fine_verts = np.vstack([base.vertices, mid_coords])
-    else:
-        fine_verts = base.vertices
+    psurfs = base.elem_surfs[refined, :3]
+    split = np.zeros(base.n_surfaces, dtype=bool)
+    split[psurfs] = True
+    mid = nbv - 1 + np.cumsum(split)
+    ends = base.surf_verts[split]
+    vertices = np.vstack([base.vertices, 0.5 * (base.vertices[ends[:, 0]]
+                                                + base.vertices[ends[:, 1]])])
 
-    fine_elements: list[tuple[ElementKind, tuple[int, ...]]] = []
-    origin: list[int] = []
-    child_slot: list[int] = []
-    for e in range(base.n_elements):
-        if e in rset:
-            continue
-        kind = base.kind_of(e)
-        vids = tuple(int(v) for v in base.elem_verts[e, : kind.n_vertices])
-        fine_elements.append((kind, vids))
-        origin.append(e)
-        child_slot.append(-1)
+    corners = base.elem_verts[refined, :3]
+    six = np.hstack([corners, mid[psurfs]])
+    elem_verts = np.full((nu + 4 * nr, MAX_ELEM_VERTS), -1, dtype=np.int64)
+    elem_verts[:nu] = base.elem_verts[unrefined]
+    elem_verts[nu:, :3] = six[:, _CHILD_TEMPLATE].reshape(-1, 3)
+    kinds = np.concatenate([base.elem_kind[unrefined],
+                            np.full(4 * nr, _TRIANGLE, dtype=np.int8)])
+    fine = assemble(vertices, kinds, elem_verts)
 
-    first_child = {}
-    for p in refined:
-        v0, v1, v2 = (int(v) for v in base.elem_verts[p, :3])
-        s0, s1, s2 = (int(s) for s in base.elem_surfs[p, :3])
-        m01, m12, m20 = mid_of[s0], mid_of[s1], mid_of[s2]
-        first_child[p] = len(fine_elements)
-        for vids in ((v0, m01, m20), (v1, m12, m01),
-                     (v2, m20, m12), (m01, m12, m20)):
-            fine_elements.append((ElementKind.TRIANGLE, vids))
-            origin.append(p)
-        child_slot.extend((0, 1, 2, 3))
-
-    fine = build_surfaces(fine_verts, fine_elements)
-
-    base_sid = {
-        (int(u), int(w)): s
-        for s, (u, w) in enumerate(base.surf_verts)
-    }
     ns = fine.n_surfaces
-    surf_origin = np.empty(ns, dtype=np.int8)
+    surf_origin = np.zeros(ns, dtype=np.int8)
     base_surface = np.empty(ns, dtype=np.int64)
     half_index = np.zeros(ns, dtype=np.int8)
-    for s in range(ns):
-        a, b = int(fine.surf_verts[s, 0]), int(fine.surf_verts[s, 1])
-        if b < nbv:
-            surf_origin[s] = 0
-            base_surface[s] = base_sid[(a, b)]
-        elif a < nbv:
-            u, w = edge_of_mid[b]
-            surf_origin[s] = 1
-            base_surface[s] = base_sid[(u, w)]
-            half_index[s] = 1 if a == u else 2
-        else:
-            u1, w1 = edge_of_mid[a]
-            u2, w2 = edge_of_mid[b]
-            shared = {u1, w1} & {u2, w2}
-            if len(shared) != 1:
-                raise AssertionError("interior edge spans two parents")
-            common = shared.pop()
-            x = u1 + w1 - common
-            y = u2 + w2 - common
-            surf_origin[s] = 2
-            base_surface[s] = base_sid[(min(x, y), max(x, y))]
+    copies = fine.elem_surfs[:nu]
+    sides = copies >= 0
+    base_surface[copies[sides]] = base.elem_surfs[unrefined][sides]
+    kids = fine.elem_surfs[nu:, :3].reshape(nr, 4, 3)
+    related = psurfs[:, _SIDE_PARENT]
+    surf_origin[kids] = _SIDE_ORIGIN
+    base_surface[kids] = related
+    # a corner child's halves pass through its corner, child vertex 0
+    is_half = _SIDE_ORIGIN[:3] == 1
+    lower = base.surf_verts[related[:, :3], 0] == corners[:, :, None]
+    half_index[kids[:, :3][:, is_half]] = np.where(lower, 1, 2)[:, is_half]
 
-    base_colors = np.asarray(base_colors, dtype=np.int32)
-    colors = _derive_fine_colors(surf_origin, base_surface, half_index,
-                                 base_colors)
-
-    families = []
-    for p in refined:
-        sids = tuple(int(s) for s in base.elem_surfs[p, :3])
-        pcol = tuple(int(base_colors[s]) for s in sids)
-        k0 = first_child[p]
-        families.append(FamilyRecord(
-            parent=p,
-            children=(k0, k0 + 1, k0 + 2, k0 + 3),
-            parent_edge_colors=pcol,
-            child_edge_colors=tuple(
-                (child_color(c, 1), child_color(c, 2)) for c in pcol
-            ),
-            interior_edge_colors=tuple(pcol[_PARALLEL[k]] for k in range(3)),
-        ))
-
-    refined_mesh = RefinedMesh(
+    return RefinedMesh(
         base=base,
         mesh=fine,
-        origin=np.asarray(origin, dtype=np.int64),
-        child_slot=np.asarray(child_slot, dtype=np.int8),
-        map=RefinementMap(refined=refined, families=tuple(families)),
+        origin=np.concatenate([unrefined, np.repeat(refined, 4)]),
+        child_slot=np.concatenate([
+            np.full(nu, -1, dtype=np.int8),
+            np.tile(np.arange(4, dtype=np.int8), nr),
+        ]),
+        map=RefinementMap(refined=tuple(refined.tolist()), first_child=nu),
         surf_origin=surf_origin,
         base_surface=base_surface,
         half_index=half_index,
     )
-    return refined_mesh, SurfaceColoring(colors, FINE_PALETTE)
+
+
+def _with_colors(refined: RefinedMesh,
+                 base_colors) -> tuple[RefinedMesh, SurfaceColoring]:
+    """The refinement with its map colored, and its fine coloring."""
+    base_colors = np.asarray(base_colors, dtype=np.int32)
+    parents = refined.origin[refined.map.first_child::4]
+    rmap = replace(refined.map, parent_edge_colors=base_colors[
+        refined.base.elem_surfs[parents, :3]])
+    return (replace(refined, map=rmap),
+            SurfaceColoring(_derive_fine_colors(refined, base_colors),
+                            FINE_PALETTE))
 
 
 def _check_base_coloring(mesh: Mesh, coloring: SurfaceColoring) -> None:
@@ -288,51 +290,54 @@ def _check_base_coloring(mesh: Mesh, coloring: SurfaceColoring) -> None:
         raise ValueError("refinement needs a valid coloring")
 
 
-def _recover_base_colors(refined: RefinedMesh, coloring: SurfaceColoring,
-                         coarsened=()) -> np.ndarray:
+def _recover_base_colors(refined: RefinedMesh,
+                         coloring: SurfaceColoring) -> np.ndarray:
     """Read the base coloring back out of a fine coloring.
 
-    Elements being coarsened use the documented rule: parent side n
-    takes the color of the interior child edge parallel to it.  All
-    other base edges read the full edge, or the half containing the
-    lower endpoint, which carries the parent color unchanged.
+    Each base edge reads the fine surface that is the whole edge or
+    its half containing the lower endpoint, which carries the parent
+    color unchanged.  Those colors must lie in the base palette, and
+    every fine color, halves and interior edges included, must follow
+    from them; a ``ValueError`` names the first fine surface that does
+    not, with its left element and that element's parent.
     """
     fc = np.asarray(coloring.colors)
     if len(fc) != refined.mesh.n_surfaces:
         raise ValueError("coloring does not match the fine mesh")
+    keep = np.flatnonzero((refined.surf_origin == 0)
+                          | (refined.half_index == 1))
     out = np.full(refined.base.n_surfaces, -1, dtype=np.int32)
-
-    for p in coarsened:
-        rec = refined.map.family(p)
-        interior_child = rec.children[3]
-        for k in range(3):
-            fine_sid = int(refined.mesh.elem_surfs[interior_child, k])
-            bsid = int(refined.base.elem_surfs[p, _PARALLEL[k]])
-            c = int(fc[fine_sid])
-            if out[bsid] >= 0 and out[bsid] != c:
-                raise ValueError(
-                    f"inconsistent colors recovered for base edge {bsid}"
-                )
-            out[bsid] = c
-
-    keep = (refined.surf_origin == 0) | (
-        (refined.surf_origin == 1) & (refined.half_index == 1)
-    )
-    direct = fc[keep].astype(np.int32)
-    targets = refined.base_surface[keep]
-    clash = (out[targets] >= 0) & (out[targets] != direct)
-    if clash.any():
-        raise ValueError("coloring was not produced by this refinement")
-    out[targets] = direct
-
-    if (out < 1).any() or (out > 3).any():
-        raise ValueError("coloring was not produced by this refinement")
-    rederived = _derive_fine_colors(
-        refined.surf_origin, refined.base_surface, refined.half_index, out
-    )
-    if not np.array_equal(rederived, fc):
-        raise ValueError("coloring was not produced by this refinement")
+    out[refined.base_surface[keep]] = fc[keep]
+    bad = keep[(fc[keep] < 1) | (fc[keep] > 3)]
+    if not bad.size:
+        bad = np.flatnonzero(_derive_fine_colors(refined, out) != fc)
+    if bad.size:
+        s = int(bad[0])
+        e = int(refined.mesh.surf_elems[s, 0])
+        raise ValueError(
+            f"coloring was not produced by this refinement: fine surface "
+            f"{s} of element {e} (parent {refined.parents[e]}) has color "
+            f"{fc[s]}"
+        )
     return out
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct values.  ``np.unique`` hashes integer input, and
+    on numpy 2.4 that is about 100 times slower than this sort."""
+    ids = np.sort(ids)
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    return ids[first]
+
+
+def _element_ids(elements, n_elements: int) -> np.ndarray:
+    """Sorted distinct ids, each checked to name an element."""
+    ids = _distinct(np.fromiter(elements, dtype=np.int64))
+    bad = ids[(ids < 0) | (ids >= n_elements)]
+    if bad.size:
+        raise ValueError(f"no element {bad[0]} in the mesh")
+    return ids
 
 
 def refine(source, coloring: SurfaceColoring,
@@ -345,72 +350,125 @@ def refine(source, coloring: SurfaceColoring,
     mesh and a complete, valid coloring over at most six colors.
     """
     if isinstance(source, RefinedMesh):
-        fine_ids = sorted({int(e) for e in elements})
-        for f in fine_ids:
-            if not 0 <= f < source.mesh.n_elements:
-                raise ValueError(f"no element {f} in the mesh")
-            if source.child_slot[f] >= 0:
-                raise LevelConstraintError(
-                    f"element {f} is already a refinement child; "
-                    f"adjacent elements may differ by one level only"
-                )
+        ids = _element_ids(elements, source.mesh.n_elements)
+        children = ids[source.child_slot[ids] >= 0]
+        if children.size:
+            raise LevelConstraintError(
+                f"element {children[0]} is already a refinement child; "
+                f"adjacent elements may differ by one level only"
+            )
         base_colors = _recover_base_colors(source, coloring)
-        new_set = set(source.map.refined)
-        new_set.update(int(source.origin[f]) for f in fine_ids)
-        return _materialize(source.base, base_colors, new_set)
+        parents = source.origin[source.map.first_child::4]
+        grown = _distinct(np.concatenate([parents, source.origin[ids]]))
+        return _with_colors(_materialize(source.base, grown), base_colors)
 
     mesh: Mesh = source
     if mesh.element_kind_profile != {ElementKind.TRIANGLE}:
         raise UnrefinableKindError(
             "1:4 refinement is defined for triangle meshes only"
         )
-    ids = sorted({int(e) for e in elements})
-    for e in ids:
-        if not 0 <= e < mesh.n_elements:
-            raise ValueError(f"no element {e} in the mesh")
+    ids = _element_ids(elements, mesh.n_elements)
     _check_base_coloring(mesh, coloring)
-    return _materialize(mesh, coloring.colors, ids)
+    return _with_colors(_materialize(mesh, ids), coloring.colors)
 
 
 def coarsen(refined: RefinedMesh, coloring: SurfaceColoring,
             parents) -> tuple[Mesh | RefinedMesh, SurfaceColoring]:
     """Merge each listed parent's four children back into the parent.
 
-    Parent edge colors are recovered from the interior child.  Returns
-    the base mesh and its 3-coloring when nothing stays refined, else a
+    Parent edge colors are read back off the fine coloring, which must
+    be the one this refinement derives from them.  Returns the base
+    mesh and its 3-coloring when nothing stays refined, else a
     RefinedMesh over the remaining set with its 6-coloring.
     """
-    ps = sorted({int(p) for p in parents})
-    rset = set(refined.map.refined)
-    for p in ps:
-        if p not in rset:
-            raise PartialFamilyError(
-                f"element {p} has no complete refinement family"
-            )
-    base_colors = _recover_base_colors(refined, coloring, coarsened=ps)
-    remaining = rset - set(ps)
-    if not remaining:
+    ps = _distinct(np.fromiter(parents, dtype=np.int64))
+    current = refined.origin[refined.map.first_child::4]
+    missing = ps[~np.isin(ps, current)]
+    if missing.size:
+        raise PartialFamilyError(
+            f"element {missing[0]} has no complete refinement family"
+        )
+    base_colors = _recover_base_colors(refined, coloring)
+    remaining = current[~np.isin(current, ps)]
+    if not remaining.size:
         return refined.base, SurfaceColoring(base_colors, 3)
-    return _materialize(refined.base, base_colors, remaining)
+    return _with_colors(_materialize(refined.base, remaining), base_colors)
 
 
 def max_refined_neighbors(refined: RefinedMesh) -> int:
     """Largest number of refinement children adjacent to any unrefined
     element.  Each refined edge neighbor contributes two children, so a
     triangle with all three neighbors refined scores six."""
-    rset = set(refined.map.refined)
-    counts: dict[int, int] = {}
     base = refined.base
-    for s in range(base.n_surfaces):
-        left = int(base.surf_elems[s, 0])
-        right = int(base.surf_elems[s, 1])
-        if right < 0:
-            continue
-        if left in rset and right not in rset:
-            counts[right] = counts.get(right, 0) + 2
-        elif right in rset and left not in rset:
-            counts[left] = counts.get(left, 0) + 2
-    return max(counts.values(), default=0)
+    is_refined = np.zeros(base.n_elements, dtype=bool)
+    is_refined[refined.origin[refined.map.first_child::4]] = True
+    left, right = base.surf_elems[base.surf_elems[:, 1] >= 0].T
+    mixed = is_refined[left] != is_refined[right]
+    coarse = np.where(is_refined[left], right, left)[mixed]
+    return 2 * int(np.bincount(coarse).max(initial=0))
+
+
+def check_parent_layout(parents, n_elements: int) -> np.ndarray:
+    """Check that a parent table has the canonical layout and return
+    the refined parent ids in ascending order.
+
+    The layout is the one ``refine`` writes: ``n_elements`` entries,
+    -1 for each unrefined element first, then four consecutive entries
+    per refined parent in ascending parent order, every parent id
+    naming a base element.  Raises ``PartialFamilyError`` for a parent
+    without exactly four children and ``MalformedSectionError`` for
+    anything else; each names the parent or element at fault.
+    """
+    parents = np.asarray(parents, dtype=np.int64)
+    if parents.shape != (n_elements,):
+        raise MalformedSectionError("parent table length mismatch")
+    ids, first, counts = np.unique(parents[parents >= 0], return_index=True,
+                                   return_counts=True)
+    partial = np.flatnonzero(counts != 4)
+    if partial.size:
+        i = partial[np.argmin(first[partial])]
+        raise PartialFamilyError(
+            f"parent {ids[i]} has {counts[i]} children, expected 4"
+        )
+    n_base = n_elements - 3 * len(ids)
+    if ids.size and ids[-1] >= n_base:
+        raise MalformedSectionError(
+            f"parent id out of range: parent {ids[ids >= n_base][0]} in a "
+            f"base mesh of {n_base} elements"
+        )
+    expected = np.concatenate([np.full(n_elements - 4 * len(ids), -1),
+                               np.repeat(ids, 4)])
+    wrong = np.flatnonzero(parents != expected)
+    if wrong.size:
+        e = wrong[0]
+        raise MalformedSectionError(
+            f"parent table is not in canonical order: element {e} has "
+            f"parent {parents[e]}, expected {expected[e]}"
+        )
+    return ids
+
+
+def _first_difference(rebuilt: Mesh, fine: Mesh) -> int | None:
+    """The lowest fine element whose kind, vertex ids, surface ids or
+    corner coordinates differ from ``rebuilt``'s; -1 if the meshes
+    differ elsewhere only, None if they are equal.  Both meshes have
+    the same element count, and ``rebuilt``'s vertices start with
+    ``fine``'s base vertices, so both have the same dimension."""
+    if all(np.array_equal(getattr(rebuilt, a), getattr(fine, a))
+           for a in _MESH_ARRAYS):
+        return None
+    # a vertex the rebuilt mesh lacks counts as moved; the extra last
+    # slot is where the -1 padding looks
+    moved = np.ones(fine.n_vertices + 1, dtype=bool)
+    n = min(rebuilt.n_vertices, fine.n_vertices)
+    moved[:n] = (rebuilt.vertices[:n] != fine.vertices[:n]).any(axis=1)
+    moved[-1] = False
+    bad = ((rebuilt.elem_kind != fine.elem_kind)
+           | (rebuilt.elem_verts != fine.elem_verts).any(axis=1)
+           | (rebuilt.elem_surfs != fine.elem_surfs).any(axis=1)
+           | moved[fine.elem_verts].any(axis=1))
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else -1
 
 
 def reconstruct_refinement(
@@ -418,142 +476,43 @@ def reconstruct_refinement(
 ) -> tuple[RefinedMesh, SurfaceColoring]:
     """Rebuild a RefinedMesh from serialized (mesh, parents, colors).
 
-    Only canonical layouts are accepted: unrefined elements first, then
-    four consecutive children per refined parent in ascending parent
-    order.  The base mesh is reassembled, re-refined, and required to
-    reproduce the input exactly; anything else is malformed.
+    Only the canonical layout ``check_parent_layout`` describes is
+    accepted.  The base corners are vertex 0 of each parent's children
+    0-2, the base mesh is assembled from them and the unrefined
+    elements, and re-refining it must reproduce the input exactly,
+    vertices and colors included.  Anything else raises
+    ``MalformedSectionError`` (or ``PartialFamilyError`` for a family
+    of the wrong size), naming the fine element and parent at fault.
     """
     parents = np.asarray(parents, dtype=np.int64)
-    nf = fine.n_elements
-    if parents.shape != (nf,):
-        raise MalformedSectionError("parent table length mismatch")
-    child_rows = np.nonzero(parents >= 0)[0]
-    groups: dict[int, list[int]] = {}
-    for fid in child_rows:
-        groups.setdefault(int(parents[fid]), []).append(int(fid))
-    for p, kids in groups.items():
-        if len(kids) != 4:
-            raise PartialFamilyError(
-                f"parent {p} has {len(kids)} children, expected 4"
-            )
-    refined_ids = sorted(groups)
-    n_unref = nf - 4 * len(refined_ids)
-    n_base = n_unref + len(refined_ids)
-    if refined_ids and not (0 <= refined_ids[0]
-                            and refined_ids[-1] < n_base):
-        raise MalformedSectionError("parent id out of range")
-    expected = [-1] * n_unref
-    for p in refined_ids:
-        expected.extend((p, p, p, p))
-    if parents.tolist() != expected:
-        raise MalformedSectionError(
-            "parent table is not in canonical order"
-        )
+    refined = check_parent_layout(parents, fine.n_elements)
 
-    unref_base_ids = sorted(set(range(n_base)) - set(refined_ids))
-    base_elements: list = [None] * n_base
-    for j, b in enumerate(unref_base_ids):
-        kind = fine.kind_of(j)
-        vids = tuple(int(v) for v in fine.elem_verts[j, : kind.n_vertices])
-        base_elements[b] = (kind, vids)
-    for idx, p in enumerate(refined_ids):
-        k0 = n_unref + 4 * idx
-        for t in range(4):
-            if fine.kind_of(k0 + t) is not ElementKind.TRIANGLE:
-                raise MalformedSectionError(
-                    "refinement children must be triangles"
-                )
-        corners = tuple(int(fine.elem_verts[k0 + t, 0]) for t in range(3))
-        base_elements[p] = (ElementKind.TRIANGLE, corners)
-
-    nbv = 1 + max(v for _, vids in base_elements for v in vids)
-    if nbv > fine.n_vertices:
-        raise MalformedSectionError("base vertex id out of range")
+    nu = fine.n_elements - 4 * len(refined)
+    is_refined = np.zeros(nu + len(refined), dtype=bool)
+    is_refined[refined] = True
+    kinds = np.full(len(is_refined), _TRIANGLE, dtype=np.int8)
+    kinds[~is_refined] = fine.elem_kind[:nu]
+    verts = np.full((len(is_refined), MAX_ELEM_VERTS), -1, dtype=np.int64)
+    verts[~is_refined] = fine.elem_verts[:nu]
+    verts[refined, :3] = fine.elem_verts[nu:, 0].reshape(-1, 4)[:, :3]
     try:
-        base = build_surfaces(fine.vertices[:nbv], base_elements)
-    except Exception as exc:
+        base = assemble(fine.vertices[:verts.max() + 1], kinds, verts)
+    except (ElementFaultError, ValueError) as exc:
         raise MalformedSectionError(
             f"could not reassemble the base mesh: {exc}"
         ) from None
 
-    fc = np.asarray(coloring.colors)
-    if len(fc) != fine.n_surfaces:
-        raise MalformedSectionError("colors do not match the fine mesh")
-    fine_sid = {
-        (int(u), int(w)): s for s, (u, w) in enumerate(fine.surf_verts)
-    }
-    base_sid = {
-        (int(u), int(w)): s for s, (u, w) in enumerate(base.surf_verts)
-    }
-    base_colors = np.full(base.n_surfaces, -1, dtype=np.int32)
-
-    def put(bsid, c):
-        if not 1 <= c <= 3:
-            raise MalformedSectionError(
-                f"recovered color {c} is outside the base palette"
-            )
-        if base_colors[bsid] >= 0 and base_colors[bsid] != c:
-            raise MalformedSectionError(
-                f"conflicting colors recovered for base edge {bsid}"
-            )
-        base_colors[bsid] = c
-
-    split = set()
-    for idx, p in enumerate(refined_ids):
-        k0 = n_unref + 4 * idx
-        v = base_elements[p][1]
-        mids = (int(fine.elem_verts[k0, 1]),      # midpoint of (v0, v1)
-                int(fine.elem_verts[k0 + 1, 1]),  # midpoint of (v1, v2)
-                int(fine.elem_verts[k0 + 2, 1]))  # midpoint of (v2, v0)
-        cross = (int(fine.elem_verts[k0 + 1, 2]),
-                 int(fine.elem_verts[k0 + 2, 2]),
-                 int(fine.elem_verts[k0, 2]))
-        if mids != cross:
-            raise MalformedSectionError(
-                f"children of parent {p} do not share midpoints"
-            )
-        for k in range(3):
-            u, w = v[k], v[(k + 1) % 3]
-            m = mids[k]
-            if not np.array_equal(
-                fine.vertices[m],
-                0.5 * (fine.vertices[u] + fine.vertices[w]),
-            ):
-                raise MalformedSectionError(
-                    f"vertex {m} is not the midpoint of ({u}, {w})"
-                )
-            lo = min(u, w)
-            half = fine_sid.get((min(lo, m), max(lo, m)))
-            bsid = base_sid.get((min(u, w), max(u, w)))
-            if half is None or bsid is None:
-                raise MalformedSectionError(
-                    f"half edges of base edge ({u}, {w}) are missing"
-                )
-            put(bsid, int(fc[half]))
-            split.add(bsid)
-
-    for bsid in range(base.n_surfaces):
-        if bsid in split:
-            continue
-        u, w = int(base.surf_verts[bsid, 0]), int(base.surf_verts[bsid, 1])
-        s = fine_sid.get((u, w))
-        if s is None:
-            raise MalformedSectionError(
-                f"base edge ({u}, {w}) has no fine counterpart"
-            )
-        put(bsid, int(fc[s]))
-
-    rebuilt, recolored = _materialize(base, base_colors, refined_ids)
-    same = (
-        np.array_equal(rebuilt.mesh.vertices, fine.vertices)
-        and np.array_equal(rebuilt.mesh.elem_kind, fine.elem_kind)
-        and np.array_equal(rebuilt.mesh.elem_verts, fine.elem_verts)
-        and np.array_equal(rebuilt.mesh.surf_verts, fine.surf_verts)
-        and np.array_equal(rebuilt.mesh.surf_elems, fine.surf_elems)
-        and np.array_equal(recolored.colors, fc)
-    )
-    if not same:
+    rebuilt = _materialize(base, refined)
+    e = _first_difference(rebuilt.mesh, fine)
+    if e is not None:
+        where = "" if e < 0 else (
+            f": fine element {e} (parent {parents[e]}) differs from its "
+            f"rebuilt counterpart")
         raise MalformedSectionError(
-            "mesh is not a canonical single-level refinement"
+            "mesh is not a canonical single-level refinement" + where
         )
-    return rebuilt, recolored
+    try:
+        base_colors = _recover_base_colors(rebuilt, coloring)
+    except ValueError as exc:
+        raise MalformedSectionError(str(exc)) from None
+    return _with_colors(rebuilt, base_colors)

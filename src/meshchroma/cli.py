@@ -21,7 +21,13 @@ import sys
 
 import numpy as np
 
-from .amr import RefinedMesh, coarsen, reconstruct_refinement, refine
+from .amr import (
+    RefinedMesh,
+    check_parent_layout,
+    coarsen,
+    reconstruct_refinement,
+    refine,
+)
 from .coloring import ColoringConfig, SurfaceColoring, color, verify_coloring
 from .errors import (
     DanglingVertexError,
@@ -254,6 +260,11 @@ def _cmd_color(args) -> int:
 
 def _cmd_verify(args) -> int:
     nm = _read_mesh_file(args.input)
+    if nm.parents is not None and (nm.parents >= 0).any():
+        # coarsen's layout check, on the order before any renumbering
+        parents = (nm.parents if nm.element_perm is None
+                   else nm.parents[nm.element_perm])
+        check_parent_layout(parents, nm.mesh.n_elements)
     issues = validate(nm.mesh)
     for diag in issues:
         print(f"{diag.code}: {diag.message}")

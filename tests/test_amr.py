@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meshchroma.mesh as mesh_module
 from meshchroma import (
     LevelConstraintError,
     MalformedSectionError,
@@ -25,6 +26,7 @@ from meshchroma import (
     verify_coloring,
     write_native,
 )
+from meshchroma.mesh import assemble
 
 # the half that contains the lower endpoint keeps the parent color,
 # the other half moves up three
@@ -259,3 +261,161 @@ def test_random_sets_round_trip(targets, seed):
         back, back_col = coarsen(ref, fine, targets)
         assert (back.elem_verts == mesh.elem_verts).all()
         assert (back_col.colors == coloring.colors).all()
+
+
+def _hanging_by_loop(ref):
+    halves = {}
+    for s in np.nonzero(ref.surf_origin == 1)[0]:
+        halves.setdefault(int(ref.base_surface[s]), []).append(int(s))
+    out = []
+    for s in np.nonzero(ref.surf_origin == 0)[0]:
+        pair = halves.get(int(ref.base_surface[s]))
+        if pair is not None:
+            first, second = sorted(pair, key=lambda h: ref.half_index[h])
+            out.append((int(s), first, second))
+    return tuple(sorted(out))
+
+
+def _max_refined_neighbors_by_loop(ref):
+    refined = set(ref.map.refined)
+    counts = {}
+    for left, right in ref.base.surf_elems.tolist():
+        if right >= 0 and (left in refined) != (right in refined):
+            coarse = right if left in refined else left
+            counts[coarse] = counts.get(coarse, 0) + 2
+    return max(counts.values(), default=0)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.booleans(), st.sets(st.integers(min_value=0, max_value=31)))
+def test_interface_counts_match_a_per_surface_loop(closed, targets):
+    mesh = gen_tri_rect(4, 4, closed)
+    coloring, _ = color(mesh)
+    ref, _ = refine(mesh, coloring, targets)
+    assert ref.hanging_interfaces() == _hanging_by_loop(ref)
+    assert max_refined_neighbors(ref) == _max_refined_neighbors_by_loop(ref)
+
+
+def _refined_family():
+    """gen_tri_rect(3, 3) with element 4 refined, and its first child."""
+    mesh = gen_tri_rect(3, 3)
+    coloring, _ = color(mesh)
+    ref, fine = refine(mesh, coloring, [4])
+    return ref, fine, int(np.flatnonzero(ref.parents == 4)[0])
+
+
+def _moved_midpoint(ref, fine, k0):
+    mid = ref.mesh.elem_verts[k0, 1]
+    verts = ref.mesh.vertices.copy()
+    verts[mid] += (0.25, 0.0)
+    moved = assemble(verts, ref.mesh.elem_kind, ref.mesh.elem_verts)
+    return moved, fine, k0
+
+
+def _unshared_midpoint(ref, fine, k0):
+    # child 1 gets its own copy of the midpoint child 0 uses
+    mid = int(ref.mesh.elem_verts[k0, 1])
+    copy = ref.mesh.n_vertices
+    verts = np.vstack([ref.mesh.vertices, ref.mesh.vertices[mid]])
+    elem_verts = ref.mesh.elem_verts.copy()
+    elem_verts[k0 + 1, 2] = copy
+    split = assemble(verts, ref.mesh.elem_kind, elem_verts)
+    by_row = dict(zip(map(tuple, ref.mesh.surf_verts.tolist()),
+                      fine.colors.tolist()))
+    colors = [by_row[tuple(sorted(mid if v == copy else v for v in row))]
+              for row in split.surf_verts.tolist()]
+    return split, SurfaceColoring(np.array(colors, dtype=np.int32), 6), k0 + 1
+
+
+def _half_outside_palette(ref, fine, k0):
+    # swap the halves of parent side 0: the lower half then reads c + 3
+    side = ref.base.elem_surfs[4, 0]
+    halves = np.flatnonzero((ref.surf_origin == 1)
+                            & (ref.base_surface == side))
+    lower, upper = sorted(halves, key=lambda s: ref.half_index[s])
+    colors = fine.colors.copy()
+    colors[[lower, upper]] = colors[[upper, lower]]
+    return ref.mesh, SurfaceColoring(colors, 6), int(
+        ref.mesh.surf_elems[lower, 0])
+
+
+@pytest.mark.parametrize("plant", [_moved_midpoint, _unshared_midpoint,
+                                   _half_outside_palette])
+def test_reconstruct_names_the_parent_of_a_planted_fault(plant):
+    ref, fine, k0 = _refined_family()
+    mesh, coloring, element = plant(ref, fine, k0)
+    with pytest.raises(MalformedSectionError,
+                       match=rf"element {element} \(parent 4\)"):
+        reconstruct_refinement(mesh, ref.parents, coloring)
+
+
+def test_amr_runs_without_the_element_tuple_path(monkeypatch):
+    mesh = gen_tri_rect(3, 3)
+    coloring, _ = color(mesh)
+
+    def refuse(elements):
+        raise AssertionError("per-element tuple path used")
+
+    monkeypatch.setattr(mesh_module, "_normalize_elements", refuse)
+    ref, fine = refine(mesh, coloring, [0, 4])
+    rec, rec_col = reconstruct_refinement(ref.mesh, ref.parents, fine)
+    unrefined = int(np.flatnonzero(rec.child_slot < 0)[0])
+    grown, grown_col = refine(rec, rec_col, [unrefined])
+    part, part_col = coarsen(grown, grown_col, [0])
+    back, back_col = coarsen(part, part_col, part.map.refined)
+    assert (back.elem_verts == mesh.elem_verts).all()
+    assert (back_col.colors == coloring.colors).all()
+
+
+REFINED_GOLDEN = (
+    "MESHCHROMA 1|VERTICES 37|0.0 0.0|1.0 0.0|2.0 0.0|3.0 0.0|4.0 0.0|0"
+    ".0 1.0|1.0 1.0|2.0 1.0|3.0 1.0|4.0 1.0|0.0 2.0|1.0 2.0|2.0 2.0|3.0"
+    " 2.0|4.0 2.0|0.0 3.0|1.0 3.0|2.0 3.0|3.0 3.0|4.0 3.0|0.0 4.0|1.0 4"
+    ".0|2.0 4.0|3.0 4.0|4.0 4.0|0.5 0.0|1.0 0.5|0.5 0.5|1.5 0.5|2.0 0.5"
+    "|1.5 1.0|2.5 1.0|3.5 0.5|4.0 0.5|3.5 1.0|2.0 1.5|2.5 1.5|ELEMENTS "
+    "44|tri 0 6 5|tri 1 2 6|tri 2 3 8|tri 2 8 7|tri 3 4 8|tri 5 6 10|tr"
+    "i 6 11 10|tri 6 7 12|tri 6 12 11|tri 8 13 12|tri 8 9 14|tri 8 14 1"
+    "3|tri 10 11 16|tri 10 16 15|tri 11 12 16|tri 12 17 16|tri 12 13 18"
+    "|tri 12 18 17|tri 13 14 18|tri 14 19 18|tri 15 16 20|tri 16 21 20|"
+    "tri 16 17 22|tri 16 22 21|tri 17 18 22|tri 18 23 22|tri 18 19 24|t"
+    "ri 18 24 23|tri 0 25 27|tri 1 26 25|tri 6 27 26|tri 25 26 27|tri 2"
+    " 29 28|tri 7 30 29|tri 6 28 30|tri 29 30 28|tri 4 33 32|tri 9 34 3"
+    "3|tri 8 32 34|tri 33 34 32|tri 7 31 35|tri 8 36 31|tri 12 35 36|tr"
+    "i 31 36 35|PARENTS 44|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1"
+    "|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|0|0|0|0|3|3|3|3|7|7|7|7|12"
+    "|12|12|12|COLORS 90|1|2|3|1|3|2|1|3|2|3|1|1|2|3|1|2|1|2|1|3|1|3|1|"
+    "2|3|1|2|1|3|2|3|1|2|1|3|3|2|3|2|3|1|2|1|3|1|1|2|1|2|3|1|3|2|1|3|2|"
+    "1|2|1|6|4|3|5|1|2|3|5|3|4|6|1|2|1|3|2|6|2|4|5|1|3|3|2|1|2|1|6|4|3|"
+    "5|"
+).replace("|", "\n")
+
+REFINED_PERIODIC_GOLDEN = (
+    "MESHCHROMA 1|VERTICES 28|0.0 0.0|1.0 0.0|2.0 0.0|3.0 0.0|0.0 1.0|1"
+    ".0 1.0|2.0 1.0|3.0 1.0|0.0 2.0|1.0 2.0|2.0 2.0|3.0 2.0|0.0 3.0|1.0"
+    " 3.0|2.0 3.0|3.0 3.0|0.5 0.0|1.0 0.5|0.5 0.5|0.0 0.5|1.5 0.5|2.0 0"
+    ".5|1.5 1.0|2.5 1.0|1.5 0.5|1.5 1.0|2.0 1.5|2.5 1.5|ELEMENTS 44|tri"
+    " 0 5 4|tri 1 2 5|tri 2 3 7|tri 2 7 6|tri 3 0 7|tri 4 5 8|tri 5 9 8"
+    "|tri 5 6 10|tri 5 10 9|tri 7 11 10|tri 7 4 8|tri 7 8 11|tri 8 9 13"
+    "|tri 8 13 12|tri 9 10 13|tri 10 14 13|tri 10 11 15|tri 10 15 14|tr"
+    "i 11 8 15|tri 8 12 15|tri 12 13 0|tri 13 1 0|tri 13 14 2|tri 13 2 "
+    "1|tri 14 15 2|tri 15 3 2|tri 15 12 0|tri 15 0 3|tri 0 16 18|tri 1 "
+    "17 16|tri 5 18 17|tri 16 17 18|tri 2 21 20|tri 6 22 21|tri 5 20 22"
+    "|tri 21 22 20|tri 0 19 24|tri 4 25 19|tri 7 24 25|tri 19 25 24|tri"
+    " 6 23 26|tri 7 27 23|tri 10 26 27|tri 23 27 26|PARENTS 44|-1|-1|-1"
+    "|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1|-1"
+    "|-1|-1|-1|0|0|0|0|3|3|3|3|7|7|7|7|12|12|12|12|COLORS 84|1|2|3|3|1|"
+    "2|2|3|1|3|2|1|2|1|3|3|2|3|2|1|2|3|2|1|1|2|1|3|1|2|3|1|2|3|3|1|3|2|"
+    "1|1|3|2|3|2|1|1|3|2|3|2|1|2|1|6|4|3|5|2|3|1|6|1|5|4|2|3|3|1|2|1|2|"
+    "6|5|3|4|3|1|2|1|2|6|5|3|4|"
+).replace("|", "\n")
+
+
+@pytest.mark.parametrize("periodic, golden", [
+    (False, REFINED_GOLDEN), (True, REFINED_PERIODIC_GOLDEN)])
+def test_refined_file_bytes_are_pinned(tmp_path, periodic, golden):
+    mesh = gen_tri_rect(4, 4, periodic)
+    coloring, _ = color(mesh)
+    ref, fine = refine(mesh, coloring, [0, 3, 7, 12])
+    path = tmp_path / "r.mesh"
+    write_native(path, ref.mesh, fine, parents=ref.parents)
+    assert path.read_bytes() == golden.encode()

@@ -281,6 +281,30 @@ def test_io_failures_exit_four(tmp_path):
         assert main(["verify", "-i", str(garbled)]) == 4, body
 
 
+@pytest.mark.parametrize("plant, code, reason", [
+    ("three_children", 3, "parent 0 has 3 children, expected 4"),
+    ("parent_out_of_range", 4, "parent id out of range: parent 99"),
+], ids=["three_children", "parent_out_of_range"])
+def test_verify_rejects_parent_tables_coarsen_rejects(tmp_path, capsys,
+                                                      plant, code, reason):
+    mesh = gen_tri_rect(3, 3)
+    coloring, _ = color(mesh)
+    parents = np.full(mesh.n_elements, -1)
+    if plant == "three_children":
+        parents[:3] = 0
+    else:
+        parents[-4:] = 99
+    path = tmp_path / "p.mesh"
+    write_native(path, mesh, coloring, parents=parents)
+    capsys.readouterr()
+    assert main(["coarsen", "-i", str(path), "-o", str(tmp_path / "c.mesh"),
+                 "--parents", "0"]) == code
+    coarsen_err = capsys.readouterr().err
+    assert reason in coarsen_err
+    assert main(["verify", "-i", str(path)]) == code
+    assert capsys.readouterr().err == coarsen_err
+
+
 def test_usage_errors_exit_sixtyfour(tmp_path):
     assert main([]) == 64
     assert main(["frobnicate"]) == 64
