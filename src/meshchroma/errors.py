@@ -76,4 +76,4 @@ class PlanMeshMismatchError(MeshChromaError):
 
 
 class WriteConflictError(MeshChromaError):
-    """Two sweep workers in the same color group touched one element."""
+    """Two surfaces of one color class write the same element."""

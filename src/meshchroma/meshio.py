@@ -464,6 +464,12 @@ def _read_native(src: _Lines, path) -> NativeMesh:
                     f"{path}: PARENTS count must equal n_elements"
                 )
             parents = _ints(ne, "PARENTS")
+            below = np.flatnonzero(parents < -1)
+            if below.size:
+                raise MalformedSectionError(
+                    f"{path}: PARENTS value {parents[below[0]]} for "
+                    f"element {below[0]} is below -1"
+                )
         elif name == "COLORS":
             if len(counts) != 1 or counts[0] < 0:
                 raise MalformedSectionError(

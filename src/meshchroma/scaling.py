@@ -73,9 +73,9 @@ def fit_loglog_slope(xs, ys) -> float | None:
 
 
 def run_series(family: str, sizes, seed: int = 0,
-               repeats: int = 1, shuffle: bool = True) -> ScalingSeries:
-    """Color one mesh per size and record conflicts, swaps, and the
-    fastest of ``repeats`` timed runs.
+               shuffle: bool = True) -> ScalingSeries:
+    """Color one mesh per size and record its conflicts, swaps and
+    ``color`` seconds.
 
     ``sizes`` are linear cell counts: size n means an n-by-n grid, or
     n-by-n-by-n for tet meshes.  They must increase strictly.
@@ -88,27 +88,20 @@ def run_series(family: str, sizes, seed: int = 0,
     sizes = [int(n) for n in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
     points = []
     for n in sizes:
         nz = n if family == "tet_prism" else 1
         mesh = generate(GeneratorSpec(family=family, nx=n, ny=n, nz=nz))
         if shuffle:
             mesh = shuffle_elements(mesh, seed=seed + n)
-        config = ColoringConfig(rng_seed=seed)
-        best = None
-        for _ in range(repeats):
-            coloring, report = color(mesh, config)
-            if best is None or report.total_seconds < best.total_seconds:
-                best = report
+        _, report = color(mesh, ColoringConfig(rng_seed=seed))
         points.append(ScalingPoint(
             cells=n,
             n_elements=mesh.n_elements,
             n_surfaces=mesh.n_surfaces,
-            n_colors=best.n_colors,
-            greedy_conflicts=best.greedy_conflicts,
-            swaps=best.swaps,
-            seconds=best.total_seconds,
+            n_colors=report.n_colors,
+            greedy_conflicts=report.greedy_conflicts,
+            swaps=report.swaps,
+            seconds=report.total_seconds,
         ))
     return ScalingSeries(family=family, seed=seed, points=tuple(points))

@@ -1,19 +1,23 @@
-"""Concurrent surface accumulation, three ways, with proof hooks.
+"""Surface accumulation, three ways, as numpy kernels with proof hooks.
 
 Each surface k carries an integer payload f(k); processing it adds
 +f(k) to its left element's accumulator and -f(k) to its right one
 (boundary surfaces have no right).  Payloads are integers so results
 compare bit-exactly across strategies, with no reassociation slack:
 
-* sweep_sequential: one worker, surfaces in id order.  The oracle.
-* sweep_colored: surfaces of one color at a time, split across a
-  thread pool, with a barrier between colors.  A valid coloring means
-  no two surfaces in flight touch the same element, so the unguarded
-  read-modify-writes are safe; that safety is what the coloring buys.
-* sweep_buffered: no coloring needed.  Workers first write surface k's
-  two contributions to private buffer slots 2k and 2k+1, then, after a
-  barrier, workers gather each element's slots.  Trades 2 * n_surfaces
-  extra storage for independence.
+* sweep_sequential: the reference.  One unbuffered ``np.add.at``
+  scatter, which applies every contribution even when many surfaces
+  write the same element.
+* sweep_colored: one color class at a time, each class a single
+  fancy-index update ``totals[elems] += f``.  Such an update keeps only
+  one write per repeated index, the way unguarded concurrent
+  read-modify-writes that race on an element lose updates.  It is
+  therefore exact only when no element appears twice in a class, which
+  is what a valid coloring guarantees; that guarantee is what the
+  coloring buys.
+* sweep_buffered: no coloring needed.  Surface k's two contributions go
+  to their own buffer slots 2k and 2k+1, then each element gathers its
+  slots.  Trades 2 * n_surfaces extra storage for independence.
 
 assert_race_free checks the static property directly: within each
 color class, no element id appears twice.
@@ -26,7 +30,6 @@ switch saves.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,18 +75,19 @@ def _payload_for(mesh: Mesh, payload) -> np.ndarray:
 
 
 def sweep_sequential(mesh: Mesh, payload=None) -> AccumulationState:
-    """Single-worker reference: surfaces in id order."""
+    """Reference: every surface's contribution in one unbuffered scatter.
+
+    ``np.add.at`` applies repeated indices one at a time, so this is
+    exact whatever the surface order or coloring.
+    """
     payload = _payload_for(mesh, payload)
-    totals = [0] * mesh.n_elements
-    left = mesh.surf_elems[:, 0].tolist()
-    right = mesh.surf_elems[:, 1].tolist()
-    values = payload.tolist()
-    for k in range(mesh.n_surfaces):
-        totals[left[k]] += values[k]
-        r = right[k]
-        if r >= 0:
-            totals[r] -= values[k]
-    return AccumulationState(np.asarray(totals, dtype=np.int64), payload)
+    left = mesh.surf_elems[:, 0]
+    right = mesh.surf_elems[:, 1]
+    inner = right >= 0
+    totals = np.zeros(mesh.n_elements, dtype=np.int64)
+    np.add.at(totals, left, payload)
+    np.subtract.at(totals, right[inner], payload[inner])
+    return AccumulationState(totals, payload)
 
 
 def assert_race_free(mesh: Mesh, coloring: SurfaceColoring) -> None:
@@ -105,103 +109,53 @@ def assert_race_free(mesh: Mesh, coloring: SurfaceColoring) -> None:
             )
 
 
-def _chunks(items: list, n: int):
-    step = max(1, -(-len(items) // n))
-    for i in range(0, len(items), step):
-        yield items[i: i + step]
+def sweep_colored(mesh: Mesh, coloring: SurfaceColoring,
+                  payload=None) -> AccumulationState:
+    """Class-by-class accumulation with unguarded writes.
 
-
-def sweep_colored(mesh: Mesh, coloring: SurfaceColoring, payload=None,
-                  workers: int = 4, check: bool = True) -> AccumulationState:
-    """Color-by-color concurrent accumulation.
-
-    Workers within one color class write to the shared totals without
-    any locking; a barrier (joining the class's futures) separates the
-    classes.  With ``check`` the static no-duplicate-writes property is
-    verified first and a violation raises WriteConflictError.
+    Each color class is one fancy-index update, which is exact only
+    because the race-free check run first guarantees distinct element
+    ids within a class; a violation raises WriteConflictError.
     """
     if not coloring.is_complete:
         raise ValueError("colored sweep needs a complete coloring")
     if len(coloring.colors) != mesh.n_surfaces:
         raise ValueError("coloring does not match the mesh")
-    if check:
-        assert_race_free(mesh, coloring)
+    assert_race_free(mesh, coloring)
     payload = _payload_for(mesh, payload)
-    totals = [0] * mesh.n_elements
-    left = mesh.surf_elems[:, 0].tolist()
-    right = mesh.surf_elems[:, 1].tolist()
-    values = payload.tolist()
-    colors = coloring.colors
-
-    def run(sids: list) -> None:
-        for s in sids:
-            totals[left[s]] += values[s]
-            r = right[s]
-            if r >= 0:
-                totals[r] -= values[s]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for c in range(1, coloring.n_colors + 1):
-            group = np.nonzero(colors == c)[0].tolist()
-            if not group:
-                continue
-            futures = [pool.submit(run, chunk)
-                       for chunk in _chunks(group, workers)]
-            for f in futures:
-                f.result()
-    return AccumulationState(np.asarray(totals, dtype=np.int64), payload)
+    left = mesh.surf_elems[:, 0]
+    right = mesh.surf_elems[:, 1]
+    totals = np.zeros(mesh.n_elements, dtype=np.int64)
+    for c in range(1, coloring.n_colors + 1):
+        group = np.flatnonzero(coloring.colors == c)
+        inner = group[right[group] >= 0]
+        totals[left[group]] += payload[group]
+        totals[right[inner]] -= payload[inner]
+    return AccumulationState(totals, payload)
 
 
-def surface_buffer(mesh: Mesh, payload=None,
-                   workers: int = 4) -> np.ndarray:
+def surface_buffer(mesh: Mesh, payload=None) -> np.ndarray:
     """Phase one of the buffered strategy: slot 2k takes surface k's
     left contribution, slot 2k+1 the right one (0 on the boundary)."""
     payload = _payload_for(mesh, payload)
-    buffer = [0] * (2 * mesh.n_surfaces)
-    right = mesh.surf_elems[:, 1].tolist()
-    values = payload.tolist()
-
-    def fill(sids: list) -> None:
-        for s in sids:
-            buffer[2 * s] = values[s]
-            if right[s] >= 0:
-                buffer[2 * s + 1] = -values[s]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fill, chunk)
-                   for chunk in _chunks(list(range(mesh.n_surfaces)),
-                                        workers)]
-        for f in futures:
-            f.result()
-    return np.asarray(buffer, dtype=np.int64)
+    buffer = np.zeros(2 * mesh.n_surfaces, dtype=np.int64)
+    buffer[0::2] = payload
+    buffer[1::2] = np.where(mesh.surf_elems[:, 1] >= 0, -payload, 0)
+    return buffer
 
 
-def sweep_buffered(mesh: Mesh, payload=None,
-                   workers: int = 4) -> AccumulationState:
-    """Two-phase accumulation through a 2 * n_surfaces buffer: fill
-    concurrently, barrier, then gather each element's slots."""
+def sweep_buffered(mesh: Mesh, payload=None) -> AccumulationState:
+    """Two-phase accumulation through a 2 * n_surfaces buffer: fill it,
+    then let each element gather its own slots."""
     payload = _payload_for(mesh, payload)
-    buffer = surface_buffer(mesh, payload, workers).tolist()
-    totals = [0] * mesh.n_elements
-    left = mesh.surf_elems[:, 0].tolist()
-    elem_surfs = mesh.elem_surfs.tolist()
-
-    def gather(eids: list) -> None:
-        for e in eids:
-            acc = 0
-            for s in elem_surfs[e]:
-                if s < 0:
-                    break
-                acc += buffer[2 * s] if left[s] == e else buffer[2 * s + 1]
-            totals[e] = acc
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(gather, chunk)
-                   for chunk in _chunks(list(range(mesh.n_elements)),
-                                        workers)]
-        for f in futures:
-            f.result()
-    return AccumulationState(np.asarray(totals, dtype=np.int64), payload)
+    buffer = surface_buffer(mesh, payload)
+    sides = mesh.elem_surfs
+    listed = sides >= 0
+    sids = np.where(listed, sides, 0)
+    elems = np.arange(mesh.n_elements)[:, None]
+    slots = 2 * sids + (mesh.surf_elems[sids, 0] != elems)
+    totals = np.where(listed, buffer[slots], 0).sum(axis=1)
+    return AccumulationState(totals, payload)
 
 
 def basis_count(p: int, kind: str = "tri") -> int:

@@ -224,7 +224,7 @@ def test_race_check_closed_mesh(tmp_path, capsys):
     assert "accumulator_total 0" in out
 
 
-def test_race_check_flags_a_planted_conflict(tmp_path):
+def test_race_check_flags_a_planted_conflict(tmp_path, capsys):
     mesh = gen_tri_rect(4, 4)
     coloring, _ = color(mesh)
     bad = coloring.copy()
@@ -233,7 +233,10 @@ def test_race_check_flags_a_planted_conflict(tmp_path):
     bad.colors[s1] = bad.colors[s0]
     path = tmp_path / "bad.mesh"
     write_native(path, mesh, bad)
+    capsys.readouterr()
     assert main(["race-check", "-i", str(path)]) == 1
+    c = int(bad.colors[s0])
+    assert f"color {c} writes element {e} 2 times" in capsys.readouterr().err
 
 
 def test_memsave_exact_line(capsys):
@@ -279,6 +282,17 @@ def test_io_failures_exit_four(tmp_path):
                  quad + "PARENTS 1\n0\n"):
         garbled.write_text("MESHCHROMA 1\n" + body)
         assert main(["verify", "-i", str(garbled)]) == 4, body
+    mesh = gen_tri_rect(3, 3)
+    coloring, _ = color(mesh)
+    parents = np.full(mesh.n_elements, -1)
+    parents[5] = -7
+    write_native(garbled, mesh, coloring, parents=parents)
+    out = str(tmp_path / "out.mesh")
+    for argv in (["verify", "-i", str(garbled)],
+                 ["refine", "-i", str(garbled), "-o", out, "--elements", "0"],
+                 ["coarsen", "-i", str(garbled), "-o", out,
+                  "--parents", "0"]):
+        assert main(argv) == 4, argv
 
 
 @pytest.mark.parametrize("plant, code, reason", [

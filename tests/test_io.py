@@ -420,6 +420,16 @@ def test_native_section_errors(tmp_path):
     bad = "MESHCHROMA 1\nVERTICES 3\n0 0\n1 0\n0 1\nELEMENTS 0\n"
     with pytest.raises(MalformedSectionError, match="ELEMENTS"):
         read_native(_write(tmp_path, bad))
+    # a parent id below -1
+    mesh = gen_tri_rect(3, 3)
+    coloring, _ = color(mesh)
+    parents = np.full(mesh.n_elements, -1)
+    parents[5] = -7
+    path = tmp_path / "parents.mesh"
+    write_native(path, mesh, coloring, parents=parents)
+    with pytest.raises(MalformedSectionError,
+                       match="PARENTS value -7 for element 5"):
+        read_native(path)
 
 
 def test_native_comments_and_blank_lines(tmp_path):

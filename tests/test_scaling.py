@@ -64,6 +64,4 @@ def test_run_series_argument_checks():
     with pytest.raises(ValueError):
         run_series("tri_rect", [16, 8])
     with pytest.raises(ValueError):
-        run_series("tri_rect", [4, 8], repeats=0)
-    with pytest.raises(ValueError):
         run_series("not_a_family", [4, 8])

@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from meshchroma import (
     SurfaceColoring,
     WriteConflictError,
+    apply_plan,
     assert_race_free,
     basis_count,
+    build_plan,
     color,
     default_payload,
     gen_quad_rect,
     gen_tet_prism,
     gen_tri_rect,
     memory_saved,
+    refine,
+    shuffle_elements,
     surface_buffer,
     sweep_buffered,
     sweep_colored,
@@ -48,14 +52,6 @@ def test_open_mesh_total_is_the_boundary_sum():
     state = sweep_sequential(mesh)
     boundary = mesh.surf_elems[:, 1] < 0
     assert int(state.totals.sum()) == int(state.payload[boundary].sum())
-
-
-def test_worker_count_does_not_change_results():
-    mesh = gen_tri_rect(6, 6)
-    coloring, _ = color(mesh)
-    a = sweep_colored(mesh, coloring, workers=1)
-    b = sweep_colored(mesh, coloring, workers=7)
-    assert (a.totals == b.totals).all()
 
 
 def test_default_payload_shape_and_range():
@@ -148,18 +144,48 @@ def test_memory_estimate_other_kinds():
     assert est.n_bytes == 2 * 10 * 5 * 1000 * 8
 
 
-@settings(deadline=None, max_examples=15)
+def reference_totals(mesh, payload) -> np.ndarray:
+    """Plain-Python accumulation, surfaces in id order."""
+    totals = [0] * mesh.n_elements
+    for (left, right), value in zip(mesh.surf_elems.tolist(),
+                                    payload.tolist()):
+        totals[left] += value
+        if right >= 0:
+            totals[right] -= value
+    return np.asarray(totals, dtype=np.int64)
+
+
+def _colored_mesh(kind, nx, ny):
+    if kind == "quad":
+        mesh = gen_quad_rect(nx, ny)
+    elif kind == "tet":
+        mesh = gen_tet_prism(nx, ny, 2)
+    else:
+        mesh = shuffle_elements(gen_tri_rect(nx, ny), seed=nx * ny)
+    coloring, _ = color(mesh)
+    if kind == "refined":
+        fine, coloring = refine(mesh, coloring,
+                                list(range(0, mesh.n_elements, 3)))
+        mesh = fine.mesh
+    elif kind == "planned":
+        mesh, coloring = apply_plan(mesh, coloring,
+                                    build_plan(mesh, coloring))
+    return mesh, coloring
+
+
+@settings(deadline=None, max_examples=25)
 @given(
+    kind=st.sampled_from(["tri", "quad", "tet", "refined", "planned"]),
     nx=st.integers(min_value=2, max_value=6),
     ny=st.integers(min_value=2, max_value=6),
     seed=st.integers(min_value=0, max_value=20),
 )
-def test_equivalence_holds_for_any_seeded_payload(nx, ny, seed):
-    mesh = gen_tri_rect(nx, ny)
-    coloring, _ = color(mesh)
+def test_equivalence_holds_for_any_seeded_payload(kind, nx, ny, seed):
+    mesh, coloring = _colored_mesh(kind, nx, ny)
     pay = default_payload(mesh.n_surfaces, seed=seed)
-    seq = sweep_sequential(mesh, pay)
-    par = sweep_colored(mesh, coloring, pay)
-    buf = sweep_buffered(mesh, pay)
-    assert (seq.totals == par.totals).all()
-    assert (seq.totals == buf.totals).all()
+    expected = reference_totals(mesh, pay)
+    for state in (sweep_sequential(mesh, pay),
+                  sweep_colored(mesh, coloring, pay),
+                  sweep_buffered(mesh, pay)):
+        assert state.totals.dtype == np.int64
+        assert (state.totals == expected).all()
