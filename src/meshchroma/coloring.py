@@ -1,15 +1,26 @@
-"""Surface coloring with a fixed palette and randomized conflict repair.
+"""Surface coloring with a fixed palette and Kempe-chain conflict repair.
 
 The palette has 3 colors for pure triangle meshes and 4 as soon as any
 quad or tetrahedron is present.  A first greedy pass assigns each
 surface a random color that conflicts with neither incident element and
-leaves -1 where no such color exists.  A repair pass then walks each
-leftover conflict: it recolors the surface if a free color appeared,
-otherwise it swaps the conflict onto a neighboring surface without
-increasing the conflict count.  A chain that revisits a surface is a
-loop; the loop is broken by giving the conflict surface a color carried
-by one surface on each side and uncoloring those two, which trades one
-conflict for two but changes the layout enough for the walk to escape.
+leaves -1 where no such color exists.  The repair pass then takes each
+leftover conflict from a queue.  If its two elements share a free color
+it gets that color.  Otherwise it gets one Kempe attempt: with a free
+at the left element l and b free at the right element r, the (a, b)
+chain from r and the (b, a) chain from l are walked in step, the
+shorter one has its two colors exchanged, and the surface takes the
+color that the exchange freed on both sides.  On a bipartite element
+graph that always succeeds; the generated families are bipartite
+except for quad grids with an odd cell count along a periodic axis.
+
+A chain that reaches the other element closes an odd cycle through the
+surface; the conflict then goes to the paper's swap walk.  The walk
+recolors the surface if a free color appeared, otherwise it swaps the
+conflict onto a neighboring surface without increasing the conflict
+count.  A chain that revisits a surface is a loop; the loop is broken
+by giving the conflict surface a color carried by one surface on each
+side and uncoloring those two, which trades one conflict for two but
+changes the layout enough for the walk to escape.
 
 Everything is driven by one seeded RNG, so identical seeds reproduce
 identical colorings.
@@ -84,6 +95,8 @@ class ColoringReport:
     greedy_conflicts: int
     resolutions: int
     swaps: int
+    kempe_chains: int
+    kempe_closures: int
     loop_breaks: int
     no_swap_breaks: int
     forced_reswaps: int
@@ -102,6 +115,8 @@ class ColoringReport:
             "greedy_conflicts": self.greedy_conflicts,
             "resolutions": self.resolutions,
             "swaps": self.swaps,
+            "kempe_chains": self.kempe_chains,
+            "kempe_closures": self.kempe_closures,
             "loop_breaks": self.loop_breaks,
             "no_swap_breaks": self.no_swap_breaks,
             "forced_reswaps": self.forced_reswaps,
@@ -125,12 +140,7 @@ def _incidence(mesh: Mesh):
     got = _incidence_cache.get(mesh)
     if got is not None:
         return got
-    left = mesh.surf_elems[:, 0].tolist()
-    right = mesh.surf_elems[:, 1].tolist()
-    elem_surfs = tuple(
-        tuple(s for s in row if s >= 0) for row in mesh.elem_surfs.tolist()
-    )
-    got = (left, right, elem_surfs)
+    got = (mesh.surf_elems[:, 0].tolist(), mesh.surf_elems[:, 1].tolist())
     _incidence_cache[mesh] = got
     return got
 
@@ -192,37 +202,128 @@ def _rebuild_used(colors, left, right, n_elements):
 class _RepairStats:
     resolutions: int = 0
     swaps: int = 0
+    kempe_chains: int = 0
+    kempe_closures: int = 0
     loop_breaks: int = 0
     no_swap_breaks: int = 0
     forced_reswaps: int = 0
 
 
-def _carrier(surfaces, colors, c):
-    for s in surfaces:
-        if colors[s] == c:
-            return s
-    raise AssertionError(f"no surface of color {c} on element")
+def _carrier_table(surf_elems, colors, n_elements):
+    """``carrier[e << 3 | c]`` is the surface of color c at element e,
+    or -1; built with one scatter."""
+    col = np.asarray(colors, dtype=np.int64)
+    k = np.flatnonzero(col > 0)
+    ends = surf_elems[k]
+    inner = ends[:, 1] >= 0
+    carrier = np.full(n_elements << 3, -1, dtype=np.int64)
+    carrier[np.concatenate((ends[:, 0], ends[inner, 1])) << 3
+            | np.concatenate((col[k], col[k[inner]]))] = (
+        np.concatenate((k, k[inner])))
+    return carrier.tolist()
 
 
-def _repair(left, right, elem_surfs, colors, used, conflicts, n_colors,
+def _repair(left, right, surf_elems, colors, used, conflicts, n_colors,
             rng, chain_budget, total_budget, audit=None) -> _RepairStats:
-    """Walk every conflict until the coloring is complete.
+    """Resolve every conflict until the coloring is complete.
 
     Mutates ``colors`` and ``used`` in place.  Raises
-    ``SwapBudgetExceededError`` when a single chain exceeds
-    ``chain_budget`` swaps or the whole repair exceeds ``total_budget``.
+    ``SwapBudgetExceededError`` when the recolorings spent on one
+    conflict exceed ``chain_budget`` or the whole repair exceeds
+    ``total_budget``.
     """
+    stats = _RepairStats()
+    if not conflicts:
+        return stats
     full = ((1 << n_colors) - 1) << 1
     choices = _MASK_CHOICES
     rand = rng.random
-    stats = _RepairStats()
+    carrier = _carrier_table(surf_elems, colors, len(used))
     queue = deque(conflicts)
     total_swaps = 0
 
+    def over_budget(e0, chain_swaps):
+        return SwapBudgetExceededError(
+            f"conflict chain from surface {e0} (elements {left[e0]} and "
+            f"{right[e0]}) reached {chain_swaps} swaps ({total_swaps} in "
+            f"total); the budget is {chain_budget} per chain and "
+            f"{total_budget} in total"
+        )
+
     while queue:
         e = queue.popleft()
-        if colors[e] != -1:
+        if colors[e] > 0:
             continue
+        l = left[e]
+        r = right[e]
+        ul = used[l]
+        ur = used[r] if r >= 0 else 0
+        if r >= 0 and not full & ~(ul | ur):
+            # Kempe attempt: a is free at l and taken at r, b the other
+            # way round.  Walk the (a, b) chain from r and the (b, a)
+            # chain from l in step and flip the first that ends.
+            t = choices[full & ~ul]
+            n = len(t)
+            a = t[0] if n == 1 else t[int(rand() * n)]
+            t = choices[full & ~ur]
+            n = len(t)
+            b = t[0] if n == 1 else t[int(rand() * n)]
+            ab = a ^ b
+            xr, cr, path_r = r, a, []
+            xl, cl, path_l = l, b, []
+            while True:
+                s = carrier[xr << 3 | cr] if xr >= 0 else -1
+                if s < 0:
+                    chain, end, f = path_r, xr, a
+                    break
+                s2 = carrier[xl << 3 | cl] if xl >= 0 else -1
+                if s2 < 0:
+                    chain, end, f = path_l, xl, b
+                    break
+                path_r.append(s)
+                xr = right[s] if left[s] == xr else left[s]
+                path_l.append(s2)
+                xl = right[s2] if left[s2] == xl else left[s2]
+                if xr == l or xl == r:
+                    chain = None
+                    break
+                cr ^= ab
+                cl ^= ab
+            if chain is not None:
+                n = len(chain)
+                total_swaps += n
+                if n > chain_budget or total_swaps > total_budget:
+                    raise over_budget(e, n)
+                for s in chain:
+                    c = colors[s]
+                    carrier[left[s] << 3 | c] = -1
+                    if right[s] >= 0:
+                        carrier[right[s] << 3 | c] = -1
+                for s in chain:
+                    c = colors[s] ^ ab
+                    colors[s] = c
+                    carrier[left[s] << 3 | c] = s
+                    if right[s] >= 0:
+                        carrier[right[s] << 3 | c] = s
+                bits = (1 << a) | (1 << b)
+                used[r if f == a else l] ^= bits
+                if end >= 0:
+                    used[end] ^= bits
+                colors[e] = f
+                used[l] |= 1 << f
+                used[r] |= 1 << f
+                carrier[l << 3 | f] = e
+                carrier[r << 3 | f] = e
+                stats.swaps += n
+                stats.kempe_chains += 1
+                stats.resolutions += 1
+                if audit:
+                    audit(carrier)
+                continue
+            # the chain closed an odd cycle through e: hand e to the walk
+            stats.kempe_closures += 1
+
+        e0 = e
         visited = {e}
         chain_swaps = 0
         while True:
@@ -238,11 +339,13 @@ def _repair(left, right, elem_surfs, colors, used, conflicts, n_colors,
                 colors[e] = c
                 b = 1 << c
                 used[l] = ul | b
+                carrier[l << 3 | c] = e
                 if r >= 0:
                     used[r] = ur | b
+                    carrier[r << 3 | c] = e
                 stats.resolutions += 1
                 if audit:
-                    audit()
+                    audit(carrier)
                 break
 
             # Every color is taken.  A color carried by exactly one
@@ -259,12 +362,12 @@ def _repair(left, right, elem_surfs, colors, used, conflicts, n_colors,
             if single:
                 for c in choices[single]:
                     owner = l if (ul >> c) & 1 else r
-                    s = _carrier(elem_surfs[owner], colors, c)
+                    s = carrier[owner << 3 | c]
                     (stale if s in visited else cand).append((c, s))
             if both:
                 for c in choices[both]:
-                    ea = _carrier(elem_surfs[l], colors, c)
-                    eb = _carrier(elem_surfs[r], colors, c)
+                    ea = carrier[l << 3 | c]
+                    eb = carrier[r << 3 | c]
                     if ea == eb:
                         (stale if ea in visited else cand).append((c, ea))
                     else:
@@ -278,14 +381,19 @@ def _repair(left, right, elem_surfs, colors, used, conflicts, n_colors,
                     b = 1 << c
                     for s in (ea, eb):
                         colors[s] = -1
-                        used[left[s]] &= ~b
+                        ls = left[s]
+                        used[ls] &= ~b
+                        carrier[ls << 3 | c] = -1
                         rs = right[s]
                         if rs >= 0:
                             used[rs] &= ~b
+                            carrier[rs << 3 | c] = -1
                     colors[e] = c
                     used[l] |= b
+                    carrier[l << 3 | c] = e
                     if r >= 0:
                         used[r] |= b
+                        carrier[r << 3 | c] = e
                     queue.append(ea)
                     queue.append(eb)
                     if stale or single:
@@ -293,7 +401,7 @@ def _repair(left, right, elem_surfs, colors, used, conflicts, n_colors,
                     else:
                         stats.no_swap_breaks += 1
                     if audit:
-                        audit()
+                        audit(carrier)
                     break
                 if not stale:
                     # unreachable on conforming meshes; bail to restart
@@ -309,31 +417,35 @@ def _repair(left, right, elem_surfs, colors, used, conflicts, n_colors,
             c, es = cand[0] if n == 1 else cand[int(rand() * n)]
             b = 1 << c
             colors[es] = -1
-            used[left[es]] &= ~b
+            ls = left[es]
+            used[ls] &= ~b
+            carrier[ls << 3 | c] = -1
             rs = right[es]
             if rs >= 0:
                 used[rs] &= ~b
+                carrier[rs << 3 | c] = -1
             colors[e] = c
             used[l] |= b
+            carrier[l << 3 | c] = e
             if r >= 0:
                 used[r] |= b
+                carrier[r << 3 | c] = e
             stats.swaps += 1
             chain_swaps += 1
             total_swaps += 1
             if audit:
-                audit()
+                audit(carrier)
             if chain_swaps > chain_budget or total_swaps > total_budget:
-                raise SwapBudgetExceededError(
-                    f"spent {chain_swaps} swaps on one conflict chain "
-                    f"({total_swaps} in total)"
-                )
+                raise over_budget(e0, chain_swaps)
             visited.add(es)
             e = es
     return stats
 
 
-def _make_audit(left, right, elem_surfs, colors, n_elements):
-    def audit():
+def _make_audit(left, right, colors, used, n_elements):
+    """Check after a repair step that no element repeats a color and
+    that ``used`` and the carrier table agree with ``colors``."""
+    def audit(carrier):
         seen = [0] * n_elements
         for k, c in enumerate(colors):
             if c < 1:
@@ -345,6 +457,13 @@ def _make_audit(left, right, elem_surfs, colors, n_elements):
                         f"color {c} repeated on element {e}"
                     )
                     seen[e] |= b
+                    assert carrier[e << 3 | c] == k, (
+                        f"carrier of color {c} at element {e} is "
+                        f"{carrier[e << 3 | c]}, not surface {k}"
+                    )
+        assert seen == used, "per-element color masks are stale"
+        assert sum(s >= 0 for s in carrier) == sum(
+            bin(m).count("1") for m in seen), "carrier table is stale"
     return audit
 
 
@@ -356,7 +475,7 @@ def modified_greedy(mesh: Mesh,
     if mesh.n_surfaces == 0:
         raise ValueError("mesh has no surfaces")
     n_colors = color_set_size(mesh)
-    left, right, _ = _incidence(mesh)
+    left, right = _incidence(mesh)
     rng = random.Random(config.rng_seed)
     colors, _, _ = _greedy_pass(left, right, mesh.n_elements, n_colors, rng)
     return SurfaceColoring(np.asarray(colors, dtype=np.int32), n_colors)
@@ -373,7 +492,7 @@ def resolve_conflicts(mesh: Mesh, coloring: SurfaceColoring,
     """
     config = config or ColoringConfig()
     n_colors = coloring.n_colors
-    left, right, elem_surfs = _incidence(mesh)
+    left, right = _incidence(mesh)
     colors = coloring.colors.tolist()
     used = _rebuild_used(colors, left, right, mesh.n_elements)
     conflicts = [k for k, c in enumerate(colors) if c < 1]
@@ -382,14 +501,31 @@ def resolve_conflicts(mesh: Mesh, coloring: SurfaceColoring,
         budget = 10 * mesh.n_surfaces
     audit = None
     if config.audit:
-        audit = _make_audit(left, right, elem_surfs, colors,
-                            mesh.n_elements)
+        audit = _make_audit(left, right, colors, used, mesh.n_elements)
     rng = random.Random(config.rng_seed)
-    stats = _repair(left, right, elem_surfs, colors, used, conflicts,
+    stats = _repair(left, right, mesh.surf_elems, colors, used, conflicts,
                     n_colors, rng, budget, 5 * budget, audit)
     if stats_out is not None:
         stats_out.update(vars(stats))
     return SurfaceColoring(np.asarray(colors, dtype=np.int32), n_colors)
+
+
+def _parity_obstruction(mesh: Mesh, n_colors: int) -> str | None:
+    """Why no complete coloring can exist, if a parity count shows it.
+
+    With no boundary surface and ``n_colors`` sides on every element,
+    each element carries every color once, so each color class pairs
+    off all elements; an odd element count leaves one unmatched.
+    """
+    if any(k.n_sides != n_colors for k in mesh.element_kind_profile):
+        return None
+    if mesh.n_elements % 2 == 0 or (mesh.surf_elems[:, 1] < 0).any():
+        return None
+    return (
+        f"no complete {n_colors}-coloring exists: every element has "
+        f"{n_colors} sides and no surface is on the boundary, so each "
+        f"color must pair off all {mesh.n_elements} elements, an odd count"
+    )
 
 
 def color(mesh: Mesh,
@@ -400,14 +536,18 @@ def color(mesh: Mesh,
     Runs the greedy pass and the repair pass with one RNG stream.  If a
     repair runs out of swap budget the whole thing restarts from seed+1,
     up to ``max_restarts`` times, after which
-    ``RestartsExhaustedError`` is raised.
+    ``RestartsExhaustedError`` is raised.  A mesh that a parity count
+    shows to have no complete coloring raises it at once.
     """
     t_start = time.perf_counter()
     config = config or ColoringConfig()
     if mesh.n_surfaces == 0:
         raise ValueError("mesh has no surfaces")
     n_colors = color_set_size(mesh)
-    left, right, elem_surfs = _incidence(mesh)
+    reason = _parity_obstruction(mesh, n_colors)
+    if reason is not None:
+        raise RestartsExhaustedError(reason)
+    left, right = _incidence(mesh)
     budget = config.max_swaps_per_conflict
     if budget is None:
         budget = 10 * mesh.n_surfaces
@@ -423,10 +563,9 @@ def color(mesh: Mesh,
         n_conflicts = len(conflicts)
         audit = None
         if config.audit:
-            audit = _make_audit(left, right, elem_surfs, colors,
-                                mesh.n_elements)
+            audit = _make_audit(left, right, colors, used, mesh.n_elements)
         try:
-            stats = _repair(left, right, elem_surfs, colors, used,
+            stats = _repair(left, right, mesh.surf_elems, colors, used,
                             conflicts, n_colors, rng, budget, 5 * budget,
                             audit)
         except SwapBudgetExceededError as err:
@@ -443,6 +582,8 @@ def color(mesh: Mesh,
             greedy_conflicts=n_conflicts,
             resolutions=stats.resolutions,
             swaps=stats.swaps,
+            kempe_chains=stats.kempe_chains,
+            kempe_closures=stats.kempe_closures,
             loop_breaks=stats.loop_breaks,
             no_swap_breaks=stats.no_swap_breaks,
             forced_reswaps=stats.forced_reswaps,
@@ -467,7 +608,7 @@ def naive_greedy(mesh: Mesh) -> SurfaceColoring:
     """
     if mesh.n_surfaces == 0:
         raise ValueError("mesh has no surfaces")
-    left, right, _ = _incidence(mesh)
+    left, right = _incidence(mesh)
     used = [0] * mesh.n_elements
     colors = [0] * mesh.n_surfaces
     top = 0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from meshchroma import build_surfaces
+from meshchroma.mesh import assemble
 
 _SIDES = {
     "tri": ((0, 1), (1, 2), (2, 0)),
@@ -102,6 +103,26 @@ def hybrid_patch(nx, ny):
             else:
                 elems.append(("quad", (a, b, c, d)))
     return build_surfaces(np.asarray(verts, dtype=float), elems)
+
+
+def random_diagonal_tri(nx, ny, seed):
+    """nx-by-ny grid of cells, each split along a random diagonal.
+
+    Interior vertices of odd degree close odd cycles in the element
+    graph, so unlike the generated families this mesh is not bipartite.
+    """
+    flip = np.random.default_rng(seed).random((ny, nx)) < 0.5
+    xs, ys = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1))
+    verts = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(float)
+    vid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny))
+    a, b = vid[j, i], vid[j, i + 1]
+    c, d = vid[j + 1, i + 1], vid[j + 1, i]
+    ev = np.full((ny, nx, 2, 4), -1, dtype=np.int64)
+    ev[..., 0, :3] = np.stack([a, b, np.where(flip, c, d)], axis=-1)
+    ev[..., 1, :3] = np.stack([np.where(flip, a, b), c, d], axis=-1)
+    ev = ev.reshape(-1, 4)
+    return assemble(verts, np.zeros(len(ev), dtype=np.int8), ev)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Two-stage coloring: greedy pass, conflict repair, verification."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from meshchroma import (
     shuffle_elements,
     verify_coloring,
 )
-from conftest import colorable_with, hybrid_patch
+from conftest import colorable_with, hybrid_patch, random_diagonal_tri
 
 
 def test_color_set_size_by_profile(two_tri, single_quad, single_tet):
@@ -78,6 +80,13 @@ def test_resolve_completes_a_partial_coloring():
     assert stats["resolutions"] >= len(partial.conflict_ids())
 
 
+def test_resolve_treats_every_color_below_one_as_uncolored():
+    mesh = gen_tri_rect(8, 8)
+    partial = modified_greedy(mesh)
+    partial.colors[partial.colors < 0] = 0
+    assert_complete_valid(mesh, resolve_conflicts(mesh, partial))
+
+
 def test_single_swap_chain(two_tri):
     # elem 0 carries {1,2}, elem 1 carries {2,3}: the shared edge is stuck
     # until one single-presence color moves, then a free boundary slot opens
@@ -98,20 +107,24 @@ def test_single_swap_chain(two_tri):
 
 
 GOLDEN = [
-    # mesh constructor, conflicts, swaps, loop breaks (seed 0, frozen)
-    (lambda: gen_tri_rect(8, 8), 10, 62, 1),
-    (lambda: gen_tri_rect(8, 8, (True, True)), 15, 136, 2),
-    (lambda: gen_tri_rect(6, 6, (True, True)), 8, 164, 1),
+    # mesh constructor, conflicts, swaps, Kempe chains, loop breaks
+    # (seed 0, frozen)
+    (lambda: gen_tri_rect(8, 8), 10, 33, 9, 0),
+    (lambda: gen_tri_rect(8, 8, (True, True)), 15, 92, 12, 0),
+    (lambda: gen_tri_rect(6, 6, (True, True)), 8, 21, 4, 0),
 ]
 
 
-@pytest.mark.parametrize("build,conflicts,swaps,breaks", GOLDEN)
-def test_repair_goldens(build, conflicts, swaps, breaks):
+@pytest.mark.parametrize("build,conflicts,swaps,chains,breaks", GOLDEN,
+                         ids=["tri_8x8", "tri_8x8_periodic",
+                              "tri_6x6_periodic"])
+def test_repair_goldens(build, conflicts, swaps, chains, breaks):
     mesh = build()
     coloring, report = color(mesh)
     assert_complete_valid(mesh, coloring)
     assert report.greedy_conflicts == conflicts
     assert report.swaps == swaps
+    assert report.kempe_chains == chains
     assert report.loop_breaks == breaks
     assert report.resolutions == (report.greedy_conflicts
                                   + report.loop_breaks
@@ -137,9 +150,20 @@ def test_same_seed_same_coloring():
 def test_swap_budget_raises():
     mesh = gen_tri_rect(8, 8)
     partial = modified_greedy(mesh)
-    with pytest.raises(SwapBudgetExceededError):
+    with pytest.raises(SwapBudgetExceededError) as info:
         resolve_conflicts(mesh, partial,
                           ColoringConfig(max_swaps_per_conflict=1))
+    # the message names the starting surface, its elements and the length
+    found = re.fullmatch(
+        r"conflict chain from surface (\d+) \(elements (\d+) and (\d+)\) "
+        r"reached (\d+) swaps \(\d+ in total\); the budget is 1 per chain "
+        r"and 5 in total",
+        str(info.value))
+    assert found, str(info.value)
+    s, l, r, n = (int(g) for g in found.groups())
+    assert s in partial.conflict_ids()
+    assert (l, r) == tuple(mesh.surf_elems[s])
+    assert n > 1
 
 
 def test_restarts_exhausted_on_an_impossible_mesh():
@@ -148,6 +172,22 @@ def test_restarts_exhausted_on_an_impossible_mesh():
     with pytest.raises(RestartsExhaustedError):
         color(mesh, ColoringConfig(max_swaps_per_conflict=60,
                                    max_restarts=2))
+
+
+def test_restarts_exhausted_when_every_attempt_overruns():
+    mesh = gen_tri_rect(8, 8)
+    with pytest.raises(RestartsExhaustedError,
+                       match=r"after 3 attempts \(last: conflict chain"):
+        color(mesh, ColoringConfig(max_swaps_per_conflict=1,
+                                   max_restarts=2))
+
+
+def test_impossible_mesh_is_diagnosed_by_parity():
+    # 41 x 41 quads on a torus: every element needs all 4 colors, so each
+    # color class would pair off 1681 elements
+    with pytest.raises(RestartsExhaustedError,
+                       match="pair off all 1681 elements, an odd count"):
+        color(gen_quad_rect(41, 41, (True, True)))
 
 
 def test_audit_mode_runs_clean():
@@ -246,3 +286,38 @@ def test_total_seconds_times_the_whole_call(monkeypatch):
     monkeypatch.setattr(coloring_module, "connectivity_graph", slow)
     _, report = color(gen_tri_rect(3, 3))
     assert report.total_seconds >= 0.05
+
+
+def test_odd_cycles_reach_the_swap_walk():
+    mesh = random_diagonal_tri(12, 12, 0)
+    coloring, report = color(mesh, ColoringConfig(audit=True))
+    assert_complete_valid(mesh, coloring)
+    assert report.kempe_closures > 0
+    assert report.restarts == 0
+
+
+FAMILIES = {
+    # name -> (builder(seed), element graph is bipartite)
+    "tri_rect": (lambda s: shuffle_elements(gen_tri_rect(7, 6), s), True),
+    "quad_rect": (lambda s: shuffle_elements(gen_quad_rect(6, 7), s), True),
+    "tet_prism": (lambda s: shuffle_elements(gen_tet_prism(3, 3, 2), s),
+                  True),
+    "random_diagonal": (lambda s: random_diagonal_tri(7, 7, s), False),
+}
+
+
+@settings(deadline=None, max_examples=25)
+@given(fam=st.sampled_from(sorted(FAMILIES)),
+       mesh_seed=st.integers(min_value=0, max_value=999),
+       seed=st.integers(min_value=0, max_value=999))
+def test_kempe_repair_completes_every_family(fam, mesh_seed, seed):
+    build, bipartite = FAMILIES[fam]
+    mesh = build(mesh_seed)
+    coloring, report = color(mesh, ColoringConfig(rng_seed=seed,
+                                                  audit=True))
+    assert_complete_valid(mesh, coloring)
+    assert coloring.n_colors == color_set_size(mesh)
+    assert report.kempe_chains <= report.resolutions
+    if bipartite:
+        # a chain can only close an odd cycle
+        assert report.kempe_closures == 0
