@@ -26,19 +26,26 @@ included, so the COLORS rows land on the surfaces they were written
 for.  The writer therefore refuses a pair of maps under which its mesh
 would not reload that way.
 
-Both readers take their lines from one source, ``_Lines``: it reads the
-file in blocks of about 64k characters, cuts each line at ``#``, strips
-it and drops blank lines, so neither the file nor a section is ever
-held as one list of lines.  The native reader takes each section in
-chunks of up to 4096 lines and converts a whole chunk with numpy: the
-integer sections with one ``np.array(lines, dtype=np.int64)``, the
-VERTICES and ELEMENTS chunks by one split of the chunk's joined text
-when every line of it is single-spaced and, for ELEMENTS, of one kind.
-Any other chunk, and any chunk numpy cannot convert, is parsed again
-one line at a time, which names the first bad line.  The element chunks
-go straight into kind codes and a padded vertex array for
-``mesh.assemble``.  The writer formats each section with one ``%``
-operation over the section's values.
+``read_native`` reads the file once as bytes.  When the file is in
+the form the writer produces (only letters, digits, ``.+-``, single
+spaces and newlines, one element kind, one integer per line in the
+trailing sections, integers short enough not to overflow), numpy finds
+the newline and space positions once, which give every line's token
+count, and each section is converted with one ``np.fromstring`` call.
+Any other file, so every file with a malformed line, goes to the line
+parser ``_read_native``: the reference the bulk path is tested
+against, the path for hand-edited files with comments or other
+spacing, and the one that names the first bad line.  It takes its
+lines from ``_Lines``, which reads the file in blocks of about 64k
+characters, cuts each line at ``#``, strips it and drops blank lines,
+and it parses each section in chunks of up to 4096 lines, so neither
+the file nor a section is held as one list of lines.  Both paths apply
+the same value checks (finite coordinates, PARENTS and COLORS ranges)
+and end in ``_finish``, which assembles the mesh from kind codes and a
+padded vertex array (``mesh.assemble``) and checks the trailing
+sections against it.  The MSH reader shares ``_Lines`` and builds the
+same two arrays for ``assemble``.  The writer formats each section with
+one ``%`` operation over the section's values.
 
 Writes go through a temp file plus rename so a crash cannot leave a
 half-written mesh behind.
@@ -53,7 +60,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -68,7 +74,6 @@ from .mesh import (
     ElementKind,
     Mesh,
     assemble,
-    build_surfaces,
     relabel,
 )
 
@@ -98,6 +103,12 @@ _TAIL_SECTIONS = ("PARENTS", "COLORS", "PERMUTATIONS")
 _BLOCK_CHARS = 1 << 16
 _CHUNK_LINES = 4096
 _INT64 = np.iinfo(np.int64)
+# the bytes a written file holds; any other sends a file to the line parser
+_FORM_BYTES = (b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+               b"0123456789.+- \n")
+# an integer of at most 18 characters is below 10**18 < 2**63 in
+# magnitude; np.fromstring saturates silently where one overflows
+_MAX_INT_CHARS = 18
 
 
 @dataclass(frozen=True)
@@ -263,29 +274,10 @@ class _Lines:
             n -= want
 
 
-def _single_spaced(lines: list[str]) -> tuple[list[str], list[int]] | None:
-    """The tokens of ``lines`` and each line's count of spaces, when
-    every gap between tokens is one space; None otherwise."""
-    text = " ".join(lines)
-    tokens = text.split()
-    if len(tokens) != text.count(" ") + 1:
-        return None
-    return tokens, list(map(str.count, lines, repeat(" ")))
-
-
 def _vertex_chunk(lines: list[str], width: int | None,
                   path) -> np.ndarray:
     """Coordinates of a chunk of vertex lines; ``width`` is the one set
     by the section's first line, or None for the first chunk."""
-    split = _single_spaced(lines)
-    if split is not None:
-        tokens, gaps = split
-        w = gaps[0] + 1 if width is None else width
-        if w in (2, 3) and gaps.count(w - 1) == len(gaps):
-            try:
-                return np.array(tokens, dtype=np.float64).reshape(-1, w)
-            except ValueError:
-                pass
     rows = []
     for line in lines:
         parts = line.split()
@@ -312,23 +304,6 @@ def _element_chunk(lines: list[str], path) -> tuple[np.ndarray, np.ndarray]:
     """Kind codes and -1 padded vertex ids of a chunk of element lines."""
     n = len(lines)
     verts = np.full((n, MAX_ELEM_VERTS), -1, dtype=np.int64)
-    split = _single_spaced(lines)
-    if split is not None:
-        tokens, gaps = split
-        width = gaps[0] + 1
-        kinds = tokens[::width]
-        kind = _TOKEN_KIND.get(kinds[0])
-        if (kind is not None and width == 1 + kind.n_vertices
-                and gaps.count(width - 1) == n
-                and kinds.count(kinds[0]) == n):
-            del tokens[::width]
-            try:
-                verts[:, : width - 1] = np.array(
-                    tokens, dtype=np.int64).reshape(n, width - 1)
-            except (ValueError, OverflowError):
-                pass
-            else:
-                return np.full(n, KIND_TO_CODE[kind], dtype=np.int8), verts
     codes = np.empty(n, dtype=np.int8)
     for i, line in enumerate(lines):
         parts = line.split()
@@ -354,10 +329,6 @@ def _element_chunk(lines: list[str], path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _int_chunk(lines: list[str], what: str, path) -> np.ndarray:
-    try:
-        return np.array(lines, dtype=np.int64)
-    except (ValueError, OverflowError):
-        pass
     values = []
     for tok in lines:
         try:
@@ -394,12 +365,179 @@ def _finite(coords: np.ndarray, path) -> np.ndarray:
 
 
 def read_native(path) -> NativeMesh:
-    """Parse a native file back into a mesh plus its optional extras."""
-    with open(path) as fh:
-        return _read_native(_Lines(fh, path), path)
+    """Parse a native file back into a mesh plus its optional extras.
+
+    A file in the writer's form is converted with one numpy call per
+    section (``_bulk_sections``).  Any other file, one with a malformed
+    line included, is read by the line parser, which names the fault.
+    """
+    with open(path, "rb") as fh:
+        sections = _bulk_sections(fh.read())
+    if sections is None:
+        with open(path) as fh:
+            return _read_native(_Lines(fh, path), path)
+    coords, kinds, verts, tail = sections
+    _finite(coords, path)
+    for name, values in tail.items():
+        _check_tail(name, values, path)
+    return _finish(path, coords, kinds, verts, tail)
+
+
+class _OtherForm(Exception):
+    """A file that ``_bulk_sections`` leaves to the line parser."""
+
+
+def _need(ok) -> None:
+    if not ok:
+        raise _OtherForm
+
+
+def _body_length(name: str, counts: list[int], ne: int, path) -> int:
+    """Body lines of section ``name`` under its header's ``counts``,
+    ``ne`` being the element count; raises for counts the format
+    forbids."""
+    if name in ("VERTICES", "ELEMENTS"):
+        if len(counts) != 1:
+            raise MalformedSectionError(f"{path}: expected {name} <n>")
+        if counts[0] < 1:
+            raise MalformedSectionError(
+                f"{path}: {name} count must be >= 1")
+    elif name == "PARENTS":
+        if counts != [ne]:
+            raise MalformedSectionError(
+                f"{path}: PARENTS count must equal n_elements"
+            )
+    elif name == "COLORS":
+        if len(counts) != 1 or counts[0] < 0:
+            raise MalformedSectionError(
+                f"{path}: expected COLORS <n_surfaces>"
+            )
+    elif len(counts) != 2 or counts[0] != ne or counts[1] < 0:
+        raise MalformedSectionError(
+            f"{path}: PERMUTATIONS counts must be "
+            f"<n_elements> <n_surfaces>"
+        )
+    return sum(counts)
+
+
+def _bulk_sections(data: bytes):
+    """The sections of a file in the writer's form, or None.
+
+    Returns the coordinates, kind codes, padded vertex ids and a dict of
+    the trailing sections in file order.  The form: only bytes of
+    ``_FORM_BYTES``, single spaces, no space at either end of a line,
+    no blank line, a final newline, headers the line parser accepts,
+    one vertex width of 2 or 3, one element kind whose token starts
+    every element line, and one integer per line in the trailing
+    sections.  Integer tokens are ``-?[0-9]+`` (unsigned in ELEMENTS)
+    and at most ``_MAX_INT_CHARS`` long, since ``np.fromstring``
+    saturates where an integer overflows; each section must give one
+    value per token.  Any other file gives None.
+    """
+    if not data.endswith(b"\n") or data.translate(None, _FORM_BYTES):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf <= 32)  # the space or newline after a token
+    size = np.diff(ends, prepend=-1) - 1  # each token's length
+    last = buf[ends - 1]
+    # an empty token is a doubled space, a space at a line's end or start
+    # or a blank line; no token of any section ends in a sign
+    if size.min() < 1 or ((last == 43) | (last == 45)).any():
+        return None
+    line_end = np.flatnonzero(buf[ends] == 10)  # the tokens ending lines
+    nl = ends[line_end]
+
+    def line(i):
+        return data[nl[i - 1] + 1 if i else 0:nl[i]].decode()
+
+    def body(a, b):  # lines a..b-1, each with its newline
+        return data[nl[a - 1] + 1:nl[b - 1] + 1]
+
+    def widths(a, b):  # tokens per line
+        return np.diff(line_end[a - 1:b])
+
+    def longest(a, b):  # longest token
+        return int(size[line_end[a - 1] + 1:line_end[b - 1] + 1].max(
+            initial=0))
+
+    def section(at, names, ne):
+        _need(at < len(nl))
+        name, counts = _section_header(line(at), None)
+        _need(name in names)
+        n = _body_length(name, counts, ne, None)
+        _need(at + 1 + n <= len(nl))
+        return name, at + 1, at + 1 + n
+
+    def vertices(a, b):
+        text, w = body(a, b), widths(a, b)
+        _need(w[0] in (2, 3) and (w == w[0]).all()
+              # digits, signs, points, exponents, inf and nan
+              and not text.translate(None, b"0123456789.+-eEinfa \n"))
+        values = np.fromstring(text, sep=" ")
+        _need(values.size == w.sum())
+        return values.reshape(-1, w[0])
+
+    def elements(a, b):
+        token = line(a).split(" ", 1)[0]
+        kind = _TOKEN_KIND.get(token)
+        _need(kind is not None and (widths(a, b) == 1 + kind.n_vertices).all())
+        prefix = (token + " ").encode()
+        starts = nl[a - 1:b - 1] + 1
+        _need(all((buf[starts + j] == c).all() for j, c in enumerate(prefix)))
+        ids = body(a, b).replace(prefix, b"")
+        _need(not ids.translate(None, b"0123456789 \n")
+              and longest(a, b) <= _MAX_INT_CHARS)
+        values = np.fromstring(ids, dtype=np.int64, sep=" ")
+        nv = kind.n_vertices
+        _need(values.size == (b - a) * nv)
+        verts = np.full((b - a, MAX_ELEM_VERTS), -1, dtype=np.int64)
+        verts[:, :nv] = values.reshape(-1, nv)
+        return np.full(b - a, KIND_TO_CODE[kind], dtype=np.int8), verts
+
+    def integers(a, b):
+        text = data[nl[a - 1]:nl[b - 1] + 1]  # from the header's newline
+        _need(not text.translate(None, b"0123456789-\n")
+              and b"-" not in text.replace(b"\n-", b"\n")
+              and longest(a, b) <= _MAX_INT_CHARS)
+        values = np.fromstring(text, dtype=np.int64, sep=" ")
+        _need(values.size == b - a)
+        return values
+
+    try:
+        _need(line(0) == f"{FORMAT_NAME} {FORMAT_VERSION}")
+        _, a, b = section(1, ("VERTICES",), 0)
+        coords = vertices(a, b)
+        _, a, b = section(b, ("ELEMENTS",), 0)
+        kinds, verts = elements(a, b)
+        tail: dict[str, np.ndarray] = {}
+        while b < len(nl):
+            name, a, b = section(
+                b, [s for s in _TAIL_SECTIONS if s not in tail], len(kinds))
+            tail[name] = integers(a, b)
+    # ValueError: a token np.fromstring cannot read.  A bad header is
+    # reported again, with the file's path, by the line parser.
+    except (_OtherForm, MalformedSectionError, ValueError):
+        return None
+    return coords, kinds, verts, tail
+
+
+def _check_tail(name: str, values: np.ndarray, path) -> None:
+    """The value rules of the trailing sections, applied as each one is
+    read."""
+    if name == "PARENTS":
+        below = np.flatnonzero(values < -1)
+        if below.size:
+            raise MalformedSectionError(
+                f"{path}: PARENTS value {values[below[0]]} for "
+                f"element {below[0]} is below -1"
+            )
+    elif name == "COLORS" and ((values < -1) | (values == 0)).any():
+        raise MalformedSectionError(f"{path}: colors must be -1 or >= 1")
 
 
 def _read_native(src: _Lines, path) -> NativeMesh:
+    """The line parser: reads every file ``read_native`` accepts, one
+    line at a time, and names the first fault of one it rejects."""
     header = src.next("the format header").split()
     if len(header) != 2 or header[0] != FORMAT_NAME:
         raise UnsupportedVersionError(
@@ -411,23 +549,20 @@ def _read_native(src: _Lines, path) -> NativeMesh:
         )
 
     name, counts = _section_header(src.next("VERTICES"), path)
-    if name != "VERTICES" or len(counts) != 1:
+    if name != "VERTICES":
         raise MalformedSectionError(f"{path}: expected VERTICES <n>")
-    if counts[0] < 1:
-        raise MalformedSectionError(f"{path}: VERTICES count must be >= 1")
     parts = []
-    for lines in src.chunks(counts[0], "a vertex line"):
+    for lines in src.chunks(_body_length(name, counts, 0, path),
+                            "a vertex line"):
         parts.append(_vertex_chunk(
             lines, parts[0].shape[1] if parts else None, path))
     coords = _finite(np.concatenate(parts), path)
 
     name, counts = _section_header(src.next("ELEMENTS"), path)
-    if name != "ELEMENTS" or len(counts) != 1:
+    if name != "ELEMENTS":
         raise MalformedSectionError(f"{path}: expected ELEMENTS <n>")
-    if counts[0] < 1:
-        raise MalformedSectionError(f"{path}: ELEMENTS count must be >= 1")
-    parts = [_element_chunk(lines, path)
-             for lines in src.chunks(counts[0], "an element line")]
+    parts = [_element_chunk(lines, path) for lines in src.chunks(
+        _body_length(name, counts, 0, path), "an element line")]
     kinds = np.concatenate([p[0] for p in parts])
     verts = np.concatenate([p[1] for p in parts])
 
@@ -440,54 +575,34 @@ def _read_native(src: _Lines, path) -> NativeMesh:
     # surfaces exist, and the surfaces can only be built once
     # PERMUTATIONS is known, so the trailing sections are read first.
     ne = len(kinds)
-    parents = None
-    colors = None
-    perms = None
-    seen = []
+    tail: dict[str, np.ndarray] = {}
     while True:
         line = src.maybe_next()
         if line is None:
             break
         name, counts = _section_header(line, path)
-        if seen and name.lstrip("-").isdigit():
+        if tail and name.lstrip("-").isdigit():
             raise MalformedSectionError(
-                f"{path}: {seen[-1]} has more values than its header count"
+                f"{path}: {list(tail)[-1]} has more values than its "
+                f"header count"
             )
-        if name not in _TAIL_SECTIONS or name in seen:
+        if name not in _TAIL_SECTIONS or name in tail:
             raise MalformedSectionError(
                 f"{path}: unexpected section {name!r}"
             )
-        seen.append(name)
-        if name == "PARENTS":
-            if counts != [ne]:
-                raise MalformedSectionError(
-                    f"{path}: PARENTS count must equal n_elements"
-                )
-            parents = _ints(ne, "PARENTS")
-            below = np.flatnonzero(parents < -1)
-            if below.size:
-                raise MalformedSectionError(
-                    f"{path}: PARENTS value {parents[below[0]]} for "
-                    f"element {below[0]} is below -1"
-                )
-        elif name == "COLORS":
-            if len(counts) != 1 or counts[0] < 0:
-                raise MalformedSectionError(
-                    f"{path}: expected COLORS <n_surfaces>"
-                )
-            colors = _ints(counts[0], "COLORS")
-            if ((colors < -1) | (colors == 0)).any():
-                raise MalformedSectionError(
-                    f"{path}: colors must be -1 or >= 1"
-                )
-        else:
-            if len(counts) != 2 or counts[0] != ne or counts[1] < 0:
-                raise MalformedSectionError(
-                    f"{path}: PERMUTATIONS counts must be "
-                    f"<n_elements> <n_surfaces>"
-                )
-            perms = _ints(ne + counts[1], "PERMUTATIONS")
+        tail[name] = _ints(_body_length(name, counts, ne, path), name)
+        _check_tail(name, tail[name], path)
+    return _finish(path, coords, kinds, verts, tail)
 
+
+def _finish(path, coords: np.ndarray, kinds: np.ndarray, verts: np.ndarray,
+            tail: dict[str, np.ndarray]) -> NativeMesh:
+    """Assemble the mesh both parsers read and check the trailing
+    sections against it."""
+    ne = len(kinds)
+    parents = tail.get("PARENTS")
+    colors = tail.get("COLORS")
+    perms = tail.get("PERMUTATIONS")
     element_perm = surface_perm = None
     if perms is None:
         mesh = assemble(coords, kinds, verts)
@@ -562,7 +677,8 @@ def _read_msh(sc: _Lines, path) -> Mesh:
         raise MalformedSectionError(f"{path}: unterminated $MeshFormat")
 
     nodes: dict[int, tuple[float, float, float]] = {}
-    raw_elements: list[tuple[ElementKind, tuple[int, ...]]] = []
+    codes: list[int] = []
+    node_ids: list[int] = []  # every element's node ids, one after another
     while True:
         line = sc.maybe_next()
         if line is None:
@@ -604,7 +720,7 @@ def _read_msh(sc: _Lines, path) -> Mesh:
                 try:
                     etype = int(parts[1])
                     ntags = int(parts[2])
-                    node_ids = tuple(int(p) for p in parts[3 + ntags:])
+                    ids = [int(p) for p in parts[3 + ntags:]]
                 except (IndexError, ValueError):
                     raise MalformedSectionError(
                         f"{path}: bad element line"
@@ -616,12 +732,13 @@ def _read_msh(sc: _Lines, path) -> Mesh:
                     raise MalformedSectionError(
                         f"{path}: element type {etype} is not supported"
                     )
-                if len(node_ids) != kind.n_vertices:
+                if len(ids) != kind.n_vertices:
                     raise MalformedSectionError(
                         f"{path}: type {etype} element with "
-                        f"{len(node_ids)} nodes"
+                        f"{len(ids)} nodes"
                     )
-                raw_elements.append((kind, node_ids))
+                codes.append(KIND_TO_CODE[kind])
+                node_ids += ids
             if sc.next("$EndElements") != "$EndElements":
                 raise MalformedSectionError(
                     f"{path}: unterminated $Elements"
@@ -637,24 +754,23 @@ def _read_msh(sc: _Lines, path) -> Mesh:
                 f"{path}: unexpected line {line!r}"
             )
 
-    if not raw_elements:
+    if not codes:
         raise MalformedSectionError(f"{path}: no usable elements")
     id_map = {nid: i for i, nid in enumerate(sorted(nodes))}
-    keep_z = any(kind is ElementKind.TET for kind, _ in raw_elements)
-    width = 3 if keep_z else 2
+    kinds = np.array(codes, dtype=np.int8)
+    width = 3 if (kinds == KIND_TO_CODE[ElementKind.TET]).any() else 2
     coords = np.array(
         [nodes[nid][:width] for nid in sorted(nodes)], dtype=np.float64
     )
     try:
-        elements = [
-            (kind, tuple(id_map[n] for n in node_ids))
-            for kind, node_ids in raw_elements
-        ]
+        vids = [id_map[n] for n in node_ids]
     except KeyError as exc:
         raise MalformedSectionError(
             f"{path}: element references unknown node {exc.args[0]}"
         ) from None
-    return build_surfaces(_finite(coords, path), elements)
+    verts = np.full((len(kinds), MAX_ELEM_VERTS), -1, dtype=np.int64)
+    verts[_USED_SLOTS[kinds]] = vids
+    return assemble(_finite(coords, path), kinds, verts)
 
 
 def write_report(report: ColoringReport | Mapping, path=None) -> None:

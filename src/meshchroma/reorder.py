@@ -78,15 +78,15 @@ def build_plan(mesh: Mesh, coloring: SurfaceColoring) -> ReorderingPlan:
 
     element_perm = np.full(mesh.n_elements, -1, dtype=np.int64)
     if fallback:
-        nxt = 0
-        for c in range(1, n_colors + 1):
-            for s in np.nonzero(colors == c)[0]:
-                for e in (int(left[s]), int(right[s])):
-                    if e >= 0 and element_perm[e] < 0:
-                        element_perm[e] = nxt
-                        nxt += 1
-        if nxt != mesh.n_elements:
+        # number elements by first occurrence over the surfaces in
+        # color order, id order within a color, left end first
+        sids = np.flatnonzero(colors <= n_colors)
+        sids = sids[np.argsort(colors[sids], kind="stable")]
+        ends = mesh.surf_elems[sids].ravel()
+        seen, first = np.unique(ends[ends >= 0], return_index=True)
+        if len(seen) != mesh.n_elements:
             raise AssertionError("element not reachable from any surface")
+        element_perm[seen[np.argsort(first)]] = np.arange(len(seen))
     else:
         boundary_ones = ones[right[ones] < 0]
         order1 = np.concatenate([interior_ones, boundary_ones])

@@ -16,6 +16,7 @@ from meshchroma import (
     gen_tri_rect,
     invert_plan,
     naive_greedy,
+    refine,
     shuffle_elements,
     verify_coloring,
 )
@@ -123,6 +124,31 @@ def test_missing_color_one_edge_falls_back():
     re_mesh, re_col = apply_plan(mesh, baseline, plan)
     assert verify_coloring(re_mesh, re_col) == []
     assert (np.diff(re_col.colors) >= 0).all()
+
+
+def _first_occurrence_loop(mesh, coloring):
+    # the fallback numbering as a plain loop: surfaces by color, then by
+    # id, each surface's left end before its right one
+    perm = np.full(mesh.n_elements, -1, dtype=np.int64)
+    nxt = 0
+    for c in range(1, coloring.n_colors + 1):
+        for s in np.flatnonzero(coloring.colors == c):
+            for e in mesh.surf_elems[s].tolist():
+                if e >= 0 and perm[e] < 0:
+                    perm[e] = nxt
+                    nxt += 1
+    return perm
+
+
+def test_fallback_plan_matches_the_first_occurrence_loop():
+    mesh = shuffle_elements(gen_tri_rect(8, 8), 0)
+    coarse, _ = color(mesh)
+    refined, fine = refine(mesh, coarse, range(0, mesh.n_elements, 3))
+    for m, coloring in ((mesh, naive_greedy(mesh)), (refined.mesh, fine)):
+        plan = build_plan(m, coloring)
+        assert plan.used_fallback
+        assert np.array_equal(plan.element_perm,
+                              _first_occurrence_loop(m, coloring))
 
 
 def test_plan_mesh_mismatch():
