@@ -16,6 +16,7 @@ MESHCHROMA_SEED supplies the default seed where --seed is accepted.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -112,7 +113,10 @@ def _size_list(text: str) -> list[int]:
     return sizes
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process; ``parse_args``
+    leaves it unchanged, so every call of ``main`` shares it."""
     parser = _Parser(
         prog="meshchroma",
         description="Surface coloring, refinement, and reordering "

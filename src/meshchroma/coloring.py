@@ -631,8 +631,9 @@ def naive_greedy(mesh: Mesh) -> SurfaceColoring:
 
 def verify_coloring(mesh: Mesh, coloring: SurfaceColoring
                     ) -> list[Diagnostic]:
-    """List every element with a repeated color and every uncolored
-    surface.  An empty list means complete and valid."""
+    """List every element with a repeated color, every uncolored
+    surface and every surface whose color is above ``n_colors``.  An
+    empty list means complete and valid."""
     colors = np.asarray(coloring.colors)
     diags: list[Diagnostic] = []
 
@@ -659,5 +660,10 @@ def verify_coloring(mesh: Mesh, coloring: SurfaceColoring
     for k in np.flatnonzero(colors < 1):
         diags.append(Diagnostic(
             "uncolored", f"surface {k} has no color", surface_id=int(k),
+        ))
+    for k in np.flatnonzero(colors > coloring.n_colors):
+        diags.append(Diagnostic(
+            "palette", f"surface {k} has color {colors[k]}, above the "
+            f"palette of {coloring.n_colors}", surface_id=int(k),
         ))
     return diags

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -223,21 +224,69 @@ def _sort_within_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the rows of a 2-D integer array and find its runs of equal rows.
+# pairs of values below this bound pack into one int64
+_PAIR_LIMIT = math.isqrt(np.iinfo(np.int64).max)
 
-    Returns ``order``, a lexicographic sort of the rows that keeps equal
-    rows in index order, and ``starts``, the positions in ``order`` where
-    each run begins; ``order[starts]`` is the first index of each
-    distinct row.
+
+def _row_groups(rows: np.ndarray,
+                n_values: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the rows of an (n, w) integer array into runs of equal rows.
+
+    Precondition: ``rows`` is int64 and every value lies in
+    ``[0, n_values)``.
+
+    Key: each row is packed into one int64 and the keys get one
+    default-kind ``np.argsort``.  A width-2 row's key is
+    ``v0 * n_values + v1``.  Each further column c makes the key
+    ``rank * n_values + v_c``, where ``rank`` is the dense rank of the
+    key of the columns before c, so that key stays below
+    ``n_rows * n_values``; a tet face's key is the dense rank of its
+    ``(v0, v1)`` prefix times ``n_values``, plus ``v2``.  Should a pair
+    of values not fit in int64 (``n_values`` above ``_PAIR_LIMIT``), the
+    values are first replaced by their dense rank.
+
+    Returns ``order``, a permutation of the row indices that puts equal
+    rows next to each other, and ``starts``, the positions in ``order``
+    where each run begins.
+
+    Ties: the sort is unstable, so the rows of one run come in no set
+    order.  A caller that needs a run's first row takes the smallest
+    index in it; for a run of at most two rows that is the minimum of
+    its two ends, ``order[start]`` and ``order[end]``.
     """
-    order = np.lexsort(rows.T[::-1])
-    new_run = np.zeros(len(rows), dtype=bool)
+    if n_values > _PAIR_LIMIT:
+        _, ranks = np.unique(rows, return_inverse=True)
+        rows, n_values = ranks.reshape(rows.shape), rows.size
+    key = rows[:, 0]
+    for c in range(1, rows.shape[1]):
+        if c > 1:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * n_values + rows[:, c]
+    order = np.argsort(key)
+    key = key[order]
+    new_run = np.empty(len(key), dtype=bool)
     new_run[:1] = True
-    for c in range(rows.shape[1]):
-        col = rows[order, c]
-        new_run[1:] |= col[1:] != col[:-1]
+    np.not_equal(key[1:], key[:-1], out=new_run[1:])
     return order, np.flatnonzero(new_run)
+
+
+def _non_manifold(rows, slot_elem, order, starts,
+                  run_len) -> NonManifoldError:
+    """The error for runs of three or more equal side rows, naming the
+    first five such surfaces in first-encounter order."""
+    big = np.flatnonzero(run_len > 2)
+    firsts = np.minimum.reduceat(order, starts)[big]
+    detail = []
+    named = []
+    for r in big[np.argsort(firsts)[:5]]:
+        slots = np.sort(order[starts[r]:starts[r] + run_len[r]])
+        elems = slot_elem[slots]
+        named.extend(elems.tolist())
+        detail.append(
+            f"surface {tuple(rows[slots[0]].tolist())} shared by elements "
+            f"{elems.tolist()}"
+        )
+    return NonManifoldError("; ".join(detail), named)
 
 
 def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
@@ -293,53 +342,45 @@ def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
             raise RepeatedVertexError(
                 f"repeated vertex ids in elements {elems.tolist()}", elems)
 
-    # collect every element side in element-major, side-minor order
+    # collect every element side in element-major, side-minor order;
+    # side j of element e has slot e * MAX_SIDES + j.  np.take is several
+    # times faster than fancy indexing at gathering whole rows.
     sides_all = np.full((ne, MAX_SIDES, width), -1, dtype=np.int64)
     for kind in present:
         rows = np.flatnonzero(kind_codes == KIND_TO_CODE[kind])
         pos = np.array(_SIDE_POSITIONS[kind], dtype=np.int64)
-        sides_all[rows, : len(pos)] = elem_verts[rows[:, None, None], pos]
-    valid = sides_all[:, :, 0] >= 0
-    slot_elem, slot_side = np.nonzero(valid)
-    rows = _sort_within_rows(sides_all[valid])
-    del sides_all, valid
+        sides_all[rows, : len(pos)] = np.take(elem_verts, rows, axis=0)[:, pos]
+    slot = np.flatnonzero(sides_all[:, :, 0] >= 0)
+    slot_elem = slot // MAX_SIDES
+    rows = _sort_within_rows(np.take(sides_all.reshape(-1, width), slot,
+                                     axis=0))
+    del sides_all
 
-    # a surface is a run of equal rows; surface ids follow each run's
-    # first slot, so they come in first-encounter order
-    order, starts = _row_groups(rows)
-    n_surf = len(starts)
-    by_first = np.argsort(order[starts])
-    sid_of_run = np.empty(n_surf, dtype=np.int64)
-    sid_of_run[by_first] = np.arange(n_surf)
+    # a surface is a run of equal rows, one or two slots long; slots
+    # are element-major, so the smaller slot of a run holds the smaller
+    # element id, the left
+    order, starts = _row_groups(rows, nv)
     run_len = np.diff(starts, append=len(rows))
-    sid = np.empty(len(rows), dtype=np.int64)
-    sid[order] = np.repeat(sid_of_run, run_len)
-    starts, counts = starts[by_first], run_len[by_first]
-    surf_verts = rows[order[starts]]
+    if (run_len > 2).any():
+        raise _non_manifold(rows, slot_elem, order, starts, run_len)
+    ends = order[starts + run_len - 1]
+    lo = np.minimum(order[starts], ends)
+    hi = np.maximum(order[starts], ends)
 
-    if (counts > 2).any():
-        offenders = np.flatnonzero(counts > 2)[:5]
-        detail = []
-        named = []
-        for s in offenders:
-            elems = slot_elem[order[starts[s]:starts[s] + counts[s]]]
-            named.extend(elems.tolist())
-            detail.append(
-                f"surface {tuple(surf_verts[s].tolist())} shared by elements "
-                f"{elems.tolist()}"
-            )
-        raise NonManifoldError("; ".join(detail), named)
-
-    # equal rows keep slot order, and slots are element-major, so the
-    # first slot of a run holds the smaller element id: the left
-    left = slot_elem[order[starts]]
-    right = np.full(n_surf, -1, dtype=np.int64)
-    two = counts == 2
-    right[two] = slot_elem[order[starts[two] + 1]]
-    surf_elems = np.stack([left, right], axis=1)
+    # surface ids follow each run's smaller slot: first-encounter order
+    first = np.zeros(len(rows), dtype=bool)
+    first[lo] = True
+    sid = np.cumsum(first) - 1
+    sid[hi] = sid[lo]
+    first_slot = np.flatnonzero(first)
+    surf_verts = np.take(rows, first_slot, axis=0)
+    surf_elems = np.full((len(first_slot), 2), -1, dtype=np.int64)
+    surf_elems[:, 0] = slot_elem[first_slot]
+    inner = hi != lo
+    surf_elems[sid[hi[inner]], 1] = slot_elem[hi[inner]]
 
     elem_surfs = np.full((ne, MAX_SIDES), -1, dtype=np.int64)
-    elem_surfs[slot_elem, slot_side] = sid
+    elem_surfs.reshape(-1)[slot] = sid
 
     return Mesh(vertices, kind_codes, elem_verts, elem_surfs,
                 surf_verts, surf_elems)
@@ -423,6 +464,20 @@ def stored_surface_ids(mesh: Mesh, canon: Mesh) -> np.ndarray:
     return stored
 
 
+def _value_codes(rows: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """``rows`` with each value outside ``[0, n)`` replaced by ``n`` plus
+    its dense rank among those values, and the bound of the result; equal
+    values stay equal and distinct ones distinct."""
+    rows = np.asarray(rows, dtype=np.int64)
+    out = (rows < 0) | (rows >= n)
+    if not out.any():
+        return rows, n
+    extra, ranks = np.unique(rows[out], return_inverse=True)
+    rows = rows.copy()
+    rows[out] = n + ranks
+    return rows, n + len(extra)
+
+
 def validate(mesh: Mesh) -> list[Diagnostic]:
     """Check that ``mesh`` holds exactly the surfaces its elements imply.
 
@@ -453,11 +508,11 @@ def validate(mesh: Mesh) -> list[Diagnostic]:
             f"expected {mesh.kind_of(e).n_sides}", element_id=int(e)))
 
     stored = stored_surface_ids(mesh, canon)
-    slot_elem, slot_side = np.nonzero(sides)
-    ids = mesh.elem_surfs[sides]
-    other = stored[canon.elem_surfs[sides]]
+    slot = np.flatnonzero(sides)
+    ids = mesh.elem_surfs.reshape(-1)[slot]
+    other = stored[canon.elem_surfs.reshape(-1)[slot]]
     bad = (ids < 0) | (ids >= ns) | (ids != other)
-    for e, j, s, t in zip(slot_elem[bad], slot_side[bad], ids[bad],
+    for e, j, s, t in zip(*np.divmod(slot[bad], MAX_SIDES), ids[bad],
                           other[bad]):
         why = (f"outside [0, {ns})" if not 0 <= s < ns else
                f"but another slot gives that side surface {t}")
@@ -471,19 +526,27 @@ def validate(mesh: Mesh) -> list[Diagnostic]:
             "incidence", f"surface {s} stands for {uses[s]} of the "
             f"surfaces the elements imply, expected 1", surface_id=int(s)))
 
-    order, starts = _row_groups(mesh.surf_verts)
-    first = np.empty(ns, dtype=np.int64)
-    first[order] = np.repeat(order[starts], np.diff(starts, append=ns))
-    for s in np.flatnonzero(first != np.arange(ns)):
+    order, starts = _row_groups(*_value_codes(mesh.surf_verts,
+                                              mesh.n_vertices))
+    run_len = np.diff(starts, append=ns)
+    repeats = []
+    for r in np.flatnonzero(run_len > 1):
+        run = np.sort(order[starts[r]:starts[r] + run_len[r]]).tolist()
+        repeats.extend((s, run[0]) for s in run[1:])
+    for s, f in sorted(repeats):
         diags.append(Diagnostic(
-            "duplicate_surface", f"surfaces {first[s]} and {s} share "
-            f"vertex set {mesh.surf_verts[s].tolist()}", surface_id=int(s)))
+            "duplicate_surface", f"surfaces {f} and {s} share "
+            f"vertex set {mesh.surf_verts[s].tolist()}", surface_id=s))
 
     sid = stored[mapped]
-    (l, r), (cl, cr) = mesh.surf_elems[sid].T, canon.surf_elems[mapped].T
+    l, r = np.take(mesh.surf_elems, sid, axis=0).T
+    cl, cr = np.take(canon.surf_elems, mapped, axis=0).T
     same_pair = ((l == cl) & (r == cr)) | ((l == cr) & (r == cl))
-    wrong = ((mesh.surf_verts[sid] != canon.surf_verts[mapped]).any(axis=1)
-             | (l < 0) | ~same_pair)
+    wrong = (l < 0) | ~same_pair
+    differs = (np.take(mesh.surf_verts, sid, axis=0)
+               != np.take(canon.surf_verts, mapped, axis=0))
+    for column in differs.T:  # numpy reduces short rows slowly
+        wrong |= column
     for k, s in zip(mapped[wrong], sid[wrong]):
         diags.append(Diagnostic(
             "incidence", f"surface {s} has vertices "

@@ -159,11 +159,15 @@ def _check_permutations(mesh: Mesh, element_perm, surface_perm) -> None:
         raise ValueError("permutations must be bijections")
     old_element, old_surface = np.argsort(ep), np.argsort(sp)
     slots = mesh.elem_surfs[ep]  # rows in old element order
-    _, first = np.unique(old_surface[slots[slots >= 0]], return_index=True)
+    # old ids come in first-encounter order iff each slot's id is at most
+    # one above the largest id before it, starting from 0
+    seq = old_surface[slots[slots >= 0]]
+    top = np.maximum.accumulate(seq)
     left, right = mesh.surf_elems[sp].T  # rows in old surface order
     left = old_element[left]
     right = np.where(right >= 0, old_element[right], -1)
-    if not (len(first) == mesh.n_surfaces and np.all(np.diff(first) > 0)
+    if not (seq[0] == 0 and np.all(seq[1:] <= top[:-1] + 1)
+            and top[-1] == mesh.n_surfaces - 1
             and np.all((right < 0) | (left < right))):
         raise ValueError(
             "element and surface permutations do not describe this mesh: "

@@ -57,8 +57,10 @@ def _check_coloring(mesh: Mesh, coloring: SurfaceColoring) -> None:
         raise ValueError("coloring does not match the mesh")
     if not coloring.is_complete:
         raise ValueError("reordering needs a complete coloring")
-    if verify_coloring(mesh, coloring):
-        raise ValueError("reordering needs a valid coloring")
+    diags = verify_coloring(mesh, coloring)
+    if diags:
+        raise ValueError(
+            f"reordering needs a valid coloring: {diags[0].message}")
 
 
 def build_plan(mesh: Mesh, coloring: SurfaceColoring) -> ReorderingPlan:

@@ -345,3 +345,18 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert path.exists()
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    from meshchroma.cli import _build_parser
+
+    monkeypatch.delenv("MESHCHROMA_SEED", raising=False)
+    path = gen(tmp_path)
+    a, b, c = (tmp_path / f"{n}.mesh" for n in "abc")
+    parser = _build_parser()
+    assert main(["color", "-i", str(path), "-o", str(a), "--seed", "5"]) == 0
+    assert main(["color", "-i", str(path), "-o", str(b)]) == 0
+    assert main(["color", "-i", str(path), "-o", str(c), "--seed", "0"]) == 0
+    assert main(["color", "-i", str(path), "--seed", "x"]) == 64
+    assert _build_parser() is parser
+    assert b.read_bytes() == c.read_bytes() != a.read_bytes()

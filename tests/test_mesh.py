@@ -22,7 +22,8 @@ from meshchroma import (
     validate,
     vizing_bound,
 )
-from conftest import brute_surface_count, mesh_elements
+from meshchroma.mesh import _PAIR_LIMIT, _row_groups, assemble
+from conftest import _SIDES, brute_surface_count, mesh_elements
 
 
 def test_two_triangles_share_one_edge(two_tri):
@@ -235,3 +236,156 @@ def test_surface_count_matches_brute_force(nx, ny, fam):
 def test_tet_surface_count_matches_brute_force(nx, ny, nz):
     mesh = gen_tet_prism(nx, ny, nz)
     assert mesh.n_surfaces == brute_surface_count(mesh_elements(mesh))
+
+
+# Plain-Python references for the grouping that assemble and validate do
+# with packed int64 keys.
+
+def _reference_assembly(vertices, elem_kind, elem_verts):
+    """All six Mesh arrays, numbering surfaces by first encounter over
+    the elements in id order and each element's sides in local order."""
+    ids = {}
+    rows, pairs, slots = [], [], []
+    for e, (kind, vids) in enumerate(zip(elem_kind.tolist(),
+                                         elem_verts.tolist())):
+        listed = []
+        for side in _SIDES[("tri", "quad", "tet")[kind]]:
+            key = tuple(sorted(vids[p] for p in side))
+            if key not in ids:
+                ids[key] = len(rows)
+                rows.append(key)
+                pairs.append([e, -1])
+            else:
+                pairs[ids[key]][1] = e
+            listed.append(ids[key])
+        slots.append(listed + [-1] * (4 - len(listed)))
+    return (np.asarray(vertices, dtype=np.float64),
+            np.asarray(elem_kind, dtype=np.int8),
+            np.asarray(elem_verts, dtype=np.int64),
+            np.array(slots, dtype=np.int64),
+            np.array(rows, dtype=np.int64),
+            np.array(pairs, dtype=np.int64))
+
+
+def _mixed_tri_quad(nx, ny):
+    """A quad grid with every third quad split into two triangles."""
+    quads = gen_quad_rect(nx, ny)
+    kinds, verts = quads.elem_kind.copy(), quads.elem_verts.copy()
+    extra = []
+    for e in range(0, quads.n_elements, 3):
+        a, b, c, d = verts[e].tolist()
+        kinds[e] = 0
+        verts[e] = [a, b, c, -1]
+        extra.append([a, c, d, -1])
+    return (quads.vertices,
+            np.concatenate([kinds, np.zeros(len(extra), dtype=np.int8)]),
+            np.concatenate([verts, np.array(extra, dtype=np.int64)]))
+
+
+_GROUPED_MESHES = {
+    "tri": lambda n: gen_tri_rect(n, n + 2),
+    "quad": lambda n: gen_quad_rect(n + 1, n),
+    "tet": lambda n: gen_tet_prism(n, 2, n),
+    "tri_periodic": lambda n: gen_tri_rect(n + 2, n + 3, (True, True)),
+    "quad_periodic": lambda n: gen_quad_rect(n + 2, 3, (True, False)),
+}
+
+
+@settings(deadline=None, max_examples=40)
+@given(family=st.sampled_from(sorted(_GROUPED_MESHES) + ["mixed"]),
+       n=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_assemble_matches_the_first_encounter_reference(family, n, seed):
+    if family == "mixed":
+        vertices, kinds, verts = _mixed_tri_quad(n + 1, n + 2)
+    else:
+        mesh = _GROUPED_MESHES[family](n)
+        vertices, kinds, verts = mesh.vertices, mesh.elem_kind, mesh.elem_verts
+    order = np.random.default_rng(seed).permutation(len(kinds))
+    kinds, verts = kinds[order], verts[order]
+    got = assemble(vertices, kinds, verts)
+    fields = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
+              "surf_verts", "surf_elems")
+    for name, want in zip(fields, _reference_assembly(vertices, kinds, verts)):
+        have = getattr(got, name)
+        assert have.dtype == want.dtype, name
+        assert np.array_equal(have, want), name
+
+
+def _lexsort_row_groups(rows):
+    """The stable grouping validate used before packed keys: a lexsort,
+    so equal rows keep index order, and the positions where runs start."""
+    order = np.lexsort(rows.T[::-1])
+    new_run = np.zeros(len(rows), dtype=bool)
+    new_run[:1] = True
+    for c in range(rows.shape[1]):
+        col = rows[order, c]
+        new_run[1:] |= col[1:] != col[:-1]
+    return order, np.flatnonzero(new_run)
+
+
+def _lexsort_duplicates(rows):
+    """(first, later) index pairs of repeated rows, by later index."""
+    order, starts = _lexsort_row_groups(rows)
+    first = np.empty(len(rows), dtype=np.int64)
+    first[order] = np.repeat(order[starts], np.diff(starts, append=len(rows)))
+    return [(int(first[s]), int(s))
+            for s in np.flatnonzero(first != np.arange(len(rows)))]
+
+
+def _groups(order, starts):
+    return sorted(sorted(g.tolist()) for g in np.split(order, starts[1:]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(edits=st.lists(
+    st.tuples(st.integers(min_value=0, max_value=55),
+              st.sampled_from([-5, -1, 16, 10**12, -2**62, 2**62 + 7]),
+              st.integers(min_value=0, max_value=1),
+              st.integers(min_value=0, max_value=55)),
+    min_size=1, max_size=8))
+def test_validate_duplicates_match_the_lexsort_reference(edits):
+    mesh = gen_tri_rect(4, 4)  # 56 surfaces over 25 vertices
+    rows = mesh.surf_verts.copy()
+    for s, value, col, copy_to in edits:
+        rows[s, col] = value
+        rows[copy_to] = rows[s]
+    bad = _tampered(mesh, surf_verts=lambda a: a.__setitem__(..., rows))
+    found = [(d.surface_id, d.message) for d in validate(bad)
+             if d.code == "duplicate_surface"]
+    want = [(s, f"surfaces {f} and {s} share vertex set {rows[s].tolist()}")
+            for f, s in _lexsort_duplicates(rows)]
+    assert found == want
+
+
+def test_validate_names_three_equal_rows_with_out_of_range_ids():
+    mesh = gen_tri_rect(3, 3)
+    rows = mesh.surf_verts.copy()
+    rows[[9, 2, 20]] = [10**12, -5]
+    rows[[4, 11]] = [-5, 10**12]
+    bad = _tampered(mesh, surf_verts=lambda a: a.__setitem__(..., rows))
+    found = [d.message for d in validate(bad) if d.code == "duplicate_surface"]
+    assert found == [
+        f"surfaces {f} and {s} share vertex set {rows[s].tolist()}"
+        for f, s in _lexsort_duplicates(rows)]
+    assert found == [
+        "surfaces 2 and 9 share vertex set [1000000000000, -5]",
+        "surfaces 4 and 11 share vertex set [-5, 1000000000000]",
+        "surfaces 2 and 20 share vertex set [1000000000000, -5]",
+    ]
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("n_values", [2**40 + 1, _PAIR_LIMIT, 7])
+def test_row_groups_match_lexsort_at_large_values(width, n_values):
+    rng = np.random.default_rng(width * 1000 + n_values % 997)
+    pool = np.unique(np.r_[0, n_values - 1,
+                           rng.integers(0, n_values, 12)])
+    rows = rng.choice(pool, size=(400, width))
+    rows[200:] = rows[rng.integers(0, 200, 200)]  # plenty of repeats
+    if n_values > 2**40:
+        # v0 * n_values + v1 wraps to 2**25 for both rows in int64
+        rows[:2, :2] = [[2**24, 2**24], [0, 2**25]]
+    order, starts = _row_groups(rows, n_values)
+    assert sorted(order.tolist()) == list(range(len(rows)))
+    assert _groups(order, starts) == _groups(*_lexsort_row_groups(rows))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from meshchroma import (
     ColoringConfig,
     PlanMeshMismatchError,
+    SurfaceColoring,
     apply_plan,
     build_plan,
     coalescing_metric,
@@ -197,3 +198,18 @@ def test_plans_are_always_bijective(nx, ny, seed):
     assert _is_permutation(plan.surface_perm, mesh.n_surfaces)
     re_mesh, re_col = apply_plan(mesh, coloring, plan)
     assert verify_coloring(re_mesh, re_col) == []
+
+
+def test_build_plan_rejects_colors_above_the_palette():
+    mesh = gen_tri_rect(4, 4)
+    coloring, _ = color(mesh)
+    colors = coloring.colors.copy()
+    colors[colors == 3] = 4
+    bad = SurfaceColoring(colors, 3)
+    diags = verify_coloring(mesh, bad)
+    assert [d.surface_id for d in diags] == np.flatnonzero(colors == 4).tolist()
+    assert {d.code for d in diags} == {"palette"}
+    assert diags[0].message == (
+        f"surface {diags[0].surface_id} has color 4, above the palette of 3")
+    with pytest.raises(ValueError, match="above the palette of 3"):
+        build_plan(mesh, bad)
