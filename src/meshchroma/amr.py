@@ -42,9 +42,7 @@ fine side contributes the two halves.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,79 +68,30 @@ _SIDE_ORIGIN = np.array([[1, 2, 1], [1, 2, 1], [1, 2, 1], [2, 2, 2]],
 _SIDE_PARENT = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], _PARALLEL])
 
 _TRIANGLE = KIND_TO_CODE[ElementKind.TRIANGLE]
-_MESH_ARRAYS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
-                "surf_verts", "surf_elems")
 
 FINE_PALETTE = 6
 
 
-def child_color(color: int, half: int) -> int:
+def child_color(color, half):
     """Color of half ``half`` (1 or 2) of a parent edge colored ``color``.
 
     Half 1 is the one containing the parent edge's lower-numbered
     endpoint; it keeps the parent color.  Half 2 is shifted by three.
+    Works on ints and, elementwise, on integer arrays.
     """
     return (color + 3 * half - 4) % 6 + 1
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
-    """One refined parent: its children and every color the split made.
-
-    ``children`` lists fine element ids: the corner child at local
-    vertex 0, 1, 2, then the interior child.  ``child_edge_colors[k]``
-    gives the two half colors of parent side k with the half containing
-    the lower-numbered endpoint first.  ``interior_edge_colors[k]`` is
-    the color of interior-child side k (the copy of parent side
-    ``_PARALLEL[k]``).
-    """
-
-    parent: int
-    children: tuple[int, int, int, int]
-    parent_edge_colors: tuple[int, int, int]
-    child_edge_colors: tuple[
-        tuple[int, int], tuple[int, int], tuple[int, int]
-    ]
-    interior_edge_colors: tuple[int, int, int]
-
-
 @dataclass(frozen=True, eq=False)
 class RefinementMap:
-    """Which elements were refined and what each split produced.
+    """Which elements were refined.
 
     ``refined`` lists the parents in ascending order; the children of
     ``refined[i]`` are fine elements ``first_child + 4 i`` onwards.
-    ``parent_edge_colors[i]`` holds the base colors of that parent's
-    sides; it is None only on the geometry ``_materialize`` builds
-    before the colors are known.  ``families`` is built on first read.
     """
 
     refined: tuple[int, ...]
     first_child: int
-    parent_edge_colors: np.ndarray | None = None
-
-    def _record(self, i: int) -> FamilyRecord:
-        pcol = tuple(int(c) for c in self.parent_edge_colors[i])
-        k0 = self.first_child + 4 * i
-        return FamilyRecord(
-            parent=self.refined[i],
-            children=(k0, k0 + 1, k0 + 2, k0 + 3),
-            parent_edge_colors=pcol,
-            child_edge_colors=tuple(
-                (child_color(c, 1), child_color(c, 2)) for c in pcol
-            ),
-            interior_edge_colors=tuple(pcol[_PARALLEL[k]] for k in range(3)),
-        )
-
-    @cached_property
-    def families(self) -> tuple[FamilyRecord, ...]:
-        return tuple(self._record(i) for i in range(len(self.refined)))
-
-    def family(self, parent: int) -> FamilyRecord:
-        i = bisect_left(self.refined, parent)
-        if i < len(self.refined) and self.refined[i] == parent:
-            return self._record(i)
-        raise KeyError(parent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,37 +153,48 @@ def _derive_fine_colors(refined: RefinedMesh,
                         base_colors: np.ndarray) -> np.ndarray:
     colors = base_colors[refined.base_surface].astype(np.int32)
     halves = refined.surf_origin == 1
-    m = refined.half_index[halves]
-    colors[halves] = (colors[halves] + 3 * m - 4) % 6 + 1
+    colors[halves] = child_color(colors[halves], refined.half_index[halves])
     return colors
 
 
-def _materialize(base: Mesh, refined: np.ndarray) -> RefinedMesh:
-    """Build the fine mesh for the sorted, distinct parent ids
-    ``refined``, geometry only: the map carries no colors yet."""
-    nbv = base.n_vertices
-    is_refined = np.zeros(base.n_elements, dtype=bool)
-    is_refined[refined] = True
-    unrefined = np.flatnonzero(~is_refined)
+def _unrefined(n_elements: int, refined: np.ndarray) -> np.ndarray:
+    keep = np.ones(n_elements, dtype=bool)
+    keep[refined] = False
+    return np.flatnonzero(keep)
+
+
+def _fine_elements(base: Mesh, refined: np.ndarray):
+    """Fine vertices, kind codes and vertex rows of the refinement of
+    ``base`` at the sorted, distinct parent ids ``refined``: the
+    unrefined elements in id order, then ``_CHILD_TEMPLATE``'s four
+    children per parent."""
+    unrefined = _unrefined(base.n_elements, refined)
     nu, nr = len(unrefined), len(refined)
 
     psurfs = base.elem_surfs[refined, :3]
     split = np.zeros(base.n_surfaces, dtype=bool)
     split[psurfs] = True
-    mid = nbv - 1 + np.cumsum(split)
+    mid = base.n_vertices - 1 + np.cumsum(split)
     ends = base.surf_verts[split]
     vertices = np.vstack([base.vertices, 0.5 * (base.vertices[ends[:, 0]]
                                                 + base.vertices[ends[:, 1]])])
 
-    corners = base.elem_verts[refined, :3]
-    six = np.hstack([corners, mid[psurfs]])
+    six = np.hstack([base.elem_verts[refined, :3], mid[psurfs]])
     elem_verts = np.full((nu + 4 * nr, MAX_ELEM_VERTS), -1, dtype=np.int64)
     elem_verts[:nu] = base.elem_verts[unrefined]
     elem_verts[nu:, :3] = six[:, _CHILD_TEMPLATE].reshape(-1, 3)
     kinds = np.concatenate([base.elem_kind[unrefined],
                             np.full(4 * nr, _TRIANGLE, dtype=np.int8)])
-    fine = assemble(vertices, kinds, elem_verts)
+    return vertices, kinds, elem_verts
 
+
+def _classify(base: Mesh, refined: np.ndarray, fine: Mesh) -> RefinedMesh:
+    """The refinement of ``base`` at ``refined`` over ``fine``, a mesh
+    with ``_fine_elements``' elements and any surface numbering; each
+    fine surface is classified from the side slots that list it."""
+    unrefined = _unrefined(base.n_elements, refined)
+    nu, nr = len(unrefined), len(refined)
+    psurfs = base.elem_surfs[refined, :3]
     ns = fine.n_surfaces
     surf_origin = np.zeros(ns, dtype=np.int8)
     base_surface = np.empty(ns, dtype=np.int64)
@@ -248,6 +208,7 @@ def _materialize(base: Mesh, refined: np.ndarray) -> RefinedMesh:
     base_surface[kids] = related
     # a corner child's halves pass through its corner, child vertex 0
     is_half = _SIDE_ORIGIN[:3] == 1
+    corners = base.elem_verts[refined, :3]
     lower = base.surf_verts[related[:, :3], 0] == corners[:, :, None]
     half_index[kids[:, :3][:, is_half]] = np.where(lower, 1, 2)[:, is_half]
 
@@ -266,16 +227,19 @@ def _materialize(base: Mesh, refined: np.ndarray) -> RefinedMesh:
     )
 
 
-def _with_colors(refined: RefinedMesh,
-                 base_colors) -> tuple[RefinedMesh, SurfaceColoring]:
-    """The refinement with its map colored, and its fine coloring."""
-    base_colors = np.asarray(base_colors, dtype=np.int32)
-    parents = refined.origin[refined.map.first_child::4]
-    rmap = replace(refined.map, parent_edge_colors=base_colors[
-        refined.base.elem_surfs[parents, :3]])
-    return (replace(refined, map=rmap),
-            SurfaceColoring(_derive_fine_colors(refined, base_colors),
-                            FINE_PALETTE))
+def _materialize(base: Mesh, refined: np.ndarray) -> RefinedMesh:
+    """Build and classify the fine mesh for the sorted, distinct parent
+    ids ``refined``."""
+    return _classify(base, refined, assemble(*_fine_elements(base, refined)))
+
+
+def _with_colors(
+    refined: RefinedMesh, base_colors: np.ndarray
+) -> tuple[RefinedMesh, SurfaceColoring]:
+    """The refinement and the fine coloring it derives from
+    ``base_colors``."""
+    return refined, SurfaceColoring(
+        _derive_fine_colors(refined, base_colors), FINE_PALETTE)
 
 
 def _check_base_coloring(mesh: Mesh, coloring: SurfaceColoring) -> None:
@@ -448,29 +412,6 @@ def check_parent_layout(parents, n_elements: int) -> np.ndarray:
     return ids
 
 
-def _first_difference(rebuilt: Mesh, fine: Mesh) -> int | None:
-    """The lowest fine element whose kind, vertex ids, surface ids or
-    corner coordinates differ from ``rebuilt``'s; -1 if the meshes
-    differ elsewhere only, None if they are equal.  Both meshes have
-    the same element count, and ``rebuilt``'s vertices start with
-    ``fine``'s base vertices, so both have the same dimension."""
-    if all(np.array_equal(getattr(rebuilt, a), getattr(fine, a))
-           for a in _MESH_ARRAYS):
-        return None
-    # a vertex the rebuilt mesh lacks counts as moved; the extra last
-    # slot is where the -1 padding looks
-    moved = np.ones(fine.n_vertices + 1, dtype=bool)
-    n = min(rebuilt.n_vertices, fine.n_vertices)
-    moved[:n] = (rebuilt.vertices[:n] != fine.vertices[:n]).any(axis=1)
-    moved[-1] = False
-    bad = ((rebuilt.elem_kind != fine.elem_kind)
-           | (rebuilt.elem_verts != fine.elem_verts).any(axis=1)
-           | (rebuilt.elem_surfs != fine.elem_surfs).any(axis=1)
-           | moved[fine.elem_verts].any(axis=1))
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else -1
-
-
 def reconstruct_refinement(
     fine: Mesh, parents, coloring: SurfaceColoring
 ) -> tuple[RefinedMesh, SurfaceColoring]:
@@ -478,11 +419,15 @@ def reconstruct_refinement(
 
     Only the canonical layout ``check_parent_layout`` describes is
     accepted.  The base corners are vertex 0 of each parent's children
-    0-2, the base mesh is assembled from them and the unrefined
-    elements, and re-refining it must reproduce the input exactly,
-    vertices and colors included.  Anything else raises
-    ``MalformedSectionError`` (or ``PartialFamilyError`` for a family
-    of the wrong size), naming the fine element and parent at fault.
+    0-2, and the base mesh is assembled from them and the unrefined
+    elements.  Re-refining that base must give ``fine``'s vertices,
+    element kinds and element vertex rows exactly; the surfaces are not
+    compared, since a ``Mesh``'s surfaces follow from its elements, and
+    ``fine``'s own are classified.  The colors must then be the ones
+    this refinement derives from a base 3-coloring.  Anything else
+    raises ``MalformedSectionError`` (or ``PartialFamilyError`` for a
+    family of the wrong size), naming the first fine element or surface
+    at fault and its parent.
     """
     parents = np.asarray(parents, dtype=np.int64)
     refined = check_parent_layout(parents, fine.n_elements)
@@ -502,15 +447,24 @@ def reconstruct_refinement(
             f"could not reassemble the base mesh: {exc}"
         ) from None
 
-    rebuilt = _materialize(base, refined)
-    e = _first_difference(rebuilt.mesh, fine)
-    if e is not None:
-        where = "" if e < 0 else (
-            f": fine element {e} (parent {parents[e]}) differs from its "
-            f"rebuilt counterpart")
+    vertices, kinds, elem_verts = _fine_elements(base, refined)
+    # a vertex the rebuilt mesh lacks counts as moved; the extra last
+    # slot is where the -1 padding looks
+    moved = np.ones(fine.n_vertices + 1, dtype=bool)
+    n = min(len(vertices), fine.n_vertices)
+    moved[:n] = (vertices[:n] != fine.vertices[:n]).any(axis=1)
+    moved[-1] = False
+    bad = np.flatnonzero((kinds != fine.elem_kind)
+                         | (elem_verts != fine.elem_verts).any(axis=1)
+                         | moved[fine.elem_verts].any(axis=1))
+    if bad.size or moved.any() or len(vertices) != fine.n_vertices:
+        where = "" if not bad.size else (
+            f": fine element {bad[0]} (parent {parents[bad[0]]}) differs "
+            f"from its rebuilt counterpart")
         raise MalformedSectionError(
             "mesh is not a canonical single-level refinement" + where
         )
+    rebuilt = _classify(base, refined, fine)
     try:
         base_colors = _recover_base_colors(rebuilt, coloring)
     except ValueError as exc:

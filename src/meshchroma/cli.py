@@ -9,7 +9,10 @@
 Exit codes: 0 success, 1 invalid mesh or coloring, 2 coloring failed,
 3 refinement constraint violated, 4 I/O failure, 64 usage error.
 ``verify`` exits 0 on a valid mesh that carries no coloring yet, and
-says so.
+says so.  On a colored refinement file (refined PARENTS entries) it
+applies ``coarsen``'s rule: the file must be a refinement this program
+writes, colors included, and when it is not, ``verify`` exits with
+``coarsen``'s code and message.
 MESHCHROMA_SEED supplies the default seed where --seed is accepted.
 """
 
@@ -44,7 +47,13 @@ from .errors import (
     WriteConflictError,
 )
 from .generators import FAMILIES, GeneratorSpec, generate
-from .mesh import Mesh, assemble, relabel, stored_surface_ids, validate
+from .mesh import (
+    Mesh,
+    assemble,
+    inverse_permutation,
+    relabel,
+    stored_surface_ids,
+)
 from .meshio import (
     NativeMesh,
     read_msh,
@@ -142,7 +151,9 @@ def _build_parser() -> _Parser:
                    help="write the report here instead of stdout")
 
     p = sub.add_parser("verify",
-                       help="check mesh consistency and coloring validity")
+                       help="check mesh consistency and coloring validity; "
+                            "a colored refinement file must pass "
+                            "coarsen's check, and fails as coarsen would")
     p.add_argument("-i", "--input", required=True)
 
     p = sub.add_parser("refine",
@@ -218,16 +229,18 @@ def _require_coloring(nm: NativeMesh):
     return nm.coloring
 
 
-def _undo_reorder(nm: NativeMesh, coloring: SurfaceColoring):
-    """The mesh, coloring and parent table as they were before the
-    renumbering the file records, or as read when it records none."""
-    if nm.element_perm is None:
-        return nm.mesh, coloring, nm.parents
-    ep, sp = nm.element_perm, nm.surface_perm
-    mesh = relabel(nm.mesh, np.argsort(ep), np.argsort(sp))
-    old_coloring = SurfaceColoring(coloring.colors[sp], coloring.n_colors)
-    parents = None if nm.parents is None else nm.parents[ep]
-    return mesh, old_coloring, parents
+def _recorded_refinement(nm: NativeMesh):
+    """The refinement a colored file with refined PARENTS records,
+    rebuilt on the element and surface order before any renumbering
+    the file records; raises as ``reconstruct_refinement`` does."""
+    mesh, coloring, parents = nm.mesh, nm.coloring, nm.parents
+    if nm.element_perm is not None:
+        ep, sp = nm.element_perm, nm.surface_perm
+        mesh = relabel(mesh, inverse_permutation(ep),
+                       inverse_permutation(sp))
+        coloring = SurfaceColoring(coloring.colors[sp], coloring.n_colors)
+        parents = parents[ep]
+    return reconstruct_refinement(mesh, parents, coloring)
 
 
 def _reassemble(mesh: Mesh, coloring: SurfaceColoring):
@@ -263,17 +276,17 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the readers assemble the mesh from its elements, so it holds the
+    # surfaces they imply; what is left to check is the refinement and
+    # the coloring
     nm = _read_mesh_file(args.input)
     if nm.parents is not None and (nm.parents >= 0).any():
-        # coarsen's layout check, on the order before any renumbering
-        parents = (nm.parents if nm.element_perm is None
-                   else nm.parents[nm.element_perm])
-        check_parent_layout(parents, nm.mesh.n_elements)
-    issues = validate(nm.mesh)
-    for diag in issues:
-        print(f"{diag.code}: {diag.message}")
-    if issues:
-        return EXIT_INVALID
+        if nm.coloring is not None:
+            _recorded_refinement(nm)
+        else:
+            parents = (nm.parents if nm.element_perm is None
+                       else nm.parents[nm.element_perm])
+            check_parent_layout(parents, nm.mesh.n_elements)
     if nm.coloring is None:
         print("mesh has no coloring")
         return EXIT_OK
@@ -309,11 +322,10 @@ def _cmd_refine(args) -> int:
 
 def _cmd_coarsen(args) -> int:
     nm = read_native(args.input)
-    coloring = _require_coloring(nm)
+    _require_coloring(nm)
     if nm.parents is None or not (np.asarray(nm.parents) >= 0).any():
         raise PartialFamilyError("input has no refinement to coarsen")
-    mesh, coloring, parents = _undo_reorder(nm, coloring)
-    refined, fine_coloring = reconstruct_refinement(mesh, parents, coloring)
+    refined, fine_coloring = _recorded_refinement(nm)
     result, out_coloring = coarsen(refined, fine_coloring, args.parents)
     if isinstance(result, RefinedMesh):
         write_native(args.output, result.mesh, coloring=out_coloring,

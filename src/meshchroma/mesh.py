@@ -386,35 +386,37 @@ def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
                 surf_verts, surf_elems)
 
 
+def inverse_permutation(perm: np.ndarray) -> np.ndarray:
+    """The inverse of the bijection ``perm`` of ``0..len(perm)-1``, by
+    one scatter; an ``argsort`` would sort to find it."""
+    perm = np.asarray(perm)
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(len(perm))
+    return inverse
+
+
 def relabel(mesh: Mesh, element_perm: np.ndarray,
             surface_perm: np.ndarray) -> Mesh:
     """Renumber elements and surfaces by old-id -> new-id bijections.
 
     Pure relabeling: left/right roles and local side order are kept, so
-    the result describes the same topology.  The caller checks that both
-    maps are bijections of the right length.
+    the result describes the same topology.  New row i is old row
+    ``inverse[i]``, gathered with ``np.take``.  The caller checks that
+    both maps are bijections of the right length.
     """
-    ep = np.asarray(element_perm)
-    sp = np.asarray(surface_perm)
-    elem_kind = np.empty_like(mesh.elem_kind)
-    elem_kind[ep] = mesh.elem_kind
-    elem_verts = np.empty_like(mesh.elem_verts)
-    elem_verts[ep] = mesh.elem_verts
-    elem_surfs = np.empty_like(mesh.elem_surfs)
-    elem_surfs[ep] = np.where(mesh.elem_surfs >= 0,
-                              sp[mesh.elem_surfs], -1)
-    surf_verts = np.empty_like(mesh.surf_verts)
-    surf_verts[sp] = mesh.surf_verts
-    surf_elems = np.empty_like(mesh.surf_elems)
-    surf_elems[sp] = np.where(mesh.surf_elems >= 0,
-                              ep[mesh.surf_elems], -1)
+    ep = np.asarray(element_perm, dtype=np.int64)
+    sp = np.asarray(surface_perm, dtype=np.int64)
+    old_elem = inverse_permutation(ep)
+    old_surf = inverse_permutation(sp)
+    elem_surfs = np.take(mesh.elem_surfs, old_elem, axis=0)
+    surf_elems = np.take(mesh.surf_elems, old_surf, axis=0)
     return Mesh(
         vertices=mesh.vertices.copy(),
-        elem_kind=elem_kind,
-        elem_verts=elem_verts,
-        elem_surfs=elem_surfs,
-        surf_verts=surf_verts,
-        surf_elems=surf_elems,
+        elem_kind=np.take(mesh.elem_kind, old_elem),
+        elem_verts=np.take(mesh.elem_verts, old_elem, axis=0),
+        elem_surfs=np.where(elem_surfs >= 0, sp[elem_surfs], -1),
+        surf_verts=np.take(mesh.surf_verts, old_surf, axis=0),
+        surf_elems=np.where(surf_elems >= 0, ep[surf_elems], -1),
     )
 
 

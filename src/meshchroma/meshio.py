@@ -74,6 +74,7 @@ from .mesh import (
     ElementKind,
     Mesh,
     assemble,
+    inverse_permutation,
     relabel,
 )
 
@@ -157,7 +158,8 @@ def _check_permutations(mesh: Mesh, element_perm, surface_perm) -> None:
     if not (_is_bijection(ep, mesh.n_elements)
             and _is_bijection(sp, mesh.n_surfaces)):
         raise ValueError("permutations must be bijections")
-    old_element, old_surface = np.argsort(ep), np.argsort(sp)
+    old_element = inverse_permutation(ep)
+    old_surface = inverse_permutation(sp)
     slots = mesh.elem_surfs[ep]  # rows in old element order
     # old ids come in first-encounter order iff each slot's id is at most
     # one above the largest id before it, starting from 0

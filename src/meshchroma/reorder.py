@@ -25,7 +25,7 @@ import numpy as np
 
 from .coloring import SurfaceColoring, verify_coloring
 from .errors import PlanMeshMismatchError
-from .mesh import Mesh, relabel
+from .mesh import Mesh, inverse_permutation, relabel
 
 
 @dataclass(frozen=True)
@@ -151,13 +151,9 @@ def apply_plan(mesh: Mesh, coloring: SurfaceColoring,
 
 def invert_plan(plan: ReorderingPlan) -> ReorderingPlan:
     """The plan that undoes this one."""
-    ep = np.empty_like(plan.element_perm)
-    ep[plan.element_perm] = np.arange(len(plan.element_perm))
-    sp = np.empty_like(plan.surface_perm)
-    sp[plan.surface_perm] = np.arange(len(plan.surface_perm))
     return ReorderingPlan(
-        element_perm=ep,
-        surface_perm=sp,
+        element_perm=inverse_permutation(plan.element_perm),
+        surface_perm=inverse_permutation(plan.surface_perm),
         group_bounds=plan.group_bounds,
         n_interior_first=plan.n_interior_first,
         used_fallback=plan.used_fallback,

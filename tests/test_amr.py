@@ -65,12 +65,17 @@ def test_single_triangle_worked_example():
     assert ref.mesh.n_surfaces == 9
     assert fine.n_colors == 6
     assert verify_coloring(ref.mesh, fine) == []
-    fam = ref.map.families[0]
-    assert fam.parent_edge_colors == (2, 1, 3)
-    assert fam.child_edge_colors == ((2, 5), (1, 4), (3, 6))
+    sides = mesh.elem_surfs[0, :3]
+    assert coloring.colors[sides].tolist() == [2, 1, 3]
+    # each parent side's halves, the one through the lower endpoint first
+    halves = [sorted(np.flatnonzero((ref.surf_origin == 1)
+                                    & (ref.base_surface == s)),
+                     key=lambda h: ref.half_index[h]) for s in sides]
+    assert fine.colors[halves].tolist() == [[2, 5], [1, 4], [3, 6]]
     # interior child edge k runs parallel to parent edge (k+2)%3 and
     # keeps its color
-    assert fam.interior_edge_colors == (3, 2, 1)
+    interior = ref.mesh.elem_surfs[ref.map.first_child + 3, :3]
+    assert fine.colors[interior].tolist() == [3, 2, 1]
     assert ref.parents.tolist() == [0, 0, 0, 0]
 
 
@@ -347,6 +352,23 @@ def test_reconstruct_names_the_parent_of_a_planted_fault(plant):
     with pytest.raises(MalformedSectionError,
                        match=rf"element {element} \(parent 4\)"):
         reconstruct_refinement(mesh, ref.parents, coloring)
+
+
+def test_reconstruct_assembles_the_base_only(monkeypatch):
+    import meshchroma.amr as amr_module
+
+    ref, fine, _ = _refined_family()
+    calls = []
+
+    def counting(vertices, kinds, elem_verts):
+        calls.append(len(kinds))
+        return assemble(vertices, kinds, elem_verts)
+
+    monkeypatch.setattr(amr_module, "assemble", counting)
+    rec, rec_col = reconstruct_refinement(ref.mesh, ref.parents, fine)
+    assert calls == [ref.base.n_elements]
+    assert rec.mesh is ref.mesh
+    assert np.array_equal(rec_col.colors, fine.colors)
 
 
 def test_amr_runs_without_the_element_tuple_path(monkeypatch):

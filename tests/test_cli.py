@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from meshchroma import SurfaceColoring, color, gen_tri_rect, read_native, write_native
+from meshchroma import (
+    ColoringConfig,
+    SurfaceColoring,
+    color,
+    gen_tri_rect,
+    read_native,
+    refine,
+    write_native,
+)
 from meshchroma.cli import main
 
 MSH_TRI = """$MeshFormat
@@ -295,21 +303,45 @@ def test_io_failures_exit_four(tmp_path):
         assert main(argv) == 4, argv
 
 
+_SWAPPED = ("coloring was not produced by this refinement: fine surface 31 "
+            "of element 17 (parent 4) has color 5")
+
+
 @pytest.mark.parametrize("plant, code, reason", [
     ("three_children", 3, "parent 0 has 3 children, expected 4"),
     ("parent_out_of_range", 4, "parent id out of range: parent 99"),
-], ids=["three_children", "parent_out_of_range"])
+    ("swapped_halves", 4, _SWAPPED),
+    ("swapped_halves_reordered", 4, _SWAPPED),
+], ids=["three_children", "parent_out_of_range", "swapped_halves",
+        "swapped_halves_reordered"])
 def test_verify_rejects_parent_tables_coarsen_rejects(tmp_path, capsys,
                                                       plant, code, reason):
     mesh = gen_tri_rect(3, 3)
-    coloring, _ = color(mesh)
-    parents = np.full(mesh.n_elements, -1)
-    if plant == "three_children":
-        parents[:3] = 0
-    else:
-        parents[-4:] = 99
+    coloring, _ = color(mesh, ColoringConfig(rng_seed=0))
     path = tmp_path / "p.mesh"
-    write_native(path, mesh, coloring, parents=parents)
+    if plant.startswith("swapped_halves"):
+        # a valid 6-coloring, but not the one refining element 4 derives:
+        # the two halves of its side 0 trade colors
+        ref, fine = refine(mesh, coloring, [4])
+        halves = np.flatnonzero((ref.surf_origin == 1) & (
+            ref.base_surface == ref.base.elem_surfs[4, 0]))
+        colors = fine.colors.copy()
+        colors[halves] = colors[halves[::-1]]
+        write_native(path, ref.mesh, SurfaceColoring(colors, 6),
+                     parents=ref.parents)
+        if plant.endswith("reordered"):
+            shuffled = tmp_path / "r.mesh"
+            assert main(["reorder", "-i", str(path), "-o",
+                         str(shuffled)]) == 0
+            assert read_native(shuffled).element_perm is not None
+            path = shuffled
+    else:
+        parents = np.full(mesh.n_elements, -1)
+        if plant == "three_children":
+            parents[:3] = 0
+        else:
+            parents[-4:] = 99
+        write_native(path, mesh, coloring, parents=parents)
     capsys.readouterr()
     assert main(["coarsen", "-i", str(path), "-o", str(tmp_path / "c.mesh"),
                  "--parents", "0"]) == code

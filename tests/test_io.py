@@ -25,7 +25,7 @@ from meshchroma import (
     write_native,
     write_report,
 )
-from meshchroma.mesh import assemble, relabel
+from meshchroma.mesh import assemble, relabel, validate
 from meshchroma.meshio import _CHUNK_LINES
 
 MESH_FIELDS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
@@ -194,6 +194,30 @@ def test_native_round_trip_is_exact(tmp_path_factory, family, n, seed,
                  element_perm=back.element_perm,
                  surface_perm=back.surface_perm)
     assert first.read_bytes() == second.read_bytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(family=st.sampled_from(sorted(_FAMILIES)),
+       n=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_any_bijective_permutations_read_back_valid(tmp_path_factory,
+                                                    family, n, seed):
+    # verify leaves validate out: whatever bijections a PERMUTATIONS
+    # section holds, even ones the writer refuses, the reader assembles
+    # the elements and relabels, so the mesh keeps the surfaces they imply
+    mesh = _FAMILIES[family](n)
+    rng = np.random.default_rng(seed)
+    ep = rng.permutation(mesh.n_elements)
+    sp = rng.permutation(mesh.n_surfaces)
+    path = tmp_path_factory.mktemp("perm") / "p.mesh"
+    write_native(path, mesh)
+    with open(path, "a") as fh:
+        fh.write(f"PERMUTATIONS {mesh.n_elements} {mesh.n_surfaces}\n")
+        fh.write("".join(f"{i}\n" for i in np.concatenate([ep, sp])))
+    back = read_native(path)
+    assert np.array_equal(back.element_perm, ep)
+    assert np.array_equal(back.surface_perm, sp)
+    assert validate(back.mesh) == []
 
 
 # written by the line-per-call writer this one replaced
