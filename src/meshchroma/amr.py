@@ -42,7 +42,7 @@ fine side contributes the two halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,6 +112,11 @@ class RefinedMesh:
     otherwise.  All three are read off the side slots: an unrefined
     copy's sides through ``base.elem_surfs``, a child's through the
     side tables ``_SIDE_ORIGIN`` and ``_SIDE_PARENT``.
+
+    ``fine_colors`` is the read-only fine coloring that ``refine``,
+    ``coarsen`` or ``reconstruct_refinement`` derived or proved for this
+    refinement, or None.  A coloring that holds this very array is
+    known to follow from its base colors and is not derived again.
     """
 
     base: Mesh
@@ -122,11 +127,13 @@ class RefinedMesh:
     surf_origin: np.ndarray
     base_surface: np.ndarray
     half_index: np.ndarray
+    fine_colors: np.ndarray | None = None
 
     def __post_init__(self):
         for arr in (self.origin, self.child_slot, self.surf_origin,
-                    self.base_surface, self.half_index):
-            arr.setflags(write=False)
+                    self.base_surface, self.half_index, self.fine_colors):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def parents(self) -> np.ndarray:
@@ -233,13 +240,20 @@ def _materialize(base: Mesh, refined: np.ndarray) -> RefinedMesh:
     return _classify(base, refined, assemble(*_fine_elements(base, refined)))
 
 
+def _proven(refined: RefinedMesh,
+            fine_colors: np.ndarray) -> tuple[RefinedMesh, SurfaceColoring]:
+    """The refinement carrying ``fine_colors``, an array no one else
+    holds that follows from its base colors, and the coloring of it."""
+    refined = replace(refined, fine_colors=fine_colors)
+    return refined, SurfaceColoring(refined.fine_colors, FINE_PALETTE)
+
+
 def _with_colors(
     refined: RefinedMesh, base_colors: np.ndarray
 ) -> tuple[RefinedMesh, SurfaceColoring]:
     """The refinement and the fine coloring it derives from
     ``base_colors``."""
-    return refined, SurfaceColoring(
-        _derive_fine_colors(refined, base_colors), FINE_PALETTE)
+    return _proven(refined, _derive_fine_colors(refined, base_colors))
 
 
 def _check_base_coloring(mesh: Mesh, coloring: SurfaceColoring) -> None:
@@ -263,7 +277,8 @@ def _recover_base_colors(refined: RefinedMesh,
     color unchanged.  Those colors must lie in the base palette, and
     every fine color, halves and interior edges included, must follow
     from them; a ``ValueError`` names the first fine surface that does
-    not, with its left element and that element's parent.
+    not, with its left element and that element's parent.  Colors that
+    are ``refined.fine_colors`` itself are known to follow.
     """
     fc = np.asarray(coloring.colors)
     if len(fc) != refined.mesh.n_surfaces:
@@ -272,6 +287,8 @@ def _recover_base_colors(refined: RefinedMesh,
                           | (refined.half_index == 1))
     out = np.full(refined.base.n_surfaces, -1, dtype=np.int32)
     out[refined.base_surface[keep]] = fc[keep]
+    if fc is refined.fine_colors:
+        return out
     bad = keep[(fc[keep] < 1) | (fc[keep] > 3)]
     if not bad.size:
         bad = np.flatnonzero(_derive_fine_colors(refined, out) != fc)
@@ -424,7 +441,8 @@ def reconstruct_refinement(
     element kinds and element vertex rows exactly; the surfaces are not
     compared, since a ``Mesh``'s surfaces follow from its elements, and
     ``fine``'s own are classified.  The colors must then be the ones
-    this refinement derives from a base 3-coloring.  Anything else
+    this refinement derives from a base 3-coloring; they are returned as
+    checked, not derived again.  Anything else
     raises ``MalformedSectionError`` (or ``PartialFamilyError`` for a
     family of the wrong size), naming the first fine element or surface
     at fault and its parent.
@@ -466,7 +484,7 @@ def reconstruct_refinement(
         )
     rebuilt = _classify(base, refined, fine)
     try:
-        base_colors = _recover_base_colors(rebuilt, coloring)
+        _recover_base_colors(rebuilt, coloring)
     except ValueError as exc:
         raise MalformedSectionError(str(exc)) from None
-    return _with_colors(rebuilt, base_colors)
+    return _proven(rebuilt, np.array(coloring.colors, dtype=np.int32))

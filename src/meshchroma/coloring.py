@@ -22,6 +22,25 @@ by giving the conflict surface a color carried by one surface on each
 side and uncoloring those two, which trades one conflict for two but
 changes the layout enough for the walk to escape.
 
+Both passes are order-sensitive: a greedy conflict costs repair several
+recolorings.  They therefore run on the mesh renumbered in a geometric
+sweep order, not in surface-id order (``_sweep``).  The elements are
+ranked by their centroids, last axis primary (a row-major sweep in 2D,
+plane by plane in 3D); the surfaces are numbered by first encounter
+over the ranked elements' sides in local side order; and each surface's
+left element is the one of smaller rank.  Neighbors are then visited
+back to back, and the generated tri and quad grids leave no greedy
+conflicts at all.  The colors are scattered back to mesh surface ids,
+and every message names mesh ids.  On a row-major generated quad grid
+the sweep order is the identity.
+
+Since the sweep depends only on geometry and on each element's own
+vertex order, the coloring does not depend on how the elements are
+numbered: shuffling the element ids gives the same color per surface.
+The caveat is ties in the centroid sort, such as two elements with the
+same centroid; ``np.lexsort`` is stable, so those keep their input
+order.
+
 Everything is driven by one seeded RNG, so identical seeds reproduce
 identical colorings.
 """
@@ -30,15 +49,14 @@ from __future__ import annotations
 
 import random
 import time
-import weakref
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RestartsExhaustedError, SwapBudgetExceededError
-from .mesh import (Diagnostic, ElementKind, Mesh, connectivity_graph,
-                   vizing_bound)
+from .mesh import (MAX_SIDES, Diagnostic, ElementKind, Mesh,
+                   connectivity_graph, vizing_bound)
 
 # colors per available-mask, for masks over color bits 1..7
 _MASK_CHOICES = tuple(
@@ -130,23 +148,90 @@ class ColoringReport:
         return d
 
 
-_incidence_cache: "weakref.WeakKeyDictionary[Mesh, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
+@dataclass(frozen=True, eq=False)
+class _Sweep:
+    """A mesh renumbered in its visiting order.
+
+    Sweep element q is mesh element ``elements[q]`` and sweep surface t
+    is mesh surface ``surfaces[t]``.  ``left`` and ``right`` are the
+    sweep ranks of each sweep surface's elements, the smaller rank left
+    and -1 on the boundary, as arrays and as plain lists for the hot
+    loops.
+    """
+
+    mesh: Mesh
+    elements: np.ndarray
+    surfaces: np.ndarray
+    left_ids: np.ndarray
+    right_ids: np.ndarray
+    left: list
+    right: list
+
+    def surface_name(self, t: int) -> str:
+        """Sweep surface t as the mesh names it."""
+        s = int(self.surfaces[t])
+        l, r = self.mesh.surf_elems[s].tolist()
+        return f"surface {s} (elements {l} and {r})"
+
+    def to_mesh(self, colors) -> np.ndarray:
+        """Per-sweep-surface colors, scattered to mesh surface ids."""
+        out = np.empty(len(self.surfaces), dtype=np.int32)
+        out[self.surfaces] = colors
+        return out
 
 
-def _incidence(mesh: Mesh):
-    """Plain-list incidence for the hot loops, cached per mesh."""
-    got = _incidence_cache.get(mesh)
-    if got is not None:
-        return got
-    got = (mesh.surf_elems[:, 0].tolist(), mesh.surf_elems[:, 1].tolist())
-    _incidence_cache[mesh] = got
-    return got
+def _sweep(mesh: Mesh) -> _Sweep:
+    """Rank the elements by their centroids, last axis primary, and
+    number the surfaces by first encounter over the ranked elements'
+    sides in local side order.
+
+    A surface's first slot lies in its left (smaller-rank) element and
+    its other slot, if any, in its right one.  Partners are found with
+    scatters and gathers only: ``some[sides] = pos`` keeps one slot per
+    surface, and each slot it did not keep hands its position to the
+    one it did.  No surface is sorted.
+    """
+    kinds = mesh.elem_kind
+    if kinds.min() == kinds.max():
+        # one kind: no padding to mask, and the vertex sums rank the
+        # elements as their centroids do
+        kind = mesh.kind_of(0)
+        slots = np.ascontiguousarray(mesh.elem_verts[:, :kind.n_vertices].T)
+        order = np.lexsort([np.take(c, slots).sum(axis=0)
+                            for c in np.ascontiguousarray(mesh.vertices.T)])
+        width = kind.n_sides
+        sides = np.take(mesh.elem_surfs[:, :width], order, axis=0).reshape(-1)
+        at = None  # side k is ranked slot k
+    else:
+        slots = mesh.elem_verts.T
+        valid = slots >= 0
+        count = valid.sum(axis=0)
+        order = np.lexsort([
+            np.where(valid, np.take(c, slots), 0.0).sum(axis=0) / count
+            for c in mesh.vertices.T])
+        width = MAX_SIDES
+        ranked = np.take(mesh.elem_surfs, order, axis=0).reshape(-1)
+        at = np.flatnonzero(ranked >= 0)  # ranked slot of each side
+        sides = ranked[at]
+    pos = np.arange(len(sides))
+    some = np.empty(mesh.n_surfaces, dtype=np.int64)
+    some[sides] = pos
+    partner = np.take(some, sides)
+    dropped = np.flatnonzero(partner != pos)  # integer, not boolean, masks:
+    partner[partner[dropped]] = dropped       # several times faster here
+    first = np.flatnonzero(pos <= partner)
+    other = np.take(partner, first)
+    surfaces = np.take(sides, first)
+    if at is not None:
+        first, other = at[first], at[other]
+    left = first // width
+    right = np.where(other != first, other // width, -1)
+    return _Sweep(mesh, order, surfaces, left, right,
+                  left.tolist(), right.tolist())
 
 
 def _greedy_pass(left, right, n_elements, n_colors, rng):
-    """One pass in surface-id order; returns colors, per-element color
+    """One pass in surface order; returns colors, per-element color
     bitmasks, and the ids left unresolved."""
     full = ((1 << n_colors) - 1) << 1
     choices = _MASK_CHOICES
@@ -176,25 +261,21 @@ def _greedy_pass(left, right, n_elements, n_colors, rng):
     return colors, used, conflicts
 
 
-def _rebuild_used(colors, left, right, n_elements):
-    used = [0] * n_elements
+def _rebuild_used(colors, sweep: _Sweep):
+    used = [0] * sweep.mesh.n_elements
     for k, c in enumerate(colors):
         if c < 1:
             continue
         b = 1 << c
-        l = left[k]
-        if used[l] & b:
-            raise ValueError(
-                f"input coloring repeats color {c} on element {l}"
-            )
-        used[l] |= b
-        r = right[k]
-        if r >= 0:
-            if used[r] & b:
+        for e in (sweep.left[k], sweep.right[k]):
+            if e < 0:
+                continue
+            if used[e] & b:
                 raise ValueError(
-                    f"input coloring repeats color {c} on element {r}"
+                    f"input coloring repeats color {c} on element "
+                    f"{sweep.elements[e]}"
                 )
-            used[r] |= b
+            used[e] |= b
     return used
 
 
@@ -209,45 +290,45 @@ class _RepairStats:
     forced_reswaps: int = 0
 
 
-def _carrier_table(surf_elems, colors, n_elements):
+def _carrier_table(sweep: _Sweep, colors):
     """``carrier[e << 3 | c]`` is the surface of color c at element e,
     or -1; built with one scatter."""
     col = np.asarray(colors, dtype=np.int64)
     k = np.flatnonzero(col > 0)
-    ends = surf_elems[k]
-    inner = ends[:, 1] >= 0
-    carrier = np.full(n_elements << 3, -1, dtype=np.int64)
-    carrier[np.concatenate((ends[:, 0], ends[inner, 1])) << 3
+    right = sweep.right_ids[k]
+    inner = right >= 0
+    carrier = np.full(sweep.mesh.n_elements << 3, -1, dtype=np.int64)
+    carrier[np.concatenate((sweep.left_ids[k], right[inner])) << 3
             | np.concatenate((col[k], col[k[inner]]))] = (
         np.concatenate((k, k[inner])))
     return carrier.tolist()
 
 
-def _repair(left, right, surf_elems, colors, used, conflicts, n_colors,
-            rng, chain_budget, total_budget, audit=None) -> _RepairStats:
+def _repair(sweep: _Sweep, colors, used, conflicts, n_colors, rng,
+            chain_budget, total_budget, audit=None) -> _RepairStats:
     """Resolve every conflict until the coloring is complete.
 
-    Mutates ``colors`` and ``used`` in place.  Raises
-    ``SwapBudgetExceededError`` when the recolorings spent on one
-    conflict exceed ``chain_budget`` or the whole repair exceeds
-    ``total_budget``.
+    Works in sweep numbering and mutates ``colors`` and ``used`` in
+    place.  Raises ``SwapBudgetExceededError``, naming mesh ids, when
+    the recolorings spent on one conflict exceed ``chain_budget`` or the
+    whole repair exceeds ``total_budget``.
     """
     stats = _RepairStats()
     if not conflicts:
         return stats
+    left, right = sweep.left, sweep.right
     full = ((1 << n_colors) - 1) << 1
     choices = _MASK_CHOICES
     rand = rng.random
-    carrier = _carrier_table(surf_elems, colors, len(used))
+    carrier = _carrier_table(sweep, colors)
     queue = deque(conflicts)
     total_swaps = 0
 
     def over_budget(e0, chain_swaps):
         return SwapBudgetExceededError(
-            f"conflict chain from surface {e0} (elements {left[e0]} and "
-            f"{right[e0]}) reached {chain_swaps} swaps ({total_swaps} in "
-            f"total); the budget is {chain_budget} per chain and "
-            f"{total_budget} in total"
+            f"conflict chain from {sweep.surface_name(e0)} reached "
+            f"{chain_swaps} swaps ({total_swaps} in total); the budget is "
+            f"{chain_budget} per chain and {total_budget} in total"
         )
 
     while queue:
@@ -406,7 +487,8 @@ def _repair(left, right, surf_elems, colors, used, conflicts, n_colors,
                 if not stale:
                     # unreachable on conforming meshes; bail to restart
                     raise SwapBudgetExceededError(
-                        f"conflict on surface {e} has no admissible move"
+                        f"conflict on {sweep.surface_name(e)} has no "
+                        f"admissible move"
                     )
                 # nowhere fresh to go and nothing to break: re-enter the
                 # visited region and let the RNG reshuffle it
@@ -442,24 +524,29 @@ def _repair(left, right, surf_elems, colors, used, conflicts, n_colors,
     return stats
 
 
-def _make_audit(left, right, colors, used, n_elements):
+def _make_audit(sweep: _Sweep, colors, used):
     """Check after a repair step that no element repeats a color and
-    that ``used`` and the carrier table agree with ``colors``."""
+    that ``used`` and the carrier table agree with ``colors``; a failure
+    names mesh ids."""
+    elements, surfaces = sweep.elements, sweep.surfaces
+
     def audit(carrier):
-        seen = [0] * n_elements
+        seen = [0] * len(used)
         for k, c in enumerate(colors):
             if c < 1:
                 continue
             b = 1 << c
-            for e in (left[k], right[k]):
+            for e in (sweep.left[k], sweep.right[k]):
                 if e >= 0:
                     assert not seen[e] & b, (
-                        f"color {c} repeated on element {e}"
+                        f"color {c} repeated on element {elements[e]}"
                     )
                     seen[e] |= b
-                    assert carrier[e << 3 | c] == k, (
-                        f"carrier of color {c} at element {e} is "
-                        f"{carrier[e << 3 | c]}, not surface {k}"
+                    held = carrier[e << 3 | c]
+                    assert held == k, (
+                        f"carrier of color {c} at element {elements[e]} is "
+                        f"{surfaces[held] if held >= 0 else -1}, not "
+                        f"surface {surfaces[k]}"
                     )
         assert seen == used, "per-element color masks are stale"
         assert sum(s >= 0 for s in carrier) == sum(
@@ -475,10 +562,11 @@ def modified_greedy(mesh: Mesh,
     if mesh.n_surfaces == 0:
         raise ValueError("mesh has no surfaces")
     n_colors = color_set_size(mesh)
-    left, right = _incidence(mesh)
+    sweep = _sweep(mesh)
     rng = random.Random(config.rng_seed)
-    colors, _, _ = _greedy_pass(left, right, mesh.n_elements, n_colors, rng)
-    return SurfaceColoring(np.asarray(colors, dtype=np.int32), n_colors)
+    colors, _, _ = _greedy_pass(sweep.left, sweep.right, mesh.n_elements,
+                                n_colors, rng)
+    return SurfaceColoring(sweep.to_mesh(colors), n_colors)
 
 
 def resolve_conflicts(mesh: Mesh, coloring: SurfaceColoring,
@@ -492,22 +580,22 @@ def resolve_conflicts(mesh: Mesh, coloring: SurfaceColoring,
     """
     config = config or ColoringConfig()
     n_colors = coloring.n_colors
-    left, right = _incidence(mesh)
-    colors = coloring.colors.tolist()
-    used = _rebuild_used(colors, left, right, mesh.n_elements)
+    sweep = _sweep(mesh)
+    colors = np.take(coloring.colors, sweep.surfaces).tolist()
+    used = _rebuild_used(colors, sweep)
     conflicts = [k for k, c in enumerate(colors) if c < 1]
     budget = config.max_swaps_per_conflict
     if budget is None:
         budget = 10 * mesh.n_surfaces
     audit = None
     if config.audit:
-        audit = _make_audit(left, right, colors, used, mesh.n_elements)
+        audit = _make_audit(sweep, colors, used)
     rng = random.Random(config.rng_seed)
-    stats = _repair(left, right, mesh.surf_elems, colors, used, conflicts,
-                    n_colors, rng, budget, 5 * budget, audit)
+    stats = _repair(sweep, colors, used, conflicts, n_colors, rng, budget,
+                    5 * budget, audit)
     if stats_out is not None:
         stats_out.update(vars(stats))
-    return SurfaceColoring(np.asarray(colors, dtype=np.int32), n_colors)
+    return SurfaceColoring(sweep.to_mesh(colors), n_colors)
 
 
 def _parity_obstruction(mesh: Mesh, n_colors: int) -> str | None:
@@ -547,7 +635,7 @@ def color(mesh: Mesh,
     reason = _parity_obstruction(mesh, n_colors)
     if reason is not None:
         raise RestartsExhaustedError(reason)
-    left, right = _incidence(mesh)
+    sweep = _sweep(mesh)
     budget = config.max_swaps_per_conflict
     if budget is None:
         budget = 10 * mesh.n_surfaces
@@ -557,23 +645,21 @@ def color(mesh: Mesh,
         rng = random.Random(config.rng_seed + attempt)
         t0 = time.perf_counter()
         colors, used, conflicts = _greedy_pass(
-            left, right, mesh.n_elements, n_colors, rng
+            sweep.left, sweep.right, mesh.n_elements, n_colors, rng
         )
         t1 = time.perf_counter()
         n_conflicts = len(conflicts)
         audit = None
         if config.audit:
-            audit = _make_audit(left, right, colors, used, mesh.n_elements)
+            audit = _make_audit(sweep, colors, used)
         try:
-            stats = _repair(left, right, mesh.surf_elems, colors, used,
-                            conflicts, n_colors, rng, budget, 5 * budget,
-                            audit)
+            stats = _repair(sweep, colors, used, conflicts, n_colors, rng,
+                            budget, 5 * budget, audit)
         except SwapBudgetExceededError as err:
             last_error = err
             continue
         t2 = time.perf_counter()
-        coloring = SurfaceColoring(np.asarray(colors, dtype=np.int32),
-                                   n_colors)
+        coloring = SurfaceColoring(sweep.to_mesh(colors), n_colors)
         report = ColoringReport(
             n_elements=mesh.n_elements,
             n_surfaces=mesh.n_surfaces,
@@ -608,7 +694,8 @@ def naive_greedy(mesh: Mesh) -> SurfaceColoring:
     """
     if mesh.n_surfaces == 0:
         raise ValueError("mesh has no surfaces")
-    left, right = _incidence(mesh)
+    left = mesh.surf_elems[:, 0].tolist()
+    right = mesh.surf_elems[:, 1].tolist()
     used = [0] * mesh.n_elements
     colors = [0] * mesh.n_surfaces
     top = 0

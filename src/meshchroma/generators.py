@@ -185,11 +185,11 @@ def gen_tet_prism(nx: int, ny: int, nz: int) -> Mesh:
 def shuffle_elements(mesh: Mesh, seed: int) -> Mesh:
     """Rebuild ``mesh`` with element ids permuted at random.
 
-    Grid generators number elements coherently, so the first coloring
-    pass visits neighbors back to back and almost never collides on
-    quad grids.  Meshes from real mesh generators carry no such order.
-    Shuffling restores that character for benchmarks that measure
-    conflict counts.  Deterministic per seed.
+    Grid generators number elements coherently; meshes from real mesh
+    generators carry no such order.  Shuffling gives a mesh of that
+    character for the layers that see the numbering: the reorder plan,
+    the sweeps and the file.  The coloring does not, since it visits the
+    mesh in a geometric order.  Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
     order = rng.permutation(mesh.n_elements)

@@ -182,6 +182,36 @@ def _int_rows(values) -> str:
     return ("%d\n" * len(values)) % tuple(values.tolist())
 
 
+# widest value range whose lines ``_color_rows`` looks up in a table
+_TABLE_SPAN = 256
+
+
+def _color_rows(colors) -> str:
+    """``_int_rows`` of a coloring: its few distinct values are formatted
+    once each and the lines are gathered from that table."""
+    colors = np.asarray(colors, dtype=np.int64)
+    if not len(colors):
+        return ""
+    lo, hi = int(colors.min()), int(colors.max())
+    if hi - lo >= _TABLE_SPAN:
+        return _int_rows(colors)
+    table = np.array(["%d\n" % v for v in range(lo, hi + 1)], dtype=object)
+    return "".join(table[colors - lo].tolist())
+
+
+def _element_rows(mesh: Mesh) -> str:
+    """The ELEMENTS lines: one format string repeated when the mesh has
+    a single kind, else one per element by its kind."""
+    kinds = mesh.elem_kind
+    if kinds.min() == kinds.max():
+        fmt = _ELEMENT_FORMAT[kinds[0]] * len(kinds)
+        slots = mesh.elem_verts[:, :mesh.kind_of(0).n_vertices]
+    else:
+        fmt = "".join(map(_ELEMENT_FORMAT.__getitem__, kinds.tolist()))
+        slots = mesh.elem_verts[_USED_SLOTS[kinds]]
+    return fmt % tuple(slots.ravel().tolist())
+
+
 def write_native(path, mesh: Mesh,
                  coloring: SurfaceColoring | None = None,
                  parents: np.ndarray | None = None,
@@ -197,9 +227,7 @@ def write_native(path, mesh: Mesh,
     out = [f"{FORMAT_NAME} {FORMAT_VERSION}\nVERTICES {mesh.n_vertices}\n",
            ("%r" + " %r" * (mesh.dim - 1) + "\n") * mesh.n_vertices
            % tuple(mesh.vertices.ravel().tolist()),
-           f"ELEMENTS {mesh.n_elements}\n",
-           "".join(map(_ELEMENT_FORMAT.__getitem__, mesh.elem_kind.tolist()))
-           % tuple(mesh.elem_verts[_USED_SLOTS[mesh.elem_kind]].tolist())]
+           f"ELEMENTS {mesh.n_elements}\n", _element_rows(mesh)]
     if parents is not None:
         if len(parents) != mesh.n_elements:
             raise ValueError("parents must list one entry per element")
@@ -207,7 +235,7 @@ def write_native(path, mesh: Mesh,
     if coloring is not None:
         if len(coloring.colors) != mesh.n_surfaces:
             raise ValueError("coloring must list one entry per surface")
-        out += [f"COLORS {mesh.n_surfaces}\n", _int_rows(coloring.colors)]
+        out += [f"COLORS {mesh.n_surfaces}\n", _color_rows(coloring.colors)]
     if (element_perm is None) != (surface_perm is None):
         raise ValueError("element and surface permutations come together")
     if element_perm is not None:

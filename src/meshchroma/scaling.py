@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import ColoringConfig, color
-from .generators import GeneratorSpec, generate, shuffle_elements
+from .generators import GeneratorSpec, generate
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,14 @@ def fit_loglog_slope(xs, ys) -> float | None:
     return float(slope)
 
 
-def run_series(family: str, sizes, seed: int = 0,
-               shuffle: bool = True) -> ScalingSeries:
+def run_series(family: str, sizes, seed: int = 0) -> ScalingSeries:
     """Color one mesh per size and record its conflicts, swaps and
     ``color`` seconds.
 
     ``sizes`` are linear cell counts: size n means an n-by-n grid, or
-    n-by-n-by-n for tet meshes.  They must increase strictly.
-
-    Element ids are shuffled by default so conflict counts reflect the
-    mesh shape rather than the generators' coherent grid numbering,
-    which on quad grids suppresses conflicts entirely.  Pass
-    ``shuffle=False`` to benchmark the raw grid order.
+    n-by-n-by-n for tet meshes.  They must increase strictly.  The
+    coloring visits the mesh in its geometric sweep order, so the
+    generators' element numbering does not affect the counts.
     """
     sizes = [int(n) for n in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -92,8 +88,6 @@ def run_series(family: str, sizes, seed: int = 0,
     for n in sizes:
         nz = n if family == "tet_prism" else 1
         mesh = generate(GeneratorSpec(family=family, nx=n, ny=n, nz=nz))
-        if shuffle:
-            mesh = shuffle_elements(mesh, seed=seed + n)
         _, report = color(mesh, ColoringConfig(rng_seed=seed))
         points.append(ScalingPoint(
             cells=n,

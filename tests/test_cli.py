@@ -122,6 +122,38 @@ def test_refine_all_and_partial_coarsen(tmp_path):
     assert main(["verify", "-i", str(part)]) == 0
 
 
+def test_fine_colors_are_derived_once_per_check(tmp_path, monkeypatch):
+    import meshchroma.amr as amr
+
+    path = gen(tmp_path, nx=12, ny=12)
+    colored = tmp_path / "c.mesh"
+    fine = tmp_path / "fine.mesh"
+    assert main(["color", "-i", str(path), "-o", str(colored)]) == 0
+    assert main(["refine", "-i", str(colored), "-o", str(fine),
+                 "--elements", "0,3,7,40"]) == 0
+    calls = []
+    real = amr._derive_fine_colors
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(amr, "_derive_fine_colors", counted)
+    # verify proves the file's colors once
+    assert main(["verify", "-i", str(fine)]) == 0
+    assert len(calls) == 1
+    # coarsen proves them once and derives the remaining refinement's
+    calls.clear()
+    assert main(["coarsen", "-i", str(fine), "-o", str(tmp_path / "p.mesh"),
+                 "--parents", "0,7"]) == 0
+    assert len(calls) <= 2
+    calls.clear()
+    assert main(["coarsen", "-i", str(fine), "-o", str(tmp_path / "b.mesh"),
+                 "--parents", "0,3,7,40"]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "b.mesh").read_bytes() == colored.read_bytes()
+
+
 def test_refining_refined_input_is_a_level_error(tmp_path):
     path = gen(tmp_path)
     colored, fine = tmp_path / "c.mesh", tmp_path / "f.mesh"
@@ -304,7 +336,7 @@ def test_io_failures_exit_four(tmp_path):
 
 
 _SWAPPED = ("coloring was not produced by this refinement: fine surface 31 "
-            "of element 17 (parent 4) has color 5")
+            "of element 17 (parent 4) has color 4")
 
 
 @pytest.mark.parametrize("plant, code, reason", [

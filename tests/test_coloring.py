@@ -23,6 +23,7 @@ from meshchroma import (
     shuffle_elements,
     verify_coloring,
 )
+from meshchroma.coloring import _sweep
 from conftest import colorable_with, hybrid_patch, random_diagonal_tri
 
 
@@ -61,8 +62,9 @@ def test_hybrid_mesh_colors_with_four():
 
 
 def test_modified_greedy_never_grows_the_palette(two_tri):
-    mesh = gen_tri_rect(8, 8)
+    mesh = random_diagonal_tri(8, 8, 0)
     partial = modified_greedy(mesh)
+    assert len(partial.conflict_ids()) > 0
     assert partial.n_colors == 3
     assert partial.colors.max() <= 3
     assert (partial.colors >= 1).sum() + len(partial.conflict_ids()) == mesh.n_surfaces
@@ -71,7 +73,7 @@ def test_modified_greedy_never_grows_the_palette(two_tri):
 
 
 def test_resolve_completes_a_partial_coloring():
-    mesh = gen_tri_rect(8, 8)
+    mesh = random_diagonal_tri(8, 8, 0)
     partial = modified_greedy(mesh)
     assert len(partial.conflict_ids()) > 0
     stats = {}
@@ -81,8 +83,9 @@ def test_resolve_completes_a_partial_coloring():
 
 
 def test_resolve_treats_every_color_below_one_as_uncolored():
-    mesh = gen_tri_rect(8, 8)
+    mesh = random_diagonal_tri(8, 8, 0)
     partial = modified_greedy(mesh)
+    assert (partial.colors < 0).any()
     partial.colors[partial.colors < 0] = 0
     assert_complete_valid(mesh, resolve_conflicts(mesh, partial))
 
@@ -107,24 +110,30 @@ def test_single_swap_chain(two_tri):
 
 
 GOLDEN = [
-    # mesh constructor, conflicts, swaps, Kempe chains, loop breaks
-    # (seed 0, frozen)
-    (lambda: gen_tri_rect(8, 8), 10, 33, 9, 0),
-    (lambda: gen_tri_rect(8, 8, (True, True)), 15, 92, 12, 0),
-    (lambda: gen_tri_rect(6, 6, (True, True)), 8, 21, 4, 0),
+    # mesh constructor, conflicts, swaps, Kempe chains, Kempe closures,
+    # loop breaks (seed 0, frozen)
+    (lambda: gen_tri_rect(8, 8), 0, 0, 0, 0, 0),
+    (lambda: gen_tri_rect(8, 8, (True, True)), 11, 96, 8, 0, 0),
+    (lambda: gen_tri_rect(6, 6, (True, True)), 5, 34, 3, 0, 0),
+    (lambda: gen_tet_prism(3, 3, 3), 4, 9, 4, 0, 0),
+    (lambda: random_diagonal_tri(8, 8, 0), 4, 50, 3, 1, 1),
+    (lambda: random_diagonal_tri(12, 12, 0), 19, 164, 20, 4, 4),
 ]
 
 
-@pytest.mark.parametrize("build,conflicts,swaps,chains,breaks", GOLDEN,
+@pytest.mark.parametrize("build,conflicts,swaps,chains,closures,breaks",
+                         GOLDEN,
                          ids=["tri_8x8", "tri_8x8_periodic",
-                              "tri_6x6_periodic"])
-def test_repair_goldens(build, conflicts, swaps, chains, breaks):
+                              "tri_6x6_periodic", "tet_3x3x3",
+                              "random_diagonal_8x8", "random_diagonal_12x12"])
+def test_repair_goldens(build, conflicts, swaps, chains, closures, breaks):
     mesh = build()
     coloring, report = color(mesh)
     assert_complete_valid(mesh, coloring)
     assert report.greedy_conflicts == conflicts
     assert report.swaps == swaps
     assert report.kempe_chains == chains
+    assert report.kempe_closures == closures
     assert report.loop_breaks == breaks
     assert report.resolutions == (report.greedy_conflicts
                                   + report.loop_breaks
@@ -148,7 +157,8 @@ def test_same_seed_same_coloring():
 
 
 def test_swap_budget_raises():
-    mesh = gen_tri_rect(8, 8)
+    # shuffled, so sweep ranks differ from the element ids named
+    mesh = shuffle_elements(random_diagonal_tri(8, 8, 0), 3)
     partial = modified_greedy(mesh)
     with pytest.raises(SwapBudgetExceededError) as info:
         resolve_conflicts(mesh, partial,
@@ -175,7 +185,7 @@ def test_restarts_exhausted_on_an_impossible_mesh():
 
 
 def test_restarts_exhausted_when_every_attempt_overruns():
-    mesh = gen_tri_rect(8, 8)
+    mesh = random_diagonal_tri(8, 8, 0)
     with pytest.raises(RestartsExhaustedError,
                        match=r"after 3 attempts \(last: conflict chain"):
         color(mesh, ColoringConfig(max_swaps_per_conflict=1,
@@ -321,3 +331,98 @@ def test_kempe_repair_completes_every_family(fam, mesh_seed, seed):
     if bipartite:
         # a chain can only close an odd cycle
         assert report.kempe_closures == 0
+
+
+def test_repeated_input_color_names_the_mesh_element():
+    mesh = shuffle_elements(random_diagonal_tri(6, 6, 1), 5)
+    colors = np.full(mesh.n_surfaces, -1, dtype=np.int32)
+    e = 17
+    colors[mesh.elem_surfs[e, :2]] = 2
+    with pytest.raises(ValueError,
+                       match=f"repeats color 2 on element {e}$"):
+        resolve_conflicts(mesh, SurfaceColoring(colors, 3))
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (7, 5), (12, 12)])
+def test_sweep_of_a_generated_quad_grid_is_the_identity(nx, ny):
+    mesh = gen_quad_rect(nx, ny)
+    sweep = _sweep(mesh)
+    assert np.array_equal(sweep.elements, np.arange(nx * ny))
+    assert np.array_equal(sweep.surfaces, np.arange(mesh.n_surfaces))
+    assert np.array_equal(np.column_stack([sweep.left_ids, sweep.right_ids]),
+                          mesh.surf_elems)
+
+
+def _sweep_by_loops(mesh):
+    """The sweep the slow, obvious way: rank by centroid, then walk the
+    ranked elements' sides and number each surface when first met."""
+    centroids = [mesh.vertices[list(mesh.element(e).vertex_ids)].mean(axis=0)
+                 for e in range(mesh.n_elements)]
+    order = sorted(range(mesh.n_elements),
+                   key=lambda e: tuple(centroids[e][::-1]))
+    rank = {e: q for q, e in enumerate(order)}
+    surfaces = []
+    for e in order:
+        for s in mesh.element(e).surface_ids:
+            if s not in surfaces:
+                surfaces.append(s)
+    ends = [sorted(rank[e] for e in mesh.surf_elems[s].tolist() if e >= 0)
+            for s in surfaces]
+    left = [pair[0] for pair in ends]
+    right = [pair[1] if len(pair) == 2 else -1 for pair in ends]
+    return order, surfaces, left, right
+
+
+@pytest.mark.parametrize("build", [
+    lambda: shuffle_elements(gen_tri_rect(5, 4), 1),
+    lambda: shuffle_elements(gen_quad_rect(4, 5, (True, False)), 2),
+    lambda: shuffle_elements(gen_tet_prism(2, 2, 2), 3),
+    lambda: shuffle_elements(hybrid_patch(4, 3), 4),
+    lambda: random_diagonal_tri(5, 5, 6),
+], ids=["tri", "quad_periodic", "tet", "mixed", "random_diagonal"])
+def test_sweep_matches_a_per_element_loop(build):
+    mesh = build()
+    sweep = _sweep(mesh)
+    order, surfaces, left, right = _sweep_by_loops(mesh)
+    assert sweep.elements.tolist() == order
+    assert sweep.surfaces.tolist() == surfaces
+    assert sweep.left == left == sweep.left_ids.tolist()
+    assert sweep.right == right == sweep.right_ids.tolist()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_tri_rect(9, 7),
+    lambda: gen_tri_rect(30, 30),
+    lambda: gen_quad_rect(8, 11),
+    lambda: gen_quad_rect(30, 30),
+], ids=["tri_9x7", "tri_30x30", "quad_8x11", "quad_30x30"])
+def test_generated_grids_leave_no_greedy_conflicts(build):
+    # in any numbering; a periodic grid closes on itself where the sweep
+    # meets its seam and keeps a few (see the periodic repair goldens)
+    mesh = build()
+    for seed in range(4):
+        coloring, report = color(shuffle_elements(mesh, seed),
+                                 ColoringConfig(rng_seed=seed))
+        assert report.greedy_conflicts == 0
+
+
+def _by_vertices(mesh, coloring):
+    return dict(zip(map(tuple, mesh.surf_verts.tolist()),
+                    coloring.colors.tolist()))
+
+
+@settings(deadline=None, max_examples=25)
+@given(fam=st.sampled_from(sorted(FAMILIES)),
+       mesh_seed=st.integers(min_value=0, max_value=999),
+       shuffle_seed=st.integers(min_value=0, max_value=999),
+       seed=st.integers(min_value=0, max_value=999))
+def test_coloring_does_not_depend_on_element_numbering(fam, mesh_seed,
+                                                       shuffle_seed, seed):
+    mesh = FAMILIES[fam][0](mesh_seed)
+    config = ColoringConfig(rng_seed=seed)
+    want, want_report = color(mesh, config)
+    shuffled = shuffle_elements(mesh, shuffle_seed)
+    got, got_report = color(shuffled, config)
+    assert _by_vertices(shuffled, got) == _by_vertices(mesh, want)
+    assert got_report.greedy_conflicts == want_report.greedy_conflicts
+    assert got_report.swaps == want_report.swaps

@@ -27,6 +27,7 @@ from meshchroma import (
 )
 from meshchroma.mesh import assemble, relabel, validate
 from meshchroma.meshio import _CHUNK_LINES
+from conftest import hybrid_patch
 
 MESH_FIELDS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
                "surf_verts", "surf_elems")
@@ -220,18 +221,20 @@ def test_any_bijective_permutations_read_back_valid(tmp_path_factory,
     assert validate(back.mesh) == []
 
 
-# written by the line-per-call writer this one replaced
+# written by the line-per-call writer this one replaced; re-frozen when
+# coloring moved to the sweep order, with bytes equal to those of the
+# one-format-per-section writer on the same coloring
 GOLDEN = (
     "MESHCHROMA 1\nVERTICES 9\n0.0 0.0\n1.0 0.0\n2.0 0.0\n0.0 1.0\n"
     "1.0 1.0\n2.0 1.0\n0.5 0.0\n1.0 0.5\n0.5 0.5\nELEMENTS 7\n"
-    "tri 2 5 4\ntri 1 2 4\ntri 0 4 3\ntri 0 6 8\ntri 1 7 6\ntri 6 7 8\n"
+    "tri 2 5 4\ntri 0 4 3\ntri 1 2 4\ntri 0 6 8\ntri 1 7 6\ntri 6 7 8\n"
     "tri 4 8 7\nPARENTS 7\n-1\n-1\n-1\n1\n1\n1\n1\nCOLORS 17\n"
-    + "".join(f"{c}\n" for c in (1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3,
+    + "".join(f"{c}\n" for c in (1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3,
                                   4, 5, 6))
     + "PERMUTATIONS 7 17\n"
-    + "".join(f"{p}\n" for p in (0, 2, 1, 3, 4, 6, 5,
-                                  9, 4, 0, 1, 6, 11, 5, 10, 7, 12, 2, 13,
-                                  3, 15, 14, 8, 16))
+    + "".join(f"{p}\n" for p in (0, 1, 2, 3, 4, 6, 5,
+                                  5, 0, 10, 1, 6, 11, 2, 7, 12, 8, 3, 9,
+                                  4, 16, 14, 13, 15))
 )
 
 
@@ -248,6 +251,44 @@ def test_writer_bytes_are_pinned(tmp_path):
                  element_perm=plan.element_perm,
                  surface_perm=plan.surface_perm)
     assert path.read_text() == GOLDEN
+
+
+def _one_format_file(mesh, colors):
+    """The ELEMENTS and COLORS sections as one ``%`` over the whole
+    section formats them: the writer's output before it repeated one
+    element format or looked colors up in a table."""
+    fmt = {"tri": "tri %d %d %d\n", "quad": "quad %d %d %d %d\n",
+           "tet": "tet %d %d %d %d\n"}
+    kinds = [mesh.kind_of(i) for i in range(mesh.n_elements)]
+    rows = [v for i, k in enumerate(kinds)
+            for v in mesh.elem_verts[i, :k.n_vertices].tolist()]
+    return (f"ELEMENTS {mesh.n_elements}\n"
+            + "".join(fmt[k.value] for k in kinds) % tuple(rows)
+            + f"COLORS {mesh.n_surfaces}\n"
+            + ("%d\n" * len(colors)) % tuple(colors.tolist()))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: shuffle_elements(gen_tri_rect(5, 4), 2),
+    lambda: gen_quad_rect(4, 3),
+    lambda: shuffle_elements(gen_tet_prism(2, 2, 2), 1),
+    lambda: hybrid_patch(3, 3),
+], ids=["tri", "quad", "tet", "mixed"])
+@pytest.mark.parametrize("coloring", ["complete", "holes", "wide"])
+def test_writer_sections_match_one_format_per_section(tmp_path, build,
+                                                      coloring):
+    mesh = build()
+    if coloring == "complete":
+        colors = color(mesh)[0].colors
+    elif coloring == "holes":
+        colors = color(mesh)[0].colors.copy()
+        colors[::3] = -1
+    else:  # more distinct values than the writer's lookup table spans
+        colors = (np.arange(mesh.n_surfaces, dtype=np.int32) * 7) - 1
+    path = tmp_path / "w.mesh"
+    write_native(path, mesh, SurfaceColoring(colors, 4))
+    text = path.read_text()
+    assert text[text.index("ELEMENTS"):] == _one_format_file(mesh, colors)
 
 
 def test_sections_longer_than_one_chunk(tmp_path):

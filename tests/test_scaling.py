@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from meshchroma import ScalingSeries, fit_loglog_slope, run_series
+from meshchroma import (
+    ColoringConfig,
+    ScalingSeries,
+    color,
+    fit_loglog_slope,
+    gen_tet_prism,
+    run_series,
+    shuffle_elements,
+)
 
 
 def test_slope_recovers_a_power_law():
@@ -42,18 +50,26 @@ def test_run_series_is_deterministic_per_seed():
     assert [p.swaps for p in a.points] == [p.swaps for p in b.points]
 
 
-def test_shuffle_restores_quad_conflicts():
-    raw = run_series("quad_rect", [8, 16], seed=0, shuffle=False)
-    assert all(p.greedy_conflicts == 0 for p in raw.points)
-    shuffled = run_series("quad_rect", [8, 16], seed=0)
-    assert all(p.greedy_conflicts > 0 for p in shuffled.points)
+def test_series_counts_do_not_depend_on_element_numbering():
+    quads = run_series("quad_rect", [8, 16], seed=0)
+    assert all(p.greedy_conflicts == 0 for p in quads.points)
+    tets = run_series("tet_prism", [3, 4], seed=0)
+    assert all(p.greedy_conflicts > 0 for p in tets.points)
+    for point in tets.points:
+        n = point.cells
+        for shuffle_seed in (1, 2):
+            mesh = shuffle_elements(gen_tet_prism(n, n, n), shuffle_seed)
+            _, report = color(mesh, ColoringConfig(rng_seed=0))
+            assert report.greedy_conflicts == point.greedy_conflicts
+            assert report.swaps == point.swaps
 
 
 def test_series_slopes_are_floats():
-    series = run_series("tri_rect", [4, 8, 16], seed=0)
+    # tet grids leave greedy conflicts at every size, so both fits exist
+    series = run_series("tet_prism", [2, 3, 4], seed=0)
     assert isinstance(series.conflict_slope, float)
     assert isinstance(series.time_slope, float)
-    single = ScalingSeries(family="tri_rect", seed=0,
+    single = ScalingSeries(family="tet_prism", seed=0,
                            points=series.points[:1])
     assert single.conflict_slope is None
 
