@@ -42,7 +42,7 @@ fine side contributes the two halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,10 +113,11 @@ class RefinedMesh:
     copy's sides through ``base.elem_surfs``, a child's through the
     side tables ``_SIDE_ORIGIN`` and ``_SIDE_PARENT``.
 
-    ``fine_colors`` is the read-only fine coloring that ``refine``,
-    ``coarsen`` or ``reconstruct_refinement`` derived or proved for this
-    refinement, or None.  A coloring that holds this very array is
-    known to follow from its base colors and is not derived again.
+    ``fine_colors`` is the fine coloring that ``refine``, ``coarsen``
+    or ``reconstruct_refinement`` derived or proved for this refinement,
+    or None; it is set by them only, on an array whose memory cannot be
+    written.  A coloring that holds this very array is known to follow
+    from its base colors and is not derived again.
     """
 
     base: Mesh
@@ -127,13 +128,12 @@ class RefinedMesh:
     surf_origin: np.ndarray
     base_surface: np.ndarray
     half_index: np.ndarray
-    fine_colors: np.ndarray | None = None
+    fine_colors: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         for arr in (self.origin, self.child_slot, self.surf_origin,
-                    self.base_surface, self.half_index, self.fine_colors):
-            if arr is not None:
-                arr.setflags(write=False)
+                    self.base_surface, self.half_index):
+            arr.setflags(write=False)
 
     @property
     def parents(self) -> np.ndarray:
@@ -241,11 +241,18 @@ def _materialize(base: Mesh, refined: np.ndarray) -> RefinedMesh:
 
 
 def _proven(refined: RefinedMesh,
-            fine_colors: np.ndarray) -> tuple[RefinedMesh, SurfaceColoring]:
-    """The refinement carrying ``fine_colors``, an array no one else
-    holds that follows from its base colors, and the coloring of it."""
-    refined = replace(refined, fine_colors=fine_colors)
-    return refined, SurfaceColoring(refined.fine_colors, FINE_PALETTE)
+            fine_colors) -> tuple[RefinedMesh, SurfaceColoring]:
+    """A copy of the refinement carrying ``fine_colors``, which follow
+    from its base colors, and the coloring of them.
+
+    The colors are copied into immutable ``bytes``, so the array can
+    never be made writable and still holds what was proved.
+    """
+    refined = replace(refined)
+    colors = np.frombuffer(
+        np.asarray(fine_colors, dtype=np.int32).tobytes(), dtype=np.int32)
+    object.__setattr__(refined, "fine_colors", colors)
+    return refined, SurfaceColoring(colors, FINE_PALETTE)
 
 
 def _with_colors(
@@ -487,4 +494,4 @@ def reconstruct_refinement(
         _recover_base_colors(rebuilt, coloring)
     except ValueError as exc:
         raise MalformedSectionError(str(exc)) from None
-    return _proven(rebuilt, np.array(coloring.colors, dtype=np.int32))
+    return _proven(rebuilt, coloring.colors)

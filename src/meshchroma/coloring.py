@@ -191,28 +191,14 @@ def _sweep(mesh: Mesh) -> _Sweep:
     surface, and each slot it did not keep hands its position to the
     one it did.  No surface is sorted.
     """
-    kinds = mesh.elem_kind
-    if kinds.min() == kinds.max():
-        # one kind: no padding to mask, and the vertex sums rank the
-        # elements as their centroids do
-        kind = mesh.kind_of(0)
-        slots = np.ascontiguousarray(mesh.elem_verts[:, :kind.n_vertices].T)
-        order = np.lexsort([np.take(c, slots).sum(axis=0)
-                            for c in np.ascontiguousarray(mesh.vertices.T)])
-        width = kind.n_sides
-        sides = np.take(mesh.elem_surfs[:, :width], order, axis=0).reshape(-1)
-        at = None  # side k is ranked slot k
-    else:
-        slots = mesh.elem_verts.T
-        valid = slots >= 0
-        count = valid.sum(axis=0)
-        order = np.lexsort([
-            np.where(valid, np.take(c, slots), 0.0).sum(axis=0) / count
-            for c in mesh.vertices.T])
-        width = MAX_SIDES
-        ranked = np.take(mesh.elem_surfs, order, axis=0).reshape(-1)
-        at = np.flatnonzero(ranked >= 0)  # ranked slot of each side
-        sides = ranked[at]
+    slots = np.ascontiguousarray(mesh.elem_verts.T)
+    count = np.count_nonzero(slots >= 0, axis=0)
+    # a padding slot (-1) reads the appended zero vertex
+    padded = np.vstack((mesh.vertices, np.zeros(mesh.dim)))
+    order = np.lexsort(np.take(padded, slots, axis=0).sum(axis=0).T / count)
+    ranked = np.take(mesh.elem_surfs, order, axis=0).reshape(-1)
+    at = np.flatnonzero(ranked >= 0)  # ranked slot of each side
+    sides = ranked[at]
     pos = np.arange(len(sides))
     some = np.empty(mesh.n_surfaces, dtype=np.int64)
     some[sides] = pos
@@ -222,10 +208,9 @@ def _sweep(mesh: Mesh) -> _Sweep:
     first = np.flatnonzero(pos <= partner)
     other = np.take(partner, first)
     surfaces = np.take(sides, first)
-    if at is not None:
-        first, other = at[first], at[other]
-    left = first // width
-    right = np.where(other != first, other // width, -1)
+    first, other = np.take(at, first), np.take(at, other)
+    left = first // MAX_SIDES
+    right = np.where(other != first, other // MAX_SIDES, -1)
     return _Sweep(mesh, order, surfaces, left, right,
                   left.tolist(), right.tolist())
 

@@ -199,19 +199,6 @@ def _color_rows(colors) -> str:
     return "".join(table[colors - lo].tolist())
 
 
-def _element_rows(mesh: Mesh) -> str:
-    """The ELEMENTS lines: one format string repeated when the mesh has
-    a single kind, else one per element by its kind."""
-    kinds = mesh.elem_kind
-    if kinds.min() == kinds.max():
-        fmt = _ELEMENT_FORMAT[kinds[0]] * len(kinds)
-        slots = mesh.elem_verts[:, :mesh.kind_of(0).n_vertices]
-    else:
-        fmt = "".join(map(_ELEMENT_FORMAT.__getitem__, kinds.tolist()))
-        slots = mesh.elem_verts[_USED_SLOTS[kinds]]
-    return fmt % tuple(slots.ravel().tolist())
-
-
 def write_native(path, mesh: Mesh,
                  coloring: SurfaceColoring | None = None,
                  parents: np.ndarray | None = None,
@@ -227,7 +214,9 @@ def write_native(path, mesh: Mesh,
     out = [f"{FORMAT_NAME} {FORMAT_VERSION}\nVERTICES {mesh.n_vertices}\n",
            ("%r" + " %r" * (mesh.dim - 1) + "\n") * mesh.n_vertices
            % tuple(mesh.vertices.ravel().tolist()),
-           f"ELEMENTS {mesh.n_elements}\n", _element_rows(mesh)]
+           f"ELEMENTS {mesh.n_elements}\n",
+           "".join(map(_ELEMENT_FORMAT.__getitem__, mesh.elem_kind.tolist()))
+           % tuple(mesh.elem_verts[_USED_SLOTS[mesh.elem_kind]].tolist())]
     if parents is not None:
         if len(parents) != mesh.n_elements:
             raise ValueError("parents must list one entry per element")

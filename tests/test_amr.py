@@ -450,3 +450,26 @@ def test_refined_file_bytes_are_pinned(tmp_path, periodic, golden):
     path = tmp_path / "r.mesh"
     write_native(path, ref.mesh, fine, parents=ref.parents)
     assert path.read_bytes() == golden.encode()
+
+
+def test_proved_fine_colors_cannot_be_rewritten_or_passed_in():
+    mesh = gen_tri_rect(4, 4)
+    coloring, _ = color(mesh)
+    refined, fine = refine(mesh, coloring, [1, 5])
+    assert fine.colors is refined.fine_colors
+    with pytest.raises(ValueError):
+        fine.colors.setflags(write=True)
+    with pytest.raises(ValueError):
+        fine.colors[0] = 1
+    # a coloring that only equals the proved one is checked again
+    coarse, back = coarsen(refined, fine.copy(), [1, 5])
+    assert np.array_equal(back.colors, coloring.colors)
+    edited = fine.copy()
+    edited.colors[np.flatnonzero(refined.surf_origin == 0)[0]] = 9
+    with pytest.raises(ValueError):
+        coarsen(refined, edited, [1])
+    with pytest.raises(TypeError):
+        type(refined)(refined.base, refined.mesh, refined.origin,
+                      refined.child_slot, refined.map, refined.surf_origin,
+                      refined.base_surface, refined.half_index,
+                      fine_colors=fine.colors)

@@ -255,8 +255,8 @@ def test_writer_bytes_are_pinned(tmp_path):
 
 def _one_format_file(mesh, colors):
     """The ELEMENTS and COLORS sections as one ``%`` over the whole
-    section formats them: the writer's output before it repeated one
-    element format or looked colors up in a table."""
+    section formats them: the writer's output before it looked colors
+    up in a table."""
     fmt = {"tri": "tri %d %d %d\n", "quad": "quad %d %d %d %d\n",
            "tet": "tet %d %d %d %d\n"}
     kinds = [mesh.kind_of(i) for i in range(mesh.n_elements)]

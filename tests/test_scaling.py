@@ -43,8 +43,10 @@ def test_run_series_points_are_coherent():
 
 
 def test_run_series_is_deterministic_per_seed():
-    a = run_series("tri_rect", [4, 8], seed=3)
-    b = run_series("tri_rect", [4, 8], seed=3)
+    # tet grids leave conflicts for repair, so the counts say something
+    a = run_series("tet_prism", [3, 4], seed=3)
+    b = run_series("tet_prism", [3, 4], seed=3)
+    assert all(p.greedy_conflicts > 0 and p.swaps > 0 for p in a.points)
     assert [p.greedy_conflicts for p in a.points] == \
         [p.greedy_conflicts for p in b.points]
     assert [p.swaps for p in a.points] == [p.swaps for p in b.points]
