@@ -705,23 +705,31 @@ def verify_coloring(mesh: Mesh, coloring: SurfaceColoring
                     ) -> list[Diagnostic]:
     """List every element with a repeated color, every uncolored
     surface and every surface whose color is above ``n_colors``.  An
-    empty list means complete and valid."""
+    empty list means complete and valid.
+
+    Repeats are found by comparing every pair of an element's at most
+    four side-color columns, which is exact and needs no sort: a row
+    repeats a color iff two of its colored sides are equal.  Messages
+    are built for the flagged rows only.  Raises ``ValueError`` when the
+    coloring's length is not the mesh's surface count.
+    """
     colors = np.asarray(coloring.colors)
+    if len(colors) != mesh.n_surfaces:
+        raise ValueError("coloring does not match the mesh")
     diags: list[Diagnostic] = []
 
-    gathered = np.full((mesh.n_elements, mesh.elem_surfs.shape[1]), -2,
-                       dtype=np.int64)
-    has = mesh.elem_surfs >= 0
-    gathered[has] = colors[mesh.elem_surfs[has]]
-    filled = np.where(gathered >= 1, gathered, -2)
-    srt = np.sort(filled, axis=1)
-    dup_rows = np.flatnonzero(
-        ((srt[:, 1:] == srt[:, :-1]) & (srt[:, 1:] >= 1)).any(axis=1)
-    )
-    for e in dup_rows:
-        row = gathered[e]
-        vals, counts = np.unique(row[row >= 1], return_counts=True)
-        repeated = [int(v) for v in vals[counts > 1]]
+    # -1 side slots read the last color and are then masked to -2
+    gathered = np.where(mesh.elem_surfs >= 0,
+                        np.take(colors, mesh.elem_surfs), -2)
+    width = gathered.shape[1]
+    repeats = np.zeros(mesh.n_elements, dtype=bool)
+    for i in range(width):
+        colored = gathered[:, i] >= 1
+        for j in range(i + 1, width):
+            repeats |= colored & (gathered[:, i] == gathered[:, j])
+    for e in np.flatnonzero(repeats):
+        row = [int(v) for v in gathered[e] if v >= 1]
+        repeated = sorted({v for v in row if row.count(v) > 1})
         sids = [int(s) for s in mesh.elem_surfs[e]
                 if s >= 0 and int(colors[s]) in repeated]
         diags.append(Diagnostic(

@@ -386,6 +386,22 @@ def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
                 surf_verts, surf_elems)
 
 
+def is_bijection(perm: np.ndarray, n: int) -> bool:
+    """Whether ``perm`` is a bijection of ``0..n-1``, by one boolean
+    scatter.  The range is checked first: a negative id would wrap in
+    the scatter and an id of n or more would raise."""
+    perm = np.asarray(perm)
+    if len(perm) != n:
+        return False
+    if n == 0:
+        return True
+    if perm.min() < 0 or perm.max() >= n:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[perm] = True
+    return bool(seen.all())
+
+
 def inverse_permutation(perm: np.ndarray) -> np.ndarray:
     """The inverse of the bijection ``perm`` of ``0..len(perm)-1``, by
     one scatter; an ``argsort`` would sort to find it."""

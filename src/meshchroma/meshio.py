@@ -75,6 +75,7 @@ from .mesh import (
     Mesh,
     assemble,
     inverse_permutation,
+    is_bijection,
     relabel,
 )
 
@@ -139,10 +140,6 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _is_bijection(perm: np.ndarray, n: int) -> bool:
-    return np.array_equal(np.sort(perm), np.arange(n))
-
-
 def _check_permutations(mesh: Mesh, element_perm, surface_perm) -> None:
     """Raise ``ValueError`` unless ``mesh`` reloads from a file that
     carries these maps.
@@ -155,17 +152,17 @@ def _check_permutations(mesh: Mesh, element_perm, surface_perm) -> None:
     is the smaller id, which is how ``assemble`` numbers them.
     """
     ep, sp = np.asarray(element_perm), np.asarray(surface_perm)
-    if not (_is_bijection(ep, mesh.n_elements)
-            and _is_bijection(sp, mesh.n_surfaces)):
+    if not (is_bijection(ep, mesh.n_elements)
+            and is_bijection(sp, mesh.n_surfaces)):
         raise ValueError("permutations must be bijections")
     old_element = inverse_permutation(ep)
     old_surface = inverse_permutation(sp)
-    slots = mesh.elem_surfs[ep]  # rows in old element order
+    slots = np.take(mesh.elem_surfs, ep, axis=0)  # old element order
     # old ids come in first-encounter order iff each slot's id is at most
     # one above the largest id before it, starting from 0
     seq = old_surface[slots[slots >= 0]]
     top = np.maximum.accumulate(seq)
-    left, right = mesh.surf_elems[sp].T  # rows in old surface order
+    left, right = np.take(mesh.surf_elems, sp, axis=0).T  # old surface order
     left = old_element[left]
     right = np.where(right >= 0, old_element[right], -1)
     if not (seq[0] == 0 and np.all(seq[1:] <= top[:-1] + 1)
@@ -631,7 +628,7 @@ def _finish(path, coords: np.ndarray, kinds: np.ndarray, verts: np.ndarray,
         mesh = assemble(coords, kinds, verts)
     else:
         element_perm, surface_perm = perms[:ne], perms[ne:]
-        if not _is_bijection(element_perm, ne):
+        if not is_bijection(element_perm, ne):
             raise MalformedSectionError(
                 f"{path}: permutation is not a bijection"
             )
@@ -649,7 +646,7 @@ def _finish(path, coords: np.ndarray, kinds: np.ndarray, verts: np.ndarray,
                 f"{path}: PERMUTATIONS counts must be "
                 f"<n_elements> <n_surfaces>"
             )
-        if not _is_bijection(surface_perm, ns):
+        if not is_bijection(surface_perm, ns):
             raise MalformedSectionError(
                 f"{path}: permutation is not a bijection"
             )

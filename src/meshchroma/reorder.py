@@ -6,15 +6,20 @@ the k-th color-1 surface becomes element k, and for interior color-1
 surfaces the right element becomes N1 + k, so workers walking the
 color-1 block read and write consecutive element slots.  Within color 1
 interior surfaces come before boundary ones to keep the right ids
-contiguous; every later color group is sorted by its new left element
-ids, which are distinct inside a group because a valid coloring gives
-an element at most one surface per color.
+contiguous; every later color group is ordered by its new left element
+ids.  A valid coloring gives an element at most one surface per color,
+so those ids are distinct inside a group: scattering the group's
+surfaces into an element-sized slot array at their new left ids and
+reading the slots back in order sorts the group exactly, in linear time.
 
 This covers every element exactly once when each element has a color-1
 surface, which minimal colorings of single-kind meshes guarantee.  When
 some element lacks one (hybrid meshes, oversized baseline palettes) the
 plan falls back to a first-occurrence sweep across all color groups and
-says so in ``used_fallback``.
+says so in ``used_fallback``; color 1 is then ordered by the slot scatter
+too.  The first occurrence of each element is one ``np.minimum.at``
+reduction over the positions of the surface ends, so the smallest
+position wins whatever order numpy applies the writes in.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .coloring import SurfaceColoring, verify_coloring
 from .errors import PlanMeshMismatchError
-from .mesh import Mesh, inverse_permutation, relabel
+from .mesh import Mesh, inverse_permutation, is_bijection, relabel
 
 
 @dataclass(frozen=True)
@@ -63,58 +68,67 @@ def _check_coloring(mesh: Mesh, coloring: SurfaceColoring) -> None:
             f"reordering needs a valid coloring: {diags[0].message}")
 
 
+def _first_occurrence(mesh: Mesh, classes: list[np.ndarray]) -> np.ndarray:
+    """Number elements by first occurrence over the surfaces in color
+    order, id order within a color, left end first."""
+    ends = np.take(mesh.surf_elems, np.concatenate(classes), axis=0).ravel()
+    positions = np.flatnonzero(ends >= 0)
+    first = np.full(mesh.n_elements, len(ends), dtype=np.int64)
+    np.minimum.at(first, ends[positions], positions)
+    if (first == len(ends)).any():
+        raise AssertionError("element not reachable from any surface")
+    is_first = np.zeros(len(ends), dtype=bool)
+    is_first[first] = True
+    element_perm = np.empty(mesh.n_elements, dtype=np.int64)
+    element_perm[ends[is_first]] = np.arange(mesh.n_elements)
+    return element_perm
+
+
 def build_plan(mesh: Mesh, coloring: SurfaceColoring) -> ReorderingPlan:
     """Plan the renumbering induced by a complete valid coloring."""
     _check_coloring(mesh, coloring)
     colors = coloring.colors
-    n_colors = coloring.n_colors
     left = mesh.surf_elems[:, 0]
     right = mesh.surf_elems[:, 1]
+    classes = [np.flatnonzero(colors == c)
+               for c in range(1, coloring.n_colors + 1)]
 
-    ones = np.nonzero(colors == 1)[0]
+    ones = classes[0]
     covered = np.zeros(mesh.n_elements, dtype=bool)
     covered[left[ones]] = True
     interior_ones = ones[right[ones] >= 0]
     covered[right[interior_ones]] = True
     fallback = not covered.all()
 
-    element_perm = np.full(mesh.n_elements, -1, dtype=np.int64)
     if fallback:
-        # number elements by first occurrence over the surfaces in
-        # color order, id order within a color, left end first
-        sids = np.flatnonzero(colors <= n_colors)
-        sids = sids[np.argsort(colors[sids], kind="stable")]
-        ends = mesh.surf_elems[sids].ravel()
-        seen, first = np.unique(ends[ends >= 0], return_index=True)
-        if len(seen) != mesh.n_elements:
-            raise AssertionError("element not reachable from any surface")
-        element_perm[seen[np.argsort(first)]] = np.arange(len(seen))
+        element_perm = _first_occurrence(mesh, classes)
     else:
-        boundary_ones = ones[right[ones] < 0]
-        order1 = np.concatenate([interior_ones, boundary_ones])
-        element_perm[left[order1]] = np.arange(len(order1))
+        classes[0] = np.concatenate([interior_ones, ones[right[ones] < 0]])
+        element_perm = np.empty(mesh.n_elements, dtype=np.int64)
+        element_perm[left[classes[0]]] = np.arange(len(ones))
         element_perm[right[interior_ones]] = (
-            len(order1) + np.arange(len(interior_ones))
+            len(ones) + np.arange(len(interior_ones))
         )
 
-    group_sizes = [0] * (n_colors + 1)
+    slot = np.full(mesh.n_elements, -1, dtype=np.int64)
     surface_perm = np.empty(mesh.n_surfaces, dtype=np.int64)
     nxt = 0
-    for c in range(1, n_colors + 1):
-        sids = np.nonzero(colors == c)[0]
-        group_sizes[c] = len(sids)
-        if c == 1 and not fallback:
-            sids = np.concatenate([interior_ones, boundary_ones])
-        else:
-            sids = sids[np.argsort(element_perm[left[sids]],
-                                   kind="stable")]
-        surface_perm[sids] = nxt + np.arange(len(sids))
+    for c, sids in enumerate(classes, 1):
+        if c > 1 or fallback:
+            # the new left ids are distinct within a class, so reading
+            # the slots back in order sorts the class by them
+            new_left = element_perm[left[sids]]
+            slot[new_left] = sids
+            sids = slot[slot >= 0]
+            slot[new_left] = -1
+        surface_perm[sids] = np.arange(nxt, nxt + len(sids))
         nxt += len(sids)
 
     return ReorderingPlan(
         element_perm=element_perm,
         surface_perm=surface_perm,
-        group_bounds=tuple(np.cumsum(group_sizes).tolist()),
+        group_bounds=tuple(
+            np.cumsum([0] + [len(sids) for sids in classes]).tolist()),
         n_interior_first=len(interior_ones),
         used_fallback=fallback,
     )
@@ -135,9 +149,9 @@ def apply_plan(mesh: Mesh, coloring: SurfaceColoring,
         raise PlanMeshMismatchError(
             "plan was built for a different mesh"
         )
-    for perm, n in ((ep, mesh.n_elements), (sp, mesh.n_surfaces)):
-        if not np.array_equal(np.sort(perm), np.arange(n)):
-            raise PlanMeshMismatchError("permutation is not a bijection")
+    if not (is_bijection(ep, mesh.n_elements)
+            and is_bijection(sp, mesh.n_surfaces)):
+        raise PlanMeshMismatchError("permutation is not a bijection")
     if len(coloring.colors) != mesh.n_surfaces:
         raise PlanMeshMismatchError(
             "coloring does not match the mesh"
@@ -172,6 +186,8 @@ class CoalescingReport:
 
 def coalescing_metric(mesh: Mesh,
                       coloring: SurfaceColoring) -> CoalescingReport:
+    if len(coloring.colors) != mesh.n_surfaces:
+        raise ValueError("coloring does not match the mesh")
     if not coloring.is_complete:
         raise ValueError("metric needs a complete coloring")
     colors = coloring.colors

@@ -91,8 +91,15 @@ def sweep_sequential(mesh: Mesh, payload=None) -> AccumulationState:
 
 
 def assert_race_free(mesh: Mesh, coloring: SurfaceColoring) -> None:
-    """Check that no color class writes any element twice."""
+    """Check that no color class writes any element twice.
+
+    Each class is one ``np.bincount`` over the elements it touches; the
+    error names the first class that repeats, its smallest repeated
+    element and that element's count.
+    """
     colors = coloring.colors
+    if len(colors) != mesh.n_surfaces:
+        raise ValueError("coloring does not match the mesh")
     left = mesh.surf_elems[:, 0]
     right = mesh.surf_elems[:, 1]
     for c in range(1, coloring.n_colors + 1):
@@ -100,12 +107,12 @@ def assert_race_free(mesh: Mesh, coloring: SurfaceColoring) -> None:
         touched = np.concatenate([
             left[mask], right[mask & (right >= 0)]
         ])
-        uniq, counts = np.unique(touched, return_counts=True)
-        dup = uniq[counts > 1]
+        counts = np.bincount(touched, minlength=mesh.n_elements)
+        dup = np.flatnonzero(counts > 1)
         if dup.size:
             raise WriteConflictError(
                 f"color {c} writes element {int(dup[0])} "
-                f"{int(counts[counts > 1][0])} times"
+                f"{int(counts[dup[0]])} times"
             )
 
 
@@ -119,8 +126,6 @@ def sweep_colored(mesh: Mesh, coloring: SurfaceColoring,
     """
     if not coloring.is_complete:
         raise ValueError("colored sweep needs a complete coloring")
-    if len(coloring.colors) != mesh.n_surfaces:
-        raise ValueError("coloring does not match the mesh")
     assert_race_free(mesh, coloring)
     payload = _payload_for(mesh, payload)
     left = mesh.surf_elems[:, 0]

@@ -83,6 +83,15 @@ def test_write_rejects_permutations_that_do_not_describe_the_mesh(tmp_path):
     with pytest.raises(ValueError, match="bijections"):
         write_native(path, mesh, element_perm=np.zeros_like(eperm),
                      surface_perm=sperm)
+    # a negative id, an id equal to n and a repeated id, in either map
+    for perm in (eperm, sperm):
+        for bad_id in (-1, len(perm), perm[1]):
+            bad = perm.copy()
+            bad[0] = bad_id
+            maps = ((bad, sperm) if perm is eperm else (eperm, bad))
+            with pytest.raises(ValueError, match="bijections"):
+                write_native(path, mesh, element_perm=maps[0],
+                             surface_perm=maps[1])
     assert not list(tmp_path.iterdir())
 
 
@@ -463,11 +472,14 @@ def test_native_section_errors(tmp_path):
            "ELEMENTS 1\ntri 0 1 2\nCOLORS 2\n1\n2\n3\n")
     with pytest.raises(MalformedSectionError, match="more values"):
         read_native(_write(tmp_path, bad))
-    # permutation is not a bijection
-    bad = ("MESHCHROMA 1\nVERTICES 3\n0 0\n1 0\n0 1\n"
-           "ELEMENTS 1\ntri 0 1 2\nPERMUTATIONS 1 3\n0\n1\n1\n2\n")
-    with pytest.raises(MalformedSectionError):
-        read_native(_write(tmp_path, bad))
+    # permutation is not a bijection: a repeated id, a negative id and
+    # an id equal to n, in the surface map and in the element map
+    for perms in ("0\n1\n1\n2", "0\n-1\n1\n2", "0\n3\n1\n2",
+                  "-1\n0\n1\n2", "1\n0\n1\n2"):
+        bad = ("MESHCHROMA 1\nVERTICES 3\n0 0\n1 0\n0 1\n"
+               f"ELEMENTS 1\ntri 0 1 2\nPERMUTATIONS 1 3\n{perms}\n")
+        with pytest.raises(MalformedSectionError, match="not a bijection"):
+            read_native(_write(tmp_path, bad))
     # a color above the palette of 3 for triangles
     bad = ("MESHCHROMA 1\nVERTICES 3\n0 0\n1 0\n0 1\n"
            "ELEMENTS 1\ntri 0 1 2\nCOLORS 3\n1\n2\n9\n")

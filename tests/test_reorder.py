@@ -1,5 +1,7 @@
 """Renumbering plans: the color-1 block, group ordering, coalescing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from meshchroma import (
     ColoringConfig,
+    Diagnostic,
     PlanMeshMismatchError,
     SurfaceColoring,
     apply_plan,
@@ -14,6 +17,7 @@ from meshchroma import (
     coalescing_metric,
     color,
     gen_quad_rect,
+    gen_tet_prism,
     gen_tri_rect,
     invert_plan,
     naive_greedy,
@@ -160,6 +164,15 @@ def test_plan_mesh_mismatch():
     other_col, _ = color(other)
     with pytest.raises(PlanMeshMismatchError):
         apply_plan(other, other_col, plan)
+    # a negative id, an id equal to n and a repeated id
+    for field in ("element_perm", "surface_perm"):
+        perm = getattr(plan, field)
+        for bad_id in (-1, len(perm), perm[1]):
+            bad_perm = perm.copy()
+            bad_perm[0] = bad_id
+            bad = replace(plan, **{field: bad_perm})
+            with pytest.raises(PlanMeshMismatchError, match="bijection"):
+                apply_plan(mesh, coloring, bad)
 
 
 def test_build_plan_requires_complete_coloring():
@@ -213,3 +226,146 @@ def test_build_plan_rejects_colors_above_the_palette():
         f"surface {diags[0].surface_id} has color 4, above the palette of 3")
     with pytest.raises(ValueError, match="above the palette of 3"):
         build_plan(mesh, bad)
+
+
+def _sorting_build_plan(mesh, coloring):
+    # the sort-based build_plan, kept as the reference: np.unique and
+    # argsort for the fallback numbering, a stable argsort per class
+    colors = coloring.colors
+    n_colors = coloring.n_colors
+    left = mesh.surf_elems[:, 0]
+    right = mesh.surf_elems[:, 1]
+
+    ones = np.nonzero(colors == 1)[0]
+    covered = np.zeros(mesh.n_elements, dtype=bool)
+    covered[left[ones]] = True
+    interior_ones = ones[right[ones] >= 0]
+    covered[right[interior_ones]] = True
+    fallback = not covered.all()
+
+    element_perm = np.full(mesh.n_elements, -1, dtype=np.int64)
+    if fallback:
+        sids = np.flatnonzero(colors <= n_colors)
+        sids = sids[np.argsort(colors[sids], kind="stable")]
+        ends = mesh.surf_elems[sids].ravel()
+        seen, first = np.unique(ends[ends >= 0], return_index=True)
+        assert len(seen) == mesh.n_elements
+        element_perm[seen[np.argsort(first)]] = np.arange(len(seen))
+    else:
+        boundary_ones = ones[right[ones] < 0]
+        order1 = np.concatenate([interior_ones, boundary_ones])
+        element_perm[left[order1]] = np.arange(len(order1))
+        element_perm[right[interior_ones]] = (
+            len(order1) + np.arange(len(interior_ones))
+        )
+
+    group_sizes = [0] * (n_colors + 1)
+    surface_perm = np.empty(mesh.n_surfaces, dtype=np.int64)
+    nxt = 0
+    for c in range(1, n_colors + 1):
+        sids = np.nonzero(colors == c)[0]
+        group_sizes[c] = len(sids)
+        if c == 1 and not fallback:
+            sids = np.concatenate([interior_ones, boundary_ones])
+        else:
+            sids = sids[np.argsort(element_perm[left[sids]],
+                                   kind="stable")]
+        surface_perm[sids] = nxt + np.arange(len(sids))
+        nxt += len(sids)
+    return (element_perm, surface_perm,
+            tuple(np.cumsum(group_sizes).tolist()), len(interior_ones),
+            fallback)
+
+
+def _row_sort_verify_coloring(mesh, coloring):
+    # the row-sort verify_coloring, kept as the reference
+    colors = np.asarray(coloring.colors)
+    diags = []
+    gathered = np.full((mesh.n_elements, mesh.elem_surfs.shape[1]), -2,
+                       dtype=np.int64)
+    has = mesh.elem_surfs >= 0
+    gathered[has] = colors[mesh.elem_surfs[has]]
+    filled = np.where(gathered >= 1, gathered, -2)
+    srt = np.sort(filled, axis=1)
+    dup_rows = np.flatnonzero(
+        ((srt[:, 1:] == srt[:, :-1]) & (srt[:, 1:] >= 1)).any(axis=1)
+    )
+    for e in dup_rows:
+        row = gathered[e]
+        vals, counts = np.unique(row[row >= 1], return_counts=True)
+        repeated = [int(v) for v in vals[counts > 1]]
+        sids = [int(s) for s in mesh.elem_surfs[e]
+                if s >= 0 and int(colors[s]) in repeated]
+        diags.append(Diagnostic(
+            "conflict",
+            f"element {e} repeats color(s) {repeated} on surfaces {sids}",
+            element_id=int(e),
+        ))
+    for k in np.flatnonzero(colors < 1):
+        diags.append(Diagnostic(
+            "uncolored", f"surface {k} has no color", surface_id=int(k),
+        ))
+    for k in np.flatnonzero(colors > coloring.n_colors):
+        diags.append(Diagnostic(
+            "palette", f"surface {k} has color {colors[k]}, above the "
+            f"palette of {coloring.n_colors}", surface_id=int(k),
+        ))
+    return diags
+
+
+@st.composite
+def _meshes_and_colorings(draw):
+    family = draw(st.sampled_from(["tri", "quad", "tet"]))
+    if family == "tet":
+        mesh = gen_tet_prism(*draw(st.tuples(*[st.integers(1, 3)] * 3)))
+    else:
+        periodic = draw(st.tuples(st.booleans(), st.booleans()))
+        # quad grids closed on an odd cell count have no 4-coloring
+        sizes = {(False, "tri"): st.integers(1, 7),
+                 (True, "tri"): st.integers(3, 7),
+                 (False, "quad"): st.integers(1, 7),
+                 (True, "quad"): st.sampled_from([4, 6])}
+        nx, ny = (draw(sizes[p, family]) for p in periodic)
+        make = gen_tri_rect if family == "tri" else gen_quad_rect
+        mesh = make(nx, ny, periodic)
+    if draw(st.booleans()):
+        mesh = shuffle_elements(mesh, draw(st.integers(0, 9)))
+    kind = draw(st.sampled_from(
+        ["minimal", "naive"] + (["refined"] if family == "tri" else [])))
+    if kind == "naive":
+        coloring = naive_greedy(mesh)
+    else:
+        coloring, _ = color(
+            mesh, ColoringConfig(rng_seed=draw(st.integers(0, 9))))
+    if kind == "refined":
+        ids = draw(st.sets(st.integers(0, mesh.n_elements - 1),
+                           min_size=1))
+        refined, coloring = refine(mesh, coloring, sorted(ids))
+        mesh = refined.mesh
+    # planted faults: a conflict, an uncolored surface or a color above
+    # the palette, depending on the value drawn
+    colors = coloring.colors.copy()
+    for s, c in draw(st.lists(st.tuples(
+            st.integers(0, mesh.n_surfaces - 1),
+            st.integers(-1, coloring.n_colors + 2)), max_size=3)):
+        colors[s] = c
+    return mesh, SurfaceColoring(colors, coloring.n_colors)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_meshes_and_colorings())
+def test_plans_and_diagnostics_match_the_sorting_references(case):
+    mesh, coloring = case
+    diags = verify_coloring(mesh, coloring)
+    assert diags == _row_sort_verify_coloring(mesh, coloring)
+    if diags:
+        with pytest.raises(ValueError):
+            build_plan(mesh, coloring)
+        return
+    plan = build_plan(mesh, coloring)
+    fields = (plan.element_perm, plan.surface_perm, plan.group_bounds,
+              plan.n_interior_first, plan.used_fallback)
+    for got, want in zip(fields, _sorting_build_plan(mesh, coloring)):
+        assert type(got) is type(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.array_equal(got, want)

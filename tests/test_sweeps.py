@@ -12,6 +12,7 @@ from meshchroma import (
     assert_race_free,
     basis_count,
     build_plan,
+    coalescing_metric,
     color,
     default_payload,
     gen_quad_rect,
@@ -24,6 +25,7 @@ from meshchroma import (
     sweep_buffered,
     sweep_colored,
     sweep_sequential,
+    verify_coloring,
 )
 
 
@@ -95,10 +97,34 @@ def test_race_free_check_passes_and_fails():
              if all(s >= 0 for s in mesh.element(i).surface_ids[:3]))
     s0, s1 = mesh.element(e).surface_ids[:2]
     bad.colors[s1] = bad.colors[s0]  # element e now repeats a color
-    with pytest.raises(WriteConflictError):
+    # only class c repeats: the message names it, its smallest repeated
+    # element and that element's count
+    c = int(bad.colors[s0])
+    counts = {}
+    for left, right in mesh.surf_elems[bad.colors == c].tolist():
+        for el in (left, right):
+            if el >= 0:
+                counts[el] = counts.get(el, 0) + 1
+    first = min(el for el, n in counts.items() if n > 1)
+    message = f"color {c} writes element {first} {counts[first]} times"
+    with pytest.raises(WriteConflictError, match=f"^{message}$"):
         assert_race_free(mesh, bad)
-    with pytest.raises(WriteConflictError):
+    with pytest.raises(WriteConflictError, match=f"^{message}$"):
         sweep_colored(mesh, bad)
+
+
+@pytest.mark.parametrize("check", [assert_race_free, verify_coloring,
+                                   coalescing_metric])
+@pytest.mark.parametrize("extra", [2, -2])
+def test_a_coloring_of_the_wrong_length_is_rejected(check, extra):
+    # a longer coloring must not read as complete and valid, and a
+    # shorter one must not fail with an IndexError
+    mesh = gen_tri_rect(3, 3)
+    coloring, _ = color(mesh)
+    colors = (np.concatenate([coloring.colors, [1, 2]]) if extra > 0
+              else coloring.colors[:extra])
+    with pytest.raises(ValueError, match="coloring does not match the mesh"):
+        check(mesh, SurfaceColoring(colors, 3))
 
 
 def test_sweep_colored_requires_a_complete_coloring():
