@@ -295,13 +295,13 @@ def _cmd_verify(args) -> int:
         print(f"{diag.code}: {diag.message}")
     if diags:
         return EXIT_INVALID
-    used = sorted(set(nm.coloring.colors.tolist()))
-    print(f"complete valid coloring with {len(used)} colors")
+    used = np.count_nonzero(np.bincount(nm.coloring.colors))
+    print(f"complete valid coloring with {used} colors")
     return EXIT_OK
 
 
 def _cmd_refine(args) -> int:
-    nm = read_native(args.input)
+    nm = _read_mesh_file(args.input)
     coloring = _require_coloring(nm)
     if nm.parents is not None and (nm.parents >= 0).any():
         raise LevelConstraintError(
@@ -321,7 +321,7 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_coarsen(args) -> int:
-    nm = read_native(args.input)
+    nm = _read_mesh_file(args.input)
     _require_coloring(nm)
     if nm.parents is None or not (np.asarray(nm.parents) >= 0).any():
         raise PartialFamilyError("input has no refinement to coarsen")

@@ -270,6 +270,15 @@ def _row_groups(rows: np.ndarray,
     return order, np.flatnonzero(new_run)
 
 
+def _run_lengths(starts: np.ndarray, n: int) -> np.ndarray:
+    """The length of each run of a sequence of ``n`` items whose runs
+    begin at ``starts``."""
+    run_len = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=run_len[:-1])
+    run_len[-1:] = n - starts[-1:]
+    return run_len
+
+
 def _non_manifold(rows, slot_elem, order, starts,
                   run_len) -> NonManifoldError:
     """The error for runs of three or more equal side rows, naming the
@@ -360,7 +369,7 @@ def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
     # are element-major, so the smaller slot of a run holds the smaller
     # element id, the left
     order, starts = _row_groups(rows, nv)
-    run_len = np.diff(starts, append=len(rows))
+    run_len = _run_lengths(starts, len(rows))
     if (run_len > 2).any():
         raise _non_manifold(rows, slot_elem, order, starts, run_len)
     ends = order[starts + run_len - 1]
@@ -546,7 +555,7 @@ def validate(mesh: Mesh) -> list[Diagnostic]:
 
     order, starts = _row_groups(*_value_codes(mesh.surf_verts,
                                               mesh.n_vertices))
-    run_len = np.diff(starts, append=ns)
+    run_len = _run_lengths(starts, ns)
     repeats = []
     for r in np.flatnonzero(run_len > 1):
         run = np.sort(order[starts[r]:starts[r] + run_len[r]]).tolist()

@@ -30,8 +30,11 @@ would not reload that way.
 the form the writer produces (only letters, digits, ``.+-``, single
 spaces and newlines, one element kind, one integer per line in the
 trailing sections, integers short enough not to overflow), numpy finds
-the newline and space positions once, which give every line's token
-count, and each section is converted with one ``np.fromstring`` call.
+the newline and space positions once, which give every token's end and
+length and every line's token count.  The integers of ELEMENTS and of
+the trailing sections are then summed from digit columns of the byte
+buffer at those token ends (``_token_values``); VERTICES is converted
+with one ``np.fromstring`` call, which rounds decimal text correctly.
 Any other file, so every file with a malformed line, goes to the line
 parser ``_read_native``: the reference the bulk path is tested
 against, the path for hand-edited files with comments or other
@@ -109,7 +112,7 @@ _INT64 = np.iinfo(np.int64)
 _FORM_BYTES = (b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
                b"0123456789.+- \n")
 # an integer of at most 18 characters is below 10**18 < 2**63 in
-# magnitude; np.fromstring saturates silently where one overflows
+# magnitude, so its digit sum cannot overflow an int64
 _MAX_INT_CHARS = 18
 
 
@@ -387,8 +390,8 @@ def _finite(coords: np.ndarray, path) -> np.ndarray:
 def read_native(path) -> NativeMesh:
     """Parse a native file back into a mesh plus its optional extras.
 
-    A file in the writer's form is converted with one numpy call per
-    section (``_bulk_sections``).  Any other file, one with a malformed
+    A file in the writer's form is converted with array operations over
+    its bytes (``_bulk_sections``).  Any other file, one with a malformed
     line included, is read by the line parser, which names the fault.
     """
     with open(path, "rb") as fh:
@@ -440,6 +443,35 @@ def _body_length(name: str, counts: list[int], ne: int, path) -> int:
     return sum(counts)
 
 
+def _token_values(buf: np.ndarray, ends: np.ndarray, size: np.ndarray,
+                  signed: bool) -> np.ndarray:
+    """The integers of the tokens of ``buf`` that end before ``ends``
+    and are ``size`` bytes long.  Column k holds the byte k places
+    before every token's end; the columns are summed by Horner's rule
+    from the longest token's first digit, with 0 where a token has
+    fewer digits.  A ``-`` first gives the sign where ``signed``; any
+    other byte that is not a digit, or a token longer than
+    ``_MAX_INT_CHARS``, raises ``_OtherForm``.  A sign is never a whole
+    token (``_bulk_sections`` checks that no token ends in one)."""
+    _need(size.max(initial=0) <= _MAX_INT_CHARS)
+    neg = np.take(buf, ends - size) == 45 if signed else False
+    digits = (size - neg).astype(np.uint8)
+    longest = int(digits.max(initial=0))
+    values = np.zeros(ends.shape, dtype=np.int64)
+    at = ends - longest  # column k of every token, from k = longest
+    for k in range(longest, 0, -1):
+        d = np.take(buf, at)
+        at += 1
+        d -= 48
+        d *= digits >= k  # 0 where a token has fewer digits
+        _need(d.max() <= 9)
+        values *= 10
+        values += d
+    if signed:
+        np.negative(values, out=values, where=neg)
+    return values
+
+
 def _bulk_sections(data: bytes):
     """The sections of a file in the writer's form, or None.
 
@@ -450,15 +482,18 @@ def _bulk_sections(data: bytes):
     one vertex width of 2 or 3, one element kind whose token starts
     every element line, and one integer per line in the trailing
     sections.  Integer tokens are ``-?[0-9]+`` (unsigned in ELEMENTS)
-    and at most ``_MAX_INT_CHARS`` long, since ``np.fromstring``
-    saturates where an integer overflows; each section must give one
-    value per token.  Any other file gives None.
+    and at most ``_MAX_INT_CHARS`` long; they are decoded from the
+    token table by ``_token_values``.  Vertex coordinates go through
+    ``np.fromstring``, which must give one value per token.  Any other
+    file gives None.
     """
     if not data.endswith(b"\n") or data.translate(None, _FORM_BYTES):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf <= 32)  # the space or newline after a token
-    size = np.diff(ends, prepend=-1) - 1  # each token's length
+    size = np.empty_like(ends)  # each token's length
+    size[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1] + 1, out=size[1:])
     last = buf[ends - 1]
     # an empty token is a doubled space, a space at a line's end or start
     # or a blank line; no token of any section ends in a sign
@@ -476,9 +511,8 @@ def _bulk_sections(data: bytes):
     def widths(a, b):  # tokens per line
         return np.diff(line_end[a - 1:b])
 
-    def longest(a, b):  # longest token
-        return int(size[line_end[a - 1] + 1:line_end[b - 1] + 1].max(
-            initial=0))
+    def tokens(a, b):  # the tokens of lines a..b-1
+        return slice(line_end[a - 1] + 1, line_end[b - 1] + 1)
 
     def section(at, names, ne):
         _need(at < len(nl))
@@ -504,24 +538,19 @@ def _bulk_sections(data: bytes):
         prefix = (token + " ").encode()
         starts = nl[a - 1:b - 1] + 1
         _need(all((buf[starts + j] == c).all() for j, c in enumerate(prefix)))
-        ids = body(a, b).replace(prefix, b"")
-        _need(not ids.translate(None, b"0123456789 \n")
-              and longest(a, b) <= _MAX_INT_CHARS)
-        values = np.fromstring(ids, dtype=np.int64, sep=" ")
         nv = kind.n_vertices
-        _need(values.size == (b - a) * nv)
+
+        def ids(table):  # the vertex id tokens, past each line's kind
+            return table[tokens(a, b)].reshape(b - a, 1 + nv)[:, 1:]
+
         verts = np.full((b - a, MAX_ELEM_VERTS), -1, dtype=np.int64)
-        verts[:, :nv] = values.reshape(-1, nv)
+        verts[:, :nv] = _token_values(buf, ids(ends), ids(size), signed=False)
         return np.full(b - a, KIND_TO_CODE[kind], dtype=np.int8), verts
 
     def integers(a, b):
-        text = data[nl[a - 1]:nl[b - 1] + 1]  # from the header's newline
-        _need(not text.translate(None, b"0123456789-\n")
-              and b"-" not in text.replace(b"\n-", b"\n")
-              and longest(a, b) <= _MAX_INT_CHARS)
-        values = np.fromstring(text, dtype=np.int64, sep=" ")
-        _need(values.size == b - a)
-        return values
+        t = tokens(a, b)
+        _need(t.stop - t.start == b - a)  # one token per line
+        return _token_values(buf, ends[t], size[t], signed=True)
 
     try:
         _need(line(0) == f"{FORMAT_NAME} {FORMAT_VERSION}")
@@ -534,8 +563,8 @@ def _bulk_sections(data: bytes):
             name, a, b = section(
                 b, [s for s in _TAIL_SECTIONS if s not in tail], len(kinds))
             tail[name] = integers(a, b)
-    # ValueError: a token np.fromstring cannot read.  A bad header is
-    # reported again, with the file's path, by the line parser.
+    # ValueError: a vertex token np.fromstring cannot read.  A bad header
+    # is reported again, with the file's path, by the line parser.
     except (_OtherForm, MalformedSectionError, ValueError):
         return None
     return coords, kinds, verts, tail

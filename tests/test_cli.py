@@ -303,6 +303,19 @@ def test_msh_input_by_extension(tmp_path):
     assert read_native(out).coloring.n_colors == 3
 
 
+def test_colored_input_commands_need_colors_in_msh(tmp_path, capsys):
+    p = tmp_path / "two.msh"
+    p.write_text(MSH_TRI)
+    out = ["-o", str(tmp_path / "o.mesh")]
+    for argv in (["refine"] + out + ["--elements", "0"],
+                 ["coarsen"] + out + ["--parents", "0"],
+                 ["reorder"] + out, ["race-check"]):
+        capsys.readouterr()
+        assert main(argv + ["-i", str(p)]) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            "error: input file has no COLORS section; color it first\n")
+
+
 def test_io_failures_exit_four(tmp_path):
     missing = tmp_path / "nope.mesh"
     assert main(["color", "-i", str(missing), "-o",

@@ -1,7 +1,7 @@
 """The bulk native reader against the line parser it stands in for.
 
-``read_native`` converts a file in the writer's form with one numpy call
-per section and hands any other file to the line parser
+``read_native`` converts a file in the writer's form with array
+operations over its bytes and hands any other file to the line parser
 ``_read_native``.  Whatever the bytes, both must agree: the same arrays
 and dtypes, or the same exception type and message.
 """
@@ -25,7 +25,8 @@ from meshchroma import (
     write_native,
 )
 from meshchroma.cli import main
-from meshchroma.meshio import _bulk_sections, _Lines, _read_native
+from meshchroma.meshio import (_MAX_INT_CHARS, _bulk_sections, _Lines,
+                                _read_native)
 
 MESH_FIELDS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
                "surf_verts", "surf_elems")
@@ -105,7 +106,7 @@ def assert_same(got, want):
 TOKENS = ("+3", "007", "1_0", "inf", "1e400", "- 1", "-1", "0", "-0",
           "3.5", "1e5", "nan", "+0.5", "12345678901234567890",
           "123456789012345678", "1234567890123456789", "tri", "quad", "",
-          "-", "+", "--5", "5-5")
+          "-", "+", "--5", "5-5", "1a", "9" * 18, "-" + "9" * 17)
 
 
 def _sections(lines):
@@ -233,7 +234,7 @@ def _tiny(tmp_path, elements="tri 0 1 2\n", tail=""):
 
 
 def test_twenty_digit_vertex_id_is_a_bad_element_line(tmp_path, capsys):
-    # np.fromstring would saturate it to 2**63 - 1, an id out of range
+    # 20 digits overflow an int64, so the line parser names the line
     path = _tiny(tmp_path, "tri 0 1 99999999999999999999\n")
     with pytest.raises(MalformedSectionError) as err:
         read_native(path)
@@ -263,3 +264,30 @@ def test_longest_integers_the_bulk_path_takes(tmp_path):
         assert_same(_outcome(read_native, path), _outcome(_line_parser, path))
     path = _tiny(tmp_path, tail="COLORS 3\n1\n2\n0000000000000000003\n")
     assert read_native(path).coloring.colors.tolist() == [1, 2, 3]
+
+
+@st.composite
+def _parent_tokens(draw):
+    """A value in [-1, 10**18) and its token: zero padded to a drawn
+    width of at most ``_MAX_INT_CHARS`` characters."""
+    value = draw(st.integers(min_value=-1, max_value=10**18 - 1))
+    digits = str(abs(value))
+    room = _MAX_INT_CHARS - len(digits) - (value < 0)
+    pad = draw(st.integers(min_value=0, max_value=room))
+    return value, "-" * (value < 0) + "0" * pad + digits
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_parents_of_every_width_take_the_bulk_path(bases, tmp_path_factory,
+                                                   data):
+    text = bases[("tri", False, False, False)]
+    ne = int(text.split("ELEMENTS ", 1)[1].split("\n", 1)[0])
+    drawn = data.draw(st.lists(_parent_tokens(), min_size=ne, max_size=ne))
+    text += f"PARENTS {ne}\n" + "".join(f"{t}\n" for _, t in drawn)
+    path = tmp_path_factory.mktemp("p") / "m.mesh"
+    path.write_text(text)
+    assert _bulk_sections(text.encode()) is not None
+    got = read_native(path)
+    assert_same(got, _line_parser(path))
+    assert got.parents.tolist() == [v for v, _ in drawn]
