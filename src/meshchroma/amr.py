@@ -483,11 +483,17 @@ def reconstruct_refinement(
                          | (elem_verts != fine.elem_verts).any(axis=1)
                          | moved[fine.elem_verts].any(axis=1))
     if bad.size or moved.any() or len(vertices) != fine.n_vertices:
-        where = "" if not bad.size else (
-            f": fine element {bad[0]} (parent {parents[bad[0]]}) differs "
-            f"from its rebuilt counterpart")
+        if bad.size:
+            where = (f"fine element {bad[0]} (parent {parents[bad[0]]}) "
+                     f"differs from its rebuilt counterpart")
+        else:
+            # past the shorter list, the first vertex one side lacks
+            first = np.flatnonzero(moved[:n])
+            where = (f"it has {fine.n_vertices} vertices where the rebuilt "
+                     f"refinement has {len(vertices)}; the first at fault "
+                     f"is vertex {first[0] if first.size else n}")
         raise MalformedSectionError(
-            "mesh is not a canonical single-level refinement" + where
+            f"mesh is not a canonical single-level refinement: {where}"
         )
     rebuilt = _classify(base, refined, fine)
     try:

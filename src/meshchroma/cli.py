@@ -62,7 +62,6 @@ from .meshio import (
     write_report,
 )
 from .reorder import apply_plan, build_plan, coalescing_metric
-from .scaling import run_series
 from .sweeps import (
     default_payload,
     memory_saved,
@@ -255,8 +254,7 @@ def _reassemble(mesh: Mesh, coloring: SurfaceColoring):
 
 def _cmd_generate(args) -> int:
     spec = GeneratorSpec(family=args.family, nx=args.nx, ny=args.ny,
-                         nz=args.nz, periodic_x=args.periodic,
-                         periodic_y=args.periodic)
+                         nz=args.nz, periodic=args.periodic)
     mesh = generate(spec)
     write_native(args.output, mesh)
     print(f"{mesh.n_elements} elements, {mesh.n_surfaces} surfaces "
@@ -397,21 +395,47 @@ def _cmd_memsave(args) -> int:
     return EXIT_OK
 
 
+def _loglog_slope(xs, ys) -> float | None:
+    """Least-squares slope of log(y) against log(x); None when the fit
+    is impossible (fewer than two points, or a value <= 0)."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if len(xs) < 2 or (xs <= 0).any() or (ys <= 0).any():
+        return None
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
 def _cmd_stats(args) -> int:
-    series = run_series(args.family, args.sizes,
-                        seed=_resolve_seed(args))
-    for point in series.points:
-        write_report({"family": series.family, **point.as_dict()})
+    # how coloring cost grows with the surface count: color one generated
+    # mesh per size (n-by-n cells, n-by-n-by-n for tets) and fit log-log
+    # slopes of color()'s own seconds and of the greedy conflict count
+    config = ColoringConfig(rng_seed=_resolve_seed(args))
+    reports = []
+    for n in args.sizes:
+        nz = n if args.family == "tet_prism" else 1
+        mesh = generate(GeneratorSpec(family=args.family, nx=n, ny=n,
+                                      nz=nz))
+        _, report = color(mesh, config)
+        reports.append(report)
+        write_report({
+            "family": args.family,
+            "cells": n,
+            "n_elements": report.n_elements,
+            "n_surfaces": report.n_surfaces,
+            "n_colors": report.n_colors,
+            "greedy_conflicts": report.greedy_conflicts,
+            "swaps": report.swaps,
+            "seconds": f"{report.total_seconds:.6f}",
+        })
         print()
-    time_slope = series.time_slope
-    conflict_slope = series.conflict_slope
-    write_report({
-        "points": len(series.points),
-        "time_slope": ("none" if time_slope is None
-                       else f"{time_slope:.4f}"),
-        "conflict_slope": ("none" if conflict_slope is None
-                           else f"{conflict_slope:.4f}"),
-    })
+    surfaces = [r.n_surfaces for r in reports]
+    summary = {"points": len(reports)}
+    for key, ys in (("time_slope", [r.total_seconds for r in reports]),
+                    ("conflict_slope",
+                     [r.greedy_conflicts for r in reports])):
+        slope = _loglog_slope(surfaces, ys)
+        summary[key] = "none" if slope is None else f"{slope:.4f}"
+    write_report(summary)
     return EXIT_OK
 
 

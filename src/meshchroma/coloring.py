@@ -50,7 +50,7 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -125,26 +125,19 @@ class ColoringReport:
     total_seconds: float
 
     def as_dict(self) -> dict[str, object]:
-        d: dict[str, object] = {
-            "n_elements": self.n_elements,
-            "n_surfaces": self.n_surfaces,
-            "n_colors": self.n_colors,
-            "vizing_bound": self.vizing_bound,
-            "greedy_conflicts": self.greedy_conflicts,
-            "resolutions": self.resolutions,
-            "swaps": self.swaps,
-            "kempe_chains": self.kempe_chains,
-            "kempe_closures": self.kempe_closures,
-            "loop_breaks": self.loop_breaks,
-            "no_swap_breaks": self.no_swap_breaks,
-            "forced_reswaps": self.forced_reswaps,
-            "restarts": self.restarts,
-        }
-        for i, n in enumerate(self.color_counts, start=1):
-            d[f"color_count_{i}"] = n
-        d["greedy_seconds"] = round(self.greedy_seconds, 6)
-        d["resolve_seconds"] = round(self.resolve_seconds, 6)
-        d["total_seconds"] = round(self.total_seconds, 6)
+        """Every field by name, in declaration order: ``color_counts``
+        becomes ``color_count_1``, ``color_count_2``, ... and the
+        ``*_seconds`` fields are rounded to 6 places."""
+        d: dict[str, object] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "color_counts":
+                for i, n in enumerate(value, start=1):
+                    d[f"color_count_{i}"] = n
+            elif f.name.endswith("_seconds"):
+                d[f.name] = round(value, 6)
+            else:
+                d[f.name] = value
         return d
 
 
@@ -266,6 +259,8 @@ def _rebuild_used(colors, sweep: _Sweep):
 
 @dataclass
 class _RepairStats:
+    """The repair counters; ``ColoringReport`` has a field of each name."""
+
     resolutions: int = 0
     swaps: int = 0
     kempe_chains: int = 0
@@ -651,13 +646,7 @@ def color(mesh: Mesh,
             n_colors=n_colors,
             vizing_bound=vizing_bound(connectivity_graph(mesh)),
             greedy_conflicts=n_conflicts,
-            resolutions=stats.resolutions,
-            swaps=stats.swaps,
-            kempe_chains=stats.kempe_chains,
-            kempe_closures=stats.kempe_closures,
-            loop_breaks=stats.loop_breaks,
-            no_swap_breaks=stats.no_swap_breaks,
-            forced_reswaps=stats.forced_reswaps,
+            **vars(stats),
             restarts=attempt,
             color_counts=coloring.color_counts(),
             greedy_seconds=t1 - t0,

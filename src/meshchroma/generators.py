@@ -28,8 +28,8 @@ class GeneratorSpec:
     nx: int
     ny: int
     nz: int = 1
-    periodic_x: bool = False
-    periodic_y: bool = False
+    # wrap both axes (tri_rect / quad_rect)
+    periodic: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -38,13 +38,11 @@ class GeneratorSpec:
 
 def generate(spec: GeneratorSpec) -> Mesh:
     if spec.family == "tri_rect":
-        return gen_tri_rect(spec.nx, spec.ny,
-                            (spec.periodic_x, spec.periodic_y))
+        return gen_tri_rect(spec.nx, spec.ny, spec.periodic)
     if spec.family == "tri_closed":
         return gen_tri_rect(spec.nx, spec.ny, (True, True))
     if spec.family == "quad_rect":
-        return gen_quad_rect(spec.nx, spec.ny,
-                             (spec.periodic_x, spec.periodic_y))
+        return gen_quad_rect(spec.nx, spec.ny, spec.periodic)
     return gen_tet_prism(spec.nx, spec.ny, spec.nz)
 
 

@@ -22,7 +22,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -168,12 +167,6 @@ class Mesh:
     @property
     def n_interior(self) -> int:
         return int(self.interior_mask().sum())
-
-    def elements(self) -> Iterable[Element]:
-        return (self.element(i) for i in range(self.n_elements))
-
-    def surfaces(self) -> Iterable[Surface]:
-        return (self.surface(k) for k in range(self.n_surfaces))
 
 
 def _normalize_elements(elements) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from meshchroma import (
     refine,
     write_native,
 )
-from meshchroma.cli import main
+from meshchroma.cli import _loglog_slope, main
 
 MSH_TRI = """$MeshFormat
 2.2 0 8
@@ -286,6 +286,17 @@ def test_memsave_exact_line(capsys):
     assert "724639680 bytes (0.72 GB)" in out
 
 
+def _blocks(out):
+    """``stats`` output as one dict of strings per printed block."""
+    return [dict(line.split(" ", 1) for line in block.splitlines())
+            for block in out.split("\n\n")]
+
+
+def _stats_blocks(capsys, argv):
+    assert main(["stats", *argv]) == 0
+    return _blocks(capsys.readouterr().out)
+
+
 def test_stats_reports_points_and_slopes(tmp_path, capsys):
     assert main(["stats", "--family", "tri_rect", "--sizes", "4,8,16",
                  "--seed", "0"]) == 0
@@ -293,6 +304,63 @@ def test_stats_reports_points_and_slopes(tmp_path, capsys):
     assert out.count("n_surfaces") == 3
     assert "time_slope" in out
     assert "conflict_slope" in out
+    *points, summary = _blocks(out)
+    assert [p["cells"] for p in points] == ["4", "8", "16"]
+    for p in points:
+        assert list(p) == ["family", "cells", "n_elements", "n_surfaces",
+                           "n_colors", "greedy_conflicts", "swaps",
+                           "seconds"]
+        assert p["family"] == "tri_rect"
+        assert int(p["n_elements"]) == 2 * int(p["cells"]) ** 2
+        assert p["n_colors"] == "3"
+        assert int(p["greedy_conflicts"]) >= 0
+        assert "." in p["seconds"] and float(p["seconds"]) > 0
+    assert list(summary) == ["points", "time_slope", "conflict_slope"]
+    assert summary["points"] == "3"
+
+
+def test_stats_is_deterministic_per_seed(capsys):
+    # tet grids leave conflicts for repair, so the counts say something
+    argv = ["--family", "tet_prism", "--sizes", "3,4", "--seed", "3"]
+    runs = [_stats_blocks(capsys, argv) for _ in range(2)]
+    for run in runs:
+        for p in run[:-1]:
+            assert int(p["greedy_conflicts"]) > 0 and int(p["swaps"]) > 0
+            del p["seconds"]
+        del run[-1]["time_slope"]
+    assert runs[0] == runs[1]
+
+
+def test_stats_slopes(capsys):
+    # tet grids leave greedy conflicts at every size, so both fits exist
+    *_, summary = _stats_blocks(
+        capsys, ["--family", "tet_prism", "--sizes", "2,3,4", "--seed", "0"])
+    for key in ("time_slope", "conflict_slope"):
+        float(summary[key])  # a fitted number, not "none"
+    point, summary = _stats_blocks(
+        capsys, ["--family", "tet_prism", "--sizes", "2", "--seed", "0"])
+    assert int(point["greedy_conflicts"]) > 0
+    assert summary == {"points": "1", "time_slope": "none",
+                       "conflict_slope": "none"}
+
+
+def test_loglog_slope_recovers_a_power_law():
+    xs = np.array([10.0, 100.0, 1000.0, 10000.0])
+    ys = 3.0 * xs ** 1.5
+    assert abs(_loglog_slope(xs, ys) - 1.5) < 1e-12
+
+
+def test_loglog_slope_undefined_cases():
+    assert _loglog_slope([10.0], [1.0]) is None
+    assert _loglog_slope([], []) is None
+    assert _loglog_slope([1.0, 2.0], [0.0, 1.0]) is None
+    assert _loglog_slope([1.0, -2.0], [1.0, 1.0]) is None
+
+
+def test_stats_argument_checks():
+    for family, sizes in (("tri_rect", "8,8"), ("tri_rect", "16,8"),
+                          ("not_a_family", "4,8")):
+        assert main(["stats", "--family", family, "--sizes", sizes]) == 64
 
 
 def test_msh_input_by_extension(tmp_path):
@@ -350,6 +418,30 @@ def test_io_failures_exit_four(tmp_path):
 
 _SWAPPED = ("coloring was not produced by this refinement: fine surface 31 "
             "of element 17 (parent 4) has color 4")
+
+
+def test_extra_vertex_in_a_refinement_file_is_named(tmp_path, capsys):
+    mesh = gen_tri_rect(4, 4)
+    coloring, _ = color(mesh, ColoringConfig(rng_seed=0))
+    ref, fine = refine(mesh, coloring, [0, 5])
+    path = tmp_path / "f.mesh"
+    write_native(path, ref.mesh, fine, parents=ref.parents)
+    # one unreferenced vertex appended to VERTICES
+    lines = path.read_text().split("\n")
+    n = ref.mesh.n_vertices
+    assert lines[1] == f"VERTICES {n}"
+    lines[1] = f"VERTICES {n + 1}"
+    lines.insert(2 + n, "9.0 9.0")
+    path.write_text("\n".join(lines))
+    reason = (f"error: mesh is not a canonical single-level refinement: it "
+              f"has {n + 1} vertices where the rebuilt refinement has {n}; "
+              f"the first at fault is vertex {n}\n")
+    capsys.readouterr()
+    for argv in (["verify", "-i", str(path)],
+                 ["coarsen", "-i", str(path), "-o", str(tmp_path / "c.mesh"),
+                  "--parents", "0"]):
+        assert main(argv) == 4, argv[0]
+        assert capsys.readouterr().err == reason, argv[0]
 
 
 @pytest.mark.parametrize("plant, code, reason", [

@@ -217,6 +217,25 @@ def test_report_as_dict_round_trips_counts():
     assert report.vizing_bound == 4
 
 
+def test_report_as_dict_key_order_is_pinned():
+    # `color --report` prints these lines in this order; perfbench reads
+    # the counters by the same names
+    _, report = color(gen_tet_prism(3, 3, 2), ColoringConfig(rng_seed=3))
+    d = report.as_dict()
+    assert list(d) == [
+        "n_elements", "n_surfaces", "n_colors", "vizing_bound",
+        "greedy_conflicts", "resolutions", "swaps", "kempe_chains",
+        "kempe_closures", "loop_breaks", "no_swap_breaks", "forced_reswaps",
+        "restarts", "color_count_1", "color_count_2", "color_count_3",
+        "color_count_4", "greedy_seconds", "resolve_seconds",
+        "total_seconds",
+    ]
+    assert [d[f"color_count_{i}"] for i in range(1, 5)] == list(
+        report.color_counts)
+    for key in ("greedy_seconds", "resolve_seconds", "total_seconds"):
+        assert d[key] == round(getattr(report, key), 6)
+
+
 def test_naive_greedy_bounds():
     for mesh, bound in ((gen_tri_rect(10, 10), 5),
                         (gen_quad_rect(8, 8), 7),

@@ -100,6 +100,13 @@ def test_spec_roundtrip_and_family_check():
     assert mesh.n_elements == 12
     closed = generate(GeneratorSpec(family="tri_closed", nx=4, ny=4))
     assert (closed.surf_elems[:, 1] >= 0).all()
+    for family, gen in (("tri_rect", gen_tri_rect),
+                        ("quad_rect", gen_quad_rect)):
+        wrapped = generate(GeneratorSpec(family=family, nx=4, ny=3,
+                                         periodic=True))
+        want = gen(4, 3, (True, True))
+        assert np.array_equal(wrapped.elem_verts, want.elem_verts)
+        assert (wrapped.surf_elems[:, 1] >= 0).all()
     with pytest.raises(ValueError):
         GeneratorSpec(family="hexes", nx=1, ny=1)
     assert "tri_closed" in FAMILIES
