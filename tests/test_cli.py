@@ -7,9 +7,11 @@ from meshchroma import (
     ColoringConfig,
     SurfaceColoring,
     color,
+    gen_tet_prism,
     gen_tri_rect,
     read_native,
     refine,
+    shuffle_elements,
     write_native,
 )
 from meshchroma.cli import _loglog_slope, main
@@ -304,7 +306,11 @@ def test_stats_reports_points_and_slopes(tmp_path, capsys):
     assert out.count("n_surfaces") == 3
     assert "time_slope" in out
     assert "conflict_slope" in out
-    *points, summary = _blocks(out)
+
+
+def test_stats_points_are_coherent(capsys):
+    *points, summary = _stats_blocks(
+        capsys, ["--family", "tri_rect", "--sizes", "4,8,16", "--seed", "0"])
     assert [p["cells"] for p in points] == ["4", "8", "16"]
     for p in points:
         assert list(p) == ["family", "cells", "n_elements", "n_surfaces",
@@ -329,6 +335,22 @@ def test_stats_is_deterministic_per_seed(capsys):
             del p["seconds"]
         del run[-1]["time_slope"]
     assert runs[0] == runs[1]
+
+
+def test_stats_counts_do_not_depend_on_element_numbering(capsys):
+    quads = _stats_blocks(
+        capsys, ["--family", "quad_rect", "--sizes", "8,16", "--seed", "0"])
+    assert all(p["greedy_conflicts"] == "0" for p in quads[:-1])
+    tets = _stats_blocks(
+        capsys, ["--family", "tet_prism", "--sizes", "3,4", "--seed", "0"])
+    for point in tets[:-1]:
+        assert int(point["greedy_conflicts"]) > 0
+        n = int(point["cells"])
+        for shuffle_seed in (1, 2):
+            mesh = shuffle_elements(gen_tet_prism(n, n, n), shuffle_seed)
+            _, report = color(mesh, ColoringConfig(rng_seed=0))
+            assert report.greedy_conflicts == int(point["greedy_conflicts"])
+            assert report.swaps == int(point["swaps"])
 
 
 def test_stats_slopes(capsys):
