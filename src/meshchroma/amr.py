@@ -465,8 +465,11 @@ def reconstruct_refinement(
     verts = np.full((len(is_refined), MAX_ELEM_VERTS), -1, dtype=np.int64)
     verts[~is_refined] = fine.elem_verts[:nu]
     verts[refined, :3] = fine.elem_verts[nu:, 0].reshape(-1, 4)[:, :3]
+    # the base ends at the first midpoint; its last vertices may be unused
+    first_mid = fine.elem_verts[nu + 3::4, :3].min(initial=fine.n_vertices)
+    n_base = max(verts.max() + 1, first_mid)
     try:
-        base = assemble(fine.vertices[:verts.max() + 1], kinds, verts)
+        base = assemble(fine.vertices[:n_base], kinds, verts)
     except (ElementFaultError, ValueError) as exc:
         raise MalformedSectionError(
             f"could not reassemble the base mesh: {exc}"

@@ -264,6 +264,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_color(args) -> int:
     nm = _read_mesh_file(args.input)
+    if nm.parents is not None and (nm.parents >= 0).any():
+        raise LevelConstraintError(
+            "input is refined; coarsen it before coloring")
     config = ColoringConfig(rng_seed=_resolve_seed(args))
     coloring, report = color(nm.mesh, config)
     write_native(args.output, nm.mesh, coloring=coloring,

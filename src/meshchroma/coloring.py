@@ -38,8 +38,7 @@ Since the sweep depends only on geometry and on each element's own
 vertex order, the coloring does not depend on how the elements are
 numbered: shuffling the element ids gives the same color per surface.
 The caveat is ties in the centroid sort, such as two elements with the
-same centroid; ``np.lexsort`` is stable, so those keep their input
-order.
+same centroid; the sort is stable, so those keep their input order.
 
 Everything is driven by one seeded RNG, so identical seeds reproduce
 identical colorings.
@@ -55,8 +54,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import RestartsExhaustedError, SwapBudgetExceededError
-from .mesh import (MAX_SIDES, Diagnostic, ElementKind, Mesh,
-                   connectivity_graph, vizing_bound)
+from .mesh import (MAX_SIDES, Diagnostic, ElementKind, Mesh, _dense_rank,
+                   _stable_sort, connectivity_graph, vizing_bound)
 
 # colors per available-mask, for masks over color bits 1..7
 _MASK_CHOICES = tuple(
@@ -174,9 +173,9 @@ class _Sweep:
 
 
 def _sweep(mesh: Mesh) -> _Sweep:
-    """Rank the elements by their centroids, last axis primary, and
-    number the surfaces by first encounter over the ranked elements'
-    sides in local side order.
+    """Rank the elements by their centroids, last axis primary and equal
+    centroids in element order, and number the surfaces by first
+    encounter over the ranked elements' sides in local side order.
 
     A surface's first slot lies in its left (smaller-rank) element and
     its other slot, if any, in its right one.  Partners are found with
@@ -188,7 +187,10 @@ def _sweep(mesh: Mesh) -> _Sweep:
     count = np.count_nonzero(slots >= 0, axis=0)
     # a padding slot (-1) reads the appended zero vertex
     padded = np.vstack((mesh.vertices, np.zeros(mesh.dim)))
-    order = np.lexsort(np.take(padded, slots, axis=0).sum(axis=0).T / count)
+    centroids = np.take(padded, slots, axis=0).sum(axis=0).T / count
+    # one stable sort of the dense ranks of each axis, last axis first
+    order = _stable_sort(*zip(*map(_dense_rank, centroids[::-1])))[1]
+    del slots, padded, centroids  # freed before the surface arrays
     ranked = np.take(mesh.elem_surfs, order, axis=0).reshape(-1)
     at = np.flatnonzero(ranked >= 0)  # ranked slot of each side
     sides = ranked[at]

@@ -19,7 +19,6 @@ Conventions:
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -217,76 +216,77 @@ def _sort_within_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# pairs of values below this bound pack into one int64
-_PAIR_LIMIT = math.isqrt(np.iinfo(np.int64).max)
+# the largest bound whose pairs of values always pack into one int64
+_PAIR_LIMIT = math.isqrt(2**63 - 1)
+
+
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each value's rank among the distinct values, and their count."""
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return ranks, len(distinct)
+
+
+def _pack(key, bound: int, column: np.ndarray,
+          n_values: int) -> tuple[np.ndarray, int]:
+    """``key * n_values + column`` and its bound, for ``key`` in
+    ``[0, bound)`` and ``column`` in ``[0, n_values)``: the packed keys
+    sort as the (key, column) pairs do.  Where the bound would pass
+    2**63, ``key`` is first replaced by its dense rank, and if that is
+    not enough, ``column`` too."""
+    if bound * n_values > 2**63:
+        key, bound = _dense_rank(key)
+        if bound * n_values > 2**63:
+            column, n_values = _dense_rank(column)
+    return key * n_values + column, bound * n_values
+
+
+def _stable_sort(columns, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Sort items by int64 ``columns``, the first primary, column c in
+    ``[0, bounds[c])``, with one default-kind ``np.sort`` of one key per
+    item: its columns packed (``_pack``), then its index in a field a
+    power of two wide.  Returns the sorted keys, equal where the items'
+    columns are, and ``order``, which sorts the items, ties by index."""
+    key, bound = 0, 1
+    for column, n_values in zip(columns, bounds):
+        key, bound = _pack(key, bound, column, n_values)
+    n = len(key)
+    shift = max(n - 1, 0).bit_length()
+    packed = _pack(key, bound, np.arange(n), 1 << shift)[0]
+    packed.sort()
+    return packed >> shift, packed & ((1 << shift) - 1)
 
 
 def _row_groups(rows: np.ndarray,
                 n_values: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the rows of an (n, w) integer array into runs of equal rows.
-
-    Precondition: ``rows`` is int64 and every value lies in
-    ``[0, n_values)``.
-
-    Key: each row is packed into one int64 and the keys get one
-    default-kind ``np.argsort``.  A width-2 row's key is
-    ``v0 * n_values + v1``.  Each further column c makes the key
-    ``rank * n_values + v_c``, where ``rank`` is the dense rank of the
-    key of the columns before c, so that key stays below
-    ``n_rows * n_values``; a tet face's key is the dense rank of its
-    ``(v0, v1)`` prefix times ``n_values``, plus ``v2``.  Should a pair
-    of values not fit in int64 (``n_values`` above ``_PAIR_LIMIT``), the
-    values are first replaced by their dense rank.
-
+    """Sort the rows of an (n, w) int64 array, every value in
+    ``[0, n_values)``, into runs of equal rows with one ``_stable_sort``.
     Returns ``order``, a permutation of the row indices that puts equal
-    rows next to each other, and ``starts``, the positions in ``order``
-    where each run begins.
-
-    Ties: the sort is unstable, so the rows of one run come in no set
-    order.  A caller that needs a run's first row takes the smallest
-    index in it; for a run of at most two rows that is the minimum of
-    its two ends, ``order[start]`` and ``order[end]``.
+    rows next to each other, the rows of a run in index order, and
+    ``starts``, the positions in ``order`` where each run begins.
     """
-    if n_values > _PAIR_LIMIT:
-        _, ranks = np.unique(rows, return_inverse=True)
-        rows, n_values = ranks.reshape(rows.shape), rows.size
-    key = rows[:, 0]
-    for c in range(1, rows.shape[1]):
-        if c > 1:
-            key = np.unique(key, return_inverse=True)[1]
-        key = key * n_values + rows[:, c]
-    order = np.argsort(key)
-    key = key[order]
+    key, order = _stable_sort(rows.T, [n_values] * rows.shape[1])
     new_run = np.empty(len(key), dtype=bool)
     new_run[:1] = True
     np.not_equal(key[1:], key[:-1], out=new_run[1:])
     return order, np.flatnonzero(new_run)
 
 
-def _run_lengths(starts: np.ndarray, n: int) -> np.ndarray:
-    """The length of each run of a sequence of ``n`` items whose runs
-    begin at ``starts``."""
-    run_len = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=run_len[:-1])
-    run_len[-1:] = n - starts[-1:]
-    return run_len
-
-
-def _non_manifold(rows, slot_elem, order, starts,
+def _non_manifold(rows, n_slots, order, starts,
                   run_len) -> NonManifoldError:
     """The error for runs of three or more equal side rows, naming the
-    first five such surfaces in first-encounter order."""
-    big = np.flatnonzero(run_len > 2)
-    firsts = np.minimum.reduceat(order, starts)[big]
+    first five such surfaces in first-encounter order; row c is a side
+    of element ``c // n_slots``."""
+    big = sorted(np.flatnonzero(run_len > 2).tolist(),
+                 key=lambda r: order[starts[r]])
     detail = []
     named = []
-    for r in big[np.argsort(firsts)[:5]]:
-        slots = np.sort(order[starts[r]:starts[r] + run_len[r]])
-        elems = slot_elem[slots]
-        named.extend(elems.tolist())
+    for r in big[:5]:
+        slots = order[starts[r]:starts[r] + run_len[r]]
+        elems = (slots // n_slots).tolist()
+        named.extend(elems)
         detail.append(
             f"surface {tuple(rows[slots[0]].tolist())} shared by elements "
-            f"{elems.tolist()}"
+            f"{elems}"
         )
     return NonManifoldError("; ".join(detail), named)
 
@@ -306,7 +306,8 @@ def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
     if elem_verts.shape != (ne, MAX_ELEM_VERTS):
         raise ValueError("elem_verts must have shape (n_elements, 4)")
 
-    present = [CODE_TO_KIND[c] for c in np.unique(kind_codes)]
+    counts = np.bincount(kind_codes, minlength=len(CODE_TO_KIND))
+    present = [CODE_TO_KIND[c] for c in np.flatnonzero(counts)]
     widths = {k.surface_width for k in present}
     if len(widths) != 1:
         # name the elements of the rarer dimension
@@ -320,69 +321,73 @@ def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
     if width == 3 and vertices.shape[1] != 3:
         raise ValueError("tetrahedral meshes need 3D vertex coordinates")
 
+    # range and distinctness checks; a negative id reads as one past the
+    # range, and a triangle's fourth vertex slot is padding
     nv = len(vertices)
-    # vertex-slot validity per kind, then range and distinctness checks
-    nvert = np.array([_KIND_NV[CODE_TO_KIND[c]] for c in range(3)])[kind_codes]
-    slot_valid = np.arange(MAX_ELEM_VERTS)[None, :] < nvert[:, None]
-    used_ids = elem_verts[slot_valid]
-    if used_ids.size and (used_ids.min() < 0 or used_ids.max() >= nv):
-        bad = np.flatnonzero(
-            ((elem_verts < 0) | (elem_verts >= nv)) & slot_valid
-        )
-        elems = np.unique(bad // MAX_ELEM_VERTS)[:10]
+    quad_or_tet = kind_codes != KIND_TO_CODE[ElementKind.TRIANGLE]
+    v = np.ascontiguousarray(elem_verts.T)
+    out = v.view(np.uint64) >= nv
+    out[3] &= quad_or_tet
+    if out.any():
+        elems = np.flatnonzero(out.any(axis=0))[:10]
         raise DanglingVertexError(
             f"vertex ids out of range [0, {nv}) in elements {elems.tolist()}",
             elems)
-    for kind in present:
-        rows = np.flatnonzero(kind_codes == KIND_TO_CODE[kind])
-        vv = elem_verts[rows].T
-        dup = np.zeros(len(rows), dtype=bool)
-        for i, j in itertools.combinations(range(kind.n_vertices), 2):
-            dup |= vv[i] == vv[j]
-        if dup.any():
-            elems = rows[dup][:10]
-            raise RepeatedVertexError(
-                f"repeated vertex ids in elements {elems.tolist()}", elems)
+    dup = (v[0] == v[1]) | (v[0] == v[2]) | (v[1] == v[2])
+    dup |= ((v[3] == v[0]) | (v[3] == v[1]) | (v[3] == v[2])) & quad_or_tet
+    if dup.any():
+        elems = np.flatnonzero(dup)[:10]
+        raise RepeatedVertexError(
+            f"repeated vertex ids in elements {elems.tolist()}", elems)
 
-    # collect every element side in element-major, side-minor order;
-    # side j of element e has slot e * MAX_SIDES + j.  np.take is several
-    # times faster than fancy indexing at gathering whole rows.
-    sides_all = np.full((ne, MAX_SIDES, width), -1, dtype=np.int64)
-    for kind in present:
-        rows = np.flatnonzero(kind_codes == KIND_TO_CODE[kind])
-        pos = np.array(_SIDE_POSITIONS[kind], dtype=np.int64)
-        sides_all[rows, : len(pos)] = np.take(elem_verts, rows, axis=0)[:, pos]
-    slot = np.flatnonzero(sides_all[:, :, 0] >= 0)
-    slot_elem = slot // MAX_SIDES
-    rows = _sort_within_rows(np.take(sides_all.reshape(-1, width), slot,
-                                     axis=0))
-    del sides_all
+    # every element side as a sorted vertex row: row e * n_slots + j is
+    # side j of element e.  Each kind's sides are one gather of its
+    # _SIDE_POSITIONS columns, the kind with most sides over all elements
+    # first.  An empty slot (a triangle's fourth, among quads) reads
+    # (nv, nv), past every real row.
+    widest, *others = sorted(present, key=lambda k: -k.n_sides)
+    n_slots = widest.n_sides
+    sides = np.take(elem_verts, np.ravel(_SIDE_POSITIONS[widest]), axis=1)
+    for kind in others:
+        mine = np.flatnonzero(kind_codes == KIND_TO_CODE[kind])
+        cols = np.ravel(_SIDE_POSITIONS[kind])
+        sides[mine, len(cols):] = nv
+        sides[mine, :len(cols)] = np.take(elem_verts, mine, axis=0)[:, cols]
+    rows = _sort_within_rows(sides.reshape(-1, width))
+    n_real = sum(counts[KIND_TO_CODE[k]] * k.n_sides for k in present)
 
-    # a surface is a run of equal rows, one or two slots long; slots
-    # are element-major, so the smaller slot of a run holds the smaller
-    # element id, the left
-    order, starts = _row_groups(rows, nv)
-    run_len = _run_lengths(starts, len(rows))
+    # a surface is a run of equal rows, one or two slots long.  The sort
+    # is stable and slots are element-major, so a run's first slot lies
+    # in its left (smaller) element and its last in the right one.  The
+    # empty slots sort last, as one run, and are dropped.
+    order, starts = _row_groups(rows, nv + 1)
+    starts = starts[:np.searchsorted(starts, n_real)]
+    run_len = np.diff(starts, append=n_real)
     if (run_len > 2).any():
-        raise _non_manifold(rows, slot_elem, order, starts, run_len)
-    ends = order[starts + run_len - 1]
-    lo = np.minimum(order[starts], ends)
-    hi = np.maximum(order[starts], ends)
+        raise _non_manifold(rows, n_slots, order, starts, run_len)
+    lo = order[starts]
+    hi = order[starts + run_len - 1]
 
-    # surface ids follow each run's smaller slot: first-encounter order
+    # surface ids follow each run's first slot: first-encounter order
     first = np.zeros(len(rows), dtype=bool)
     first[lo] = True
-    sid = np.cumsum(first) - 1
-    sid[hi] = sid[lo]
     first_slot = np.flatnonzero(first)
+    ns = len(first_slot)
+    sid = np.empty(len(rows), dtype=np.int64)
+    sid[first_slot] = np.arange(ns)
+    run_sid = sid[lo]
+    sid[hi] = run_sid
+    sid[order[n_real:]] = -1
     surf_verts = np.take(rows, first_slot, axis=0)
-    surf_elems = np.full((len(first_slot), 2), -1, dtype=np.int64)
-    surf_elems[:, 0] = slot_elem[first_slot]
-    inner = hi != lo
-    surf_elems[sid[hi[inner]], 1] = slot_elem[hi[inner]]
+    last_slot = np.empty(ns, dtype=np.int64)
+    last_slot[run_sid] = hi
+    surf_elems = np.empty((ns, 2), dtype=np.int64)
+    surf_elems[:, 0] = first_slot // n_slots
+    surf_elems[:, 1] = np.where(last_slot != first_slot,
+                                last_slot // n_slots, -1)
 
     elem_surfs = np.full((ne, MAX_SIDES), -1, dtype=np.int64)
-    elem_surfs.reshape(-1)[slot] = sid
+    elem_surfs[:, :n_slots] = sid.reshape(ne, n_slots)
 
     return Mesh(vertices, kind_codes, elem_verts, elem_surfs,
                 surf_verts, surf_elems)
@@ -484,20 +489,6 @@ def stored_surface_ids(mesh: Mesh, canon: Mesh) -> np.ndarray:
     return stored
 
 
-def _value_codes(rows: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """``rows`` with each value outside ``[0, n)`` replaced by ``n`` plus
-    its dense rank among those values, and the bound of the result; equal
-    values stay equal and distinct ones distinct."""
-    rows = np.asarray(rows, dtype=np.int64)
-    out = (rows < 0) | (rows >= n)
-    if not out.any():
-        return rows, n
-    extra, ranks = np.unique(rows[out], return_inverse=True)
-    rows = rows.copy()
-    rows[out] = n + ranks
-    return rows, n + len(extra)
-
-
 def validate(mesh: Mesh) -> list[Diagnostic]:
     """Check that ``mesh`` holds exactly the surfaces its elements imply.
 
@@ -546,12 +537,14 @@ def validate(mesh: Mesh) -> list[Diagnostic]:
             "incidence", f"surface {s} stands for {uses[s]} of the "
             f"surfaces the elements imply, expected 1", surface_id=int(s)))
 
-    order, starts = _row_groups(*_value_codes(mesh.surf_verts,
-                                              mesh.n_vertices))
-    run_len = _run_lengths(starts, ns)
+    # the stored rows may hold any int64, so they are grouped by rank
+    ranks, n_ranks = _dense_rank(mesh.surf_verts)
+    order, starts = _row_groups(ranks.reshape(ns, mesh.surf_verts.shape[1]),
+                                n_ranks)
+    run_len = np.diff(starts, append=ns)
     repeats = []
     for r in np.flatnonzero(run_len > 1):
-        run = np.sort(order[starts[r]:starts[r] + run_len[r]]).tolist()
+        run = order[starts[r]:starts[r] + run_len[r]].tolist()
         repeats.extend((s, run[0]) for s in run[1:])
     for s, f in sorted(repeats):
         diags.append(Diagnostic(

@@ -15,6 +15,7 @@ from meshchroma import (
     write_native,
 )
 from meshchroma.cli import _loglog_slope, main
+from meshchroma.mesh import assemble
 
 MSH_TRI = """$MeshFormat
 2.2 0 8
@@ -163,6 +164,46 @@ def test_refining_refined_input_is_a_level_error(tmp_path):
     main(["refine", "-i", str(colored), "-o", str(fine), "--all"])
     assert main(["refine", "-i", str(fine), "-o",
                  str(tmp_path / "x.mesh"), "--all"]) == 3
+
+
+@pytest.mark.parametrize("reorder", [False, True])
+def test_coloring_a_refined_file_is_a_level_error(tmp_path, capsys, reorder):
+    path = gen(tmp_path, nx=4, ny=3)
+    colored, fine = tmp_path / "c.mesh", tmp_path / "f.mesh"
+    assert main(["color", "-i", str(path), "-o", str(colored),
+                 "--seed", "1"]) == 0
+    assert main(["refine", "-i", str(colored), "-o", str(fine),
+                 "--elements", "0,3,5"]) == 0
+    if reorder:
+        re = tmp_path / "r.mesh"
+        assert main(["reorder", "-i", str(fine), "-o", str(re)]) == 0
+        fine = re
+    assert main(["verify", "-i", str(fine)]) == 0
+    out = tmp_path / "w.mesh"
+    capsys.readouterr()
+    assert main(["color", "-i", str(fine), "-o", str(out),
+                 "--seed", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "error: input is refined; coarsen it before coloring\n")
+    assert not out.exists()
+
+
+def test_refinement_keeps_a_last_vertex_no_element_uses(tmp_path):
+    # the base of a refinement file ends where its midpoints begin, not
+    # at the last vertex its elements use
+    mesh = gen_tri_rect(4, 3)
+    mesh = assemble(np.vstack([mesh.vertices, [[9.0, 9.0]]]),
+                    mesh.elem_kind, mesh.elem_verts)
+    coloring, _ = color(mesh, ColoringConfig(rng_seed=1))
+    colored, fine = tmp_path / "c.mesh", tmp_path / "f.mesh"
+    back = tmp_path / "b.mesh"
+    write_native(colored, mesh, coloring)
+    assert main(["refine", "-i", str(colored), "-o", str(fine),
+                 "--elements", "0,3,5"]) == 0
+    assert main(["verify", "-i", str(fine)]) == 0
+    assert main(["coarsen", "-i", str(fine), "-o", str(back),
+                 "--parents", "0,3,5"]) == 0
+    assert back.read_bytes() == colored.read_bytes()
 
 
 def test_coarsen_without_parents_fails(tmp_path):

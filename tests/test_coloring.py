@@ -24,6 +24,7 @@ from meshchroma import (
     verify_coloring,
 )
 from meshchroma.coloring import _sweep
+from meshchroma.mesh import assemble
 from conftest import colorable_with, hybrid_patch, random_diagonal_tri
 
 
@@ -445,3 +446,48 @@ def test_coloring_does_not_depend_on_element_numbering(fam, mesh_seed,
     assert _by_vertices(shuffled, got) == _by_vertices(mesh, want)
     assert got_report.greedy_conflicts == want_report.greedy_conflicts
     assert got_report.swaps == want_report.swaps
+
+
+def _lexsort_ranking(mesh):
+    """The element order the sweep took from ``np.lexsort`` of the
+    centroids, last axis primary, before it packed its own keys."""
+    slots = np.ascontiguousarray(mesh.elem_verts.T)
+    count = np.count_nonzero(slots >= 0, axis=0)
+    padded = np.vstack((mesh.vertices, np.zeros(mesh.dim)))
+    return np.lexsort(np.take(padded, slots, axis=0).sum(axis=0).T / count)
+
+
+@settings(deadline=None, max_examples=40)
+@given(build=st.sampled_from([
+           lambda: gen_tri_rect(3, 2), lambda: hybrid_patch(3, 2),
+           lambda: gen_tet_prism(2, 1, 1)]),
+       shuffle_seed=st.integers(min_value=0, max_value=99),
+       copies=st.lists(st.tuples(st.integers(min_value=0),
+                                 st.sampled_from([None, 0.0, -0.0])),
+                       min_size=1, max_size=6),
+       negate=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_sweep_breaks_centroid_ties_as_lexsort_did(build, shuffle_seed,
+                                                    copies, negate):
+    # a copy of an element on fresh vertex ids ties with it, or, once
+    # flattened onto 0.0 or -0.0 along one axis, with the other copies
+    # flattened there; negating an axis turns its zeros into -0.0
+    mesh = shuffle_elements(build(), shuffle_seed)
+    vertices = mesh.vertices * np.where(negate[:mesh.dim], -1.0, 1.0)
+    kinds, verts = [mesh.elem_kind], [mesh.elem_verts]
+    parts = [vertices]
+    nv = len(vertices)
+    for e, flat in copies:
+        e %= mesh.n_elements
+        row = mesh.elem_verts[e]
+        used = row[row >= 0]
+        moved = vertices[used].copy()
+        if flat is not None:
+            moved[:, -1] = flat
+        parts.append(moved)
+        verts.append(np.where(row >= 0, nv + np.cumsum(row >= 0) - 1,
+                              -1)[None])
+        kinds.append(mesh.elem_kind[e:e + 1])
+        nv += len(used)
+    tied = assemble(np.vstack(parts), np.concatenate(kinds),
+                    np.vstack(verts))
+    assert _sweep(tied).elements.tolist() == _lexsort_ranking(tied).tolist()

@@ -1,5 +1,8 @@
 """Mesh assembly, incidence, and validation."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from meshchroma import (
     validate,
     vizing_bound,
 )
+from meshchroma import mesh as mesh_module
 from meshchroma.mesh import _PAIR_LIMIT, _row_groups, assemble
 from conftest import _SIDES, brute_surface_count, mesh_elements
 
@@ -389,3 +393,44 @@ def test_row_groups_match_lexsort_at_large_values(width, n_values):
     order, starts = _row_groups(rows, n_values)
     assert sorted(order.tolist()) == list(range(len(rows)))
     assert _groups(order, starts) == _groups(*_lexsort_row_groups(rows))
+
+
+def _unranked_limit(width, n_rows):
+    """The largest ``n_values`` whose rows of ``width`` values, packed
+    above a row index, still fit in int64 without ranking."""
+    shift = max(n_rows - 1, 0).bit_length()
+    m = math.isqrt(2**63 >> shift) if width == 2 else round(
+        (2**63 >> shift) ** (1 / 3))
+    while m**width << shift > 2**63:
+        m -= 1
+    while (m + 1)**width << shift <= 2**63:
+        m += 1
+    return m
+
+
+@settings(deadline=None, max_examples=80)
+@given(width=st.sampled_from([2, 3]),
+       n_rows=st.integers(min_value=1, max_value=300),
+       n_values=st.sampled_from([7, 2**31, _PAIR_LIMIT, 2**40 + 1, 2**62,
+                                 "limit", "limit + 1"]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_row_groups_give_the_stable_lexsort_order(width, n_rows, n_values,
+                                                  seed):
+    limit = _unranked_limit(width, n_rows)
+    n_values = {"limit": limit, "limit + 1": limit + 1}.get(n_values,
+                                                            n_values)
+    rng = np.random.default_rng(seed)
+    pool = np.unique(np.r_[0, n_values - 1, rng.integers(0, n_values, 4)])
+    rows = rng.choice(pool, size=(n_rows, width))
+    repeats = rng.random(n_rows) < 0.5  # plenty of equal rows
+    rows[repeats] = rows[rng.integers(0, n_rows, repeats.sum())]
+    with mock.patch("meshchroma.mesh._dense_rank",
+                    wraps=mesh_module._dense_rank) as ranked:
+        order, starts = _row_groups(rows, n_values)
+    want_order, want_starts = _lexsort_row_groups(rows)
+    assert order.tolist() == want_order.tolist()
+    assert starts.tolist() == want_starts.tolist()
+    if n_values <= limit:
+        assert not ranked.called
+    else:
+        assert ranked.called
