@@ -55,15 +55,9 @@ from .generators import (
     shuffle_elements,
 )
 from .mesh import (
-    ConnectivityGraph,
     Diagnostic,
-    Element,
     ElementKind,
     Mesh,
-    Surface,
-    build_surfaces,
-    connectivity_graph,
-    validate,
     vizing_bound,
 )
 from .meshio import (
@@ -101,10 +95,8 @@ __all__ = [
     "CoalescingReport",
     "ColoringConfig",
     "ColoringReport",
-    "ConnectivityGraph",
     "DanglingVertexError",
     "Diagnostic",
-    "Element",
     "ElementFaultError",
     "ElementKind",
     "FAMILIES",
@@ -124,7 +116,6 @@ __all__ = [
     "ReorderingPlan",
     "RepeatedVertexError",
     "RestartsExhaustedError",
-    "Surface",
     "SurfaceColoring",
     "SwapBudgetExceededError",
     "UnrefinableKindError",
@@ -134,13 +125,11 @@ __all__ = [
     "assert_race_free",
     "basis_count",
     "build_plan",
-    "build_surfaces",
     "child_color",
     "coalescing_metric",
     "coarsen",
     "color",
     "color_set_size",
-    "connectivity_graph",
     "default_payload",
     "gen_quad_rect",
     "gen_tet_prism",
@@ -161,7 +150,6 @@ __all__ = [
     "sweep_buffered",
     "sweep_colored",
     "sweep_sequential",
-    "validate",
     "verify_coloring",
     "vizing_bound",
     "write_native",

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import RestartsExhaustedError, SwapBudgetExceededError
 from .mesh import (MAX_SIDES, Diagnostic, ElementKind, Mesh, _dense_rank,
-                   _stable_sort, connectivity_graph, vizing_bound)
+                   _stable_sort, vizing_bound)
 
 # colors per available-mask, for masks over color bits 1..7
 _MASK_CHOICES = tuple(
@@ -646,7 +646,7 @@ def color(mesh: Mesh,
             n_elements=mesh.n_elements,
             n_surfaces=mesh.n_surfaces,
             n_colors=n_colors,
-            vizing_bound=vizing_bound(connectivity_graph(mesh)),
+            vizing_bound=vizing_bound(mesh),
             greedy_conflicts=n_conflicts,
             **vars(stats),
             restarts=attempt,

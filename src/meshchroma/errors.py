@@ -8,11 +8,10 @@ class MeshChromaError(Exception):
 class ElementFaultError(MeshChromaError):
     """Element data that cannot form a mesh.
 
-    ``element_ids`` lists the elements at fault, the one to name first;
-    ``code`` is the diagnostic code ``validate`` reports it under.
+    ``element_ids`` lists the elements at fault, the one to name first.
+    ``assemble`` raises it (or a subclass) for elements that cannot form
+    a mesh, so no ``Mesh`` holds such elements.
     """
-
-    code = "element_fault"
 
     def __init__(self, message: str, element_ids=()):
         super().__init__(message)
@@ -22,25 +21,17 @@ class ElementFaultError(MeshChromaError):
 class NonManifoldError(ElementFaultError):
     """Three or more elements share a single surface."""
 
-    code = "non_manifold"
-
 
 class DanglingVertexError(ElementFaultError):
     """An element references a vertex id outside the vertex table."""
-
-    code = "dangling_vertex"
 
 
 class RepeatedVertexError(ElementFaultError, ValueError):
     """An element lists one vertex id twice."""
 
-    code = "repeated_vertex"
-
 
 class MixedKindsError(ElementFaultError, ValueError):
     """One mesh holds both 2D and 3D element kinds."""
-
-    code = "mixed_kinds"
 
 
 class UnsupportedVersionError(MeshChromaError):

@@ -1,8 +1,9 @@
 """Mesh containers and element/surface incidence.
 
 A mesh stores flat numpy arrays so that million-surface inputs stay cheap
-to build and traverse.  ``Element`` and ``Surface`` are light views used
-for construction input and spot inspection; the arrays are the truth.
+to build and traverse.  ``assemble`` is the one public way to build a
+``Mesh``: it derives the surfaces from the elements, so every mesh holds
+exactly the surfaces its elements imply, and ``relabel`` renumbers one.
 
 Conventions:
 
@@ -19,14 +20,12 @@ Conventions:
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
 from .errors import (
     DanglingVertexError,
-    ElementFaultError,
     MixedKindsError,
     NonManifoldError,
     RepeatedVertexError,
@@ -68,30 +67,8 @@ MAX_ELEM_VERTS = 4
 
 
 @dataclass(frozen=True)
-class Element:
-    """One element: its kind, vertex ids, and (once built) surface ids."""
-
-    kind: ElementKind
-    vertex_ids: tuple[int, ...]
-    surface_ids: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class Surface:
-    """One edge or face: sorted vertex ids plus incident elements."""
-
-    vertex_ids: tuple[int, ...]
-    left_element: int
-    right_element: int | None = None
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.right_element is None
-
-
-@dataclass(frozen=True)
 class Diagnostic:
-    """One finding from a validation pass."""
+    """One finding of a check, naming the element or surface at fault."""
 
     code: str
     message: str
@@ -99,9 +76,15 @@ class Diagnostic:
     surface_id: int | None = None
 
 
+# passed by assemble and relabel alone, so no other call builds a Mesh
+_BUILDER = object()
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Immutable mesh with derived surface incidence.
+    """Immutable mesh with derived surface incidence, built only by
+    ``assemble`` (or renumbered by ``relabel``); a direct call or a
+    ``dataclasses.replace`` raises ``TypeError``.
 
     Arrays are padded with -1 where an element has fewer than four
     vertices or sides, and in ``surf_elems`` a right entry of -1 marks
@@ -114,8 +97,14 @@ class Mesh:
     elem_surfs: np.ndarray  # (ne, 4) int64, -1 padded
     surf_verts: np.ndarray  # (ns, 2|3) int64, each row sorted
     surf_elems: np.ndarray  # (ns, 2) int64, right = -1 on the boundary
+    _: KW_ONLY
+    builder: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, builder):
+        if builder is not _BUILDER:
+            raise TypeError("a Mesh is built from its elements by "
+                            "meshchroma.mesh.assemble(vertices, kinds, "
+                            "elem_verts)")
         for a in (self.vertices, self.elem_kind, self.elem_verts,
                   self.elem_surfs, self.surf_verts, self.surf_elems):
             a.setflags(write=False)
@@ -140,70 +129,6 @@ class Mesh:
     def element_kind_profile(self) -> frozenset[ElementKind]:
         return frozenset(CODE_TO_KIND[c] for c in np.unique(self.elem_kind))
 
-    def kind_of(self, i: int) -> ElementKind:
-        return CODE_TO_KIND[self.elem_kind[i]]
-
-    def element(self, i: int) -> Element:
-        kind = self.kind_of(i)
-        return Element(
-            kind,
-            tuple(int(v) for v in self.elem_verts[i, : kind.n_vertices]),
-            tuple(int(s) for s in self.elem_surfs[i, : kind.n_sides]),
-        )
-
-    def surface(self, k: int) -> Surface:
-        row = self.surf_verts[k]
-        left, right = self.surf_elems[k]
-        return Surface(
-            tuple(int(v) for v in row[row >= 0]),
-            int(left),
-            None if right < 0 else int(right),
-        )
-
-    def interior_mask(self) -> np.ndarray:
-        return self.surf_elems[:, 1] >= 0
-
-    @property
-    def n_interior(self) -> int:
-        return int(self.interior_mask().sum())
-
-
-def _normalize_elements(elements) -> tuple[np.ndarray, np.ndarray]:
-    """Turn an element sequence into (kind codes, padded vertex array)."""
-    kinds = np.empty(len(elements), dtype=np.int8)
-    verts = np.full((len(elements), MAX_ELEM_VERTS), -1, dtype=np.int64)
-    for i, e in enumerate(elements):
-        if isinstance(e, Element):
-            kind, vids = e.kind, e.vertex_ids
-        else:
-            kind, vids = e
-        if not isinstance(kind, ElementKind):
-            kind = ElementKind(kind)
-        if len(vids) != kind.n_vertices:
-            raise ValueError(
-                f"element {i}: {kind.value} needs {kind.n_vertices} vertices, "
-                f"got {len(vids)}"
-            )
-        kinds[i] = KIND_TO_CODE[kind]
-        verts[i, : len(vids)] = vids
-    return kinds, verts
-
-
-def build_surfaces(vertices, elements) -> Mesh:
-    """Assemble a mesh, deriving the unique surface list and incidence.
-
-    ``vertices`` is an (n, 2) or (n, 3) coordinate array; ``elements``
-    is a sequence of ``Element`` or ``(kind, vertex_ids)`` pairs.
-
-    Raises ``DanglingVertexError`` for out-of-range vertex ids,
-    ``RepeatedVertexError`` (a ``ValueError``) for repeated vertices
-    inside an element, ``MixedKindsError`` (a ``ValueError``) for mixed
-    2D/3D element kinds, and ``NonManifoldError`` when a surface would
-    be shared by more than two elements.
-    """
-    kinds, elem_verts = _normalize_elements(list(elements))
-    return assemble(vertices, kinds, elem_verts)
-
 
 def _sort_within_rows(a: np.ndarray) -> np.ndarray:
     """Sort each row of an (n, 2|3) array in place and return it, by
@@ -214,10 +139,6 @@ def _sort_within_rows(a: np.ndarray) -> np.ndarray:
         np.maximum(a[:, i], a[:, j], out=a[:, j])
         a[:, i] = low
     return a
-
-
-# the largest bound whose pairs of values always pack into one int64
-_PAIR_LIMIT = math.isqrt(2**63 - 1)
 
 
 def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -291,10 +212,46 @@ def _non_manifold(rows, n_slots, order, starts,
     return NonManifoldError("; ".join(detail), named)
 
 
+def _check_vertex_ids(kind_codes: np.ndarray, elem_verts: np.ndarray,
+                      nv: int) -> None:
+    """Range and distinctness checks of the vertex ids; a negative id
+    reads as one past the range, and a triangle's fourth vertex slot is
+    padding.  A function of its own, so that its column copy of
+    ``elem_verts`` is freed before ``assemble`` builds the side rows,
+    which keeps the peak of live arrays down."""
+    quad_or_tet = kind_codes != KIND_TO_CODE[ElementKind.TRIANGLE]
+    v = np.ascontiguousarray(elem_verts.T)
+    out = v.view(np.uint64) >= nv
+    out[3] &= quad_or_tet
+    if out.any():
+        elems = np.flatnonzero(out.any(axis=0))[:10]
+        raise DanglingVertexError(
+            f"vertex ids out of range [0, {nv}) in elements {elems.tolist()}",
+            elems)
+    dup = (v[0] == v[1]) | (v[0] == v[2]) | (v[1] == v[2])
+    dup |= ((v[3] == v[0]) | (v[3] == v[1]) | (v[3] == v[2])) & quad_or_tet
+    if dup.any():
+        elems = np.flatnonzero(dup)[:10]
+        raise RepeatedVertexError(
+            f"repeated vertex ids in elements {elems.tolist()}", elems)
+
+
 def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
-    """Array-level mesh assembly; the fast path used by the generators
-    and the native reader.  Raises as ``build_surfaces`` does; each
-    ``ElementFaultError`` lists the elements it names."""
+    """Build a mesh from its elements, deriving the unique surface list
+    and incidence.
+
+    ``vertices`` is an (n, 2) or (n, 3) coordinate array, ``kind_codes``
+    holds one code into ``CODE_TO_KIND`` per element and ``elem_verts``
+    its vertex ids, -1 padded to four columns.  An input that already
+    has the dtype and a C layout is kept, not copied, and made read-only.
+
+    Raises ``DanglingVertexError`` for out-of-range vertex ids,
+    ``RepeatedVertexError`` (a ``ValueError``) for repeated vertices
+    inside an element, ``MixedKindsError`` (a ``ValueError``) for mixed
+    2D/3D element kinds, and ``NonManifoldError`` when a surface would
+    be shared by more than two elements; each lists the elements it
+    names.  Other malformed input raises ``ValueError``.
+    """
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     if vertices.ndim != 2 or vertices.shape[1] not in (2, 3):
         raise ValueError("vertices must be an (n, 2) or (n, 3) array")
@@ -321,24 +278,8 @@ def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
     if width == 3 and vertices.shape[1] != 3:
         raise ValueError("tetrahedral meshes need 3D vertex coordinates")
 
-    # range and distinctness checks; a negative id reads as one past the
-    # range, and a triangle's fourth vertex slot is padding
     nv = len(vertices)
-    quad_or_tet = kind_codes != KIND_TO_CODE[ElementKind.TRIANGLE]
-    v = np.ascontiguousarray(elem_verts.T)
-    out = v.view(np.uint64) >= nv
-    out[3] &= quad_or_tet
-    if out.any():
-        elems = np.flatnonzero(out.any(axis=0))[:10]
-        raise DanglingVertexError(
-            f"vertex ids out of range [0, {nv}) in elements {elems.tolist()}",
-            elems)
-    dup = (v[0] == v[1]) | (v[0] == v[2]) | (v[1] == v[2])
-    dup |= ((v[3] == v[0]) | (v[3] == v[1]) | (v[3] == v[2])) & quad_or_tet
-    if dup.any():
-        elems = np.flatnonzero(dup)[:10]
-        raise RepeatedVertexError(
-            f"repeated vertex ids in elements {elems.tolist()}", elems)
+    _check_vertex_ids(kind_codes, elem_verts, nv)
 
     # every element side as a sorted vertex row: row e * n_slots + j is
     # side j of element e.  Each kind's sides are one gather of its
@@ -390,7 +331,7 @@ def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
     elem_surfs[:, :n_slots] = sid.reshape(ne, n_slots)
 
     return Mesh(vertices, kind_codes, elem_verts, elem_surfs,
-                surf_verts, surf_elems)
+                surf_verts, surf_elems, builder=_BUILDER)
 
 
 def is_bijection(perm: np.ndarray, n: int) -> bool:
@@ -440,38 +381,17 @@ def relabel(mesh: Mesh, element_perm: np.ndarray,
         elem_surfs=np.where(elem_surfs >= 0, sp[elem_surfs], -1),
         surf_verts=np.take(mesh.surf_verts, old_surf, axis=0),
         surf_elems=np.where(surf_elems >= 0, ep[surf_elems], -1),
+        builder=_BUILDER,
     )
 
 
-@dataclass(frozen=True)
-class ConnectivityGraph:
-    """Element connectivity: one node per element, one line per
-    interior surface."""
-
-    n_nodes: int
-    lines: np.ndarray  # (n_lines, 2) element id pairs
-    degrees: np.ndarray  # (n_nodes,)
-
-
-def connectivity_graph(mesh: Mesh) -> ConnectivityGraph:
-    """Build the element-connectivity graph.
-
-    Boundary surfaces touch a single element and contribute no line.
-    """
-    interior = mesh.surf_elems[mesh.interior_mask()]
-    degrees = np.bincount(
-        interior.reshape(-1), minlength=mesh.n_elements
-    ).astype(np.int64)
-    return ConnectivityGraph(mesh.n_elements, interior.copy(), degrees)
-
-
-def vizing_bound(graph: ConnectivityGraph) -> int:
-    """Edge-chromatic upper bound: maximum node degree plus one."""
-    if graph.n_nodes == 0:
-        return 0
-    if len(graph.degrees) == 0:
-        return 1
-    return int(graph.degrees.max()) + 1
+def vizing_bound(mesh: Mesh) -> int:
+    """Edge-chromatic upper bound of the element connectivity graph, one
+    node per element and one line per interior surface: the largest
+    number of interior surfaces of one element, plus one."""
+    interior = mesh.surf_elems[mesh.surf_elems[:, 1] >= 0]
+    return int(np.bincount(interior.ravel(),
+                           minlength=mesh.n_elements).max()) + 1
 
 
 def stored_surface_ids(mesh: Mesh, canon: Mesh) -> np.ndarray:
@@ -479,92 +399,11 @@ def stored_surface_ids(mesh: Mesh, canon: Mesh) -> np.ndarray:
 
     ``canon`` is ``assemble`` of ``mesh``'s own elements, so both list
     each element's sides in the same slots: the slot that holds
-    canonical id k in ``canon`` holds k's stored id in ``mesh``.  Where
-    the slots of one surface disagree one of them wins; ``validate``
-    reports the disagreement.
+    canonical id k in ``canon`` holds k's stored id in ``mesh``.  Both
+    meshes come from ``assemble`` or ``relabel``, so the slots of one
+    surface agree and the result is a bijection onto ``mesh``'s ids.
     """
     sides = canon.elem_surfs >= 0
     stored = np.full(canon.n_surfaces, -1, dtype=np.int64)
     stored[canon.elem_surfs[sides]] = mesh.elem_surfs[sides]
     return stored
-
-
-def validate(mesh: Mesh) -> list[Diagnostic]:
-    """Check that ``mesh`` holds exactly the surfaces its elements imply.
-
-    The invariant: ``assemble(vertices, elem_kind, elem_verts)`` succeeds,
-    and ``mesh`` equals it up to a renumbering of the surfaces.  The
-    renumbering, read off the element side slots by
-    ``stored_surface_ids``, must be a bijection onto the stored ids.
-    Under it each stored surface has the canonical vertex row and the
-    canonical element pair with a left element; the pair may be swapped,
-    since ``relabel`` keeps left/right roles when it renumbers elements.
-    No two stored vertex rows repeat.  Returns the findings, each naming
-    the element or surface at fault; never raises.
-    """
-    try:
-        canon = assemble(mesh.vertices, mesh.elem_kind, mesh.elem_verts)
-    except ElementFaultError as exc:
-        return [Diagnostic(exc.code, str(exc),
-                           element_id=next(iter(exc.element_ids), None))]
-    except ValueError as exc:
-        return [Diagnostic("malformed", str(exc))]
-    diags: list[Diagnostic] = []
-    ns = mesh.n_surfaces
-    sides = canon.elem_surfs >= 0
-    listed = (mesh.elem_surfs >= 0).sum(axis=1)
-    for e in np.flatnonzero(listed != sides.sum(axis=1)):
-        diags.append(Diagnostic(
-            "side_count", f"element {e} lists {listed[e]} surfaces, "
-            f"expected {mesh.kind_of(e).n_sides}", element_id=int(e)))
-
-    stored = stored_surface_ids(mesh, canon)
-    slot = np.flatnonzero(sides)
-    ids = mesh.elem_surfs.reshape(-1)[slot]
-    other = stored[canon.elem_surfs.reshape(-1)[slot]]
-    bad = (ids < 0) | (ids >= ns) | (ids != other)
-    for e, j, s, t in zip(*np.divmod(slot[bad], MAX_SIDES), ids[bad],
-                          other[bad]):
-        why = (f"outside [0, {ns})" if not 0 <= s < ns else
-               f"but another slot gives that side surface {t}")
-        diags.append(Diagnostic(
-            "incidence", f"element {e} side {j} lists surface {s}, {why}",
-            element_id=int(e)))
-    mapped = np.flatnonzero((stored >= 0) & (stored < ns))
-    uses = np.bincount(stored[mapped], minlength=ns)
-    for s in np.flatnonzero(uses != 1):
-        diags.append(Diagnostic(
-            "incidence", f"surface {s} stands for {uses[s]} of the "
-            f"surfaces the elements imply, expected 1", surface_id=int(s)))
-
-    # the stored rows may hold any int64, so they are grouped by rank
-    ranks, n_ranks = _dense_rank(mesh.surf_verts)
-    order, starts = _row_groups(ranks.reshape(ns, mesh.surf_verts.shape[1]),
-                                n_ranks)
-    run_len = np.diff(starts, append=ns)
-    repeats = []
-    for r in np.flatnonzero(run_len > 1):
-        run = order[starts[r]:starts[r] + run_len[r]].tolist()
-        repeats.extend((s, run[0]) for s in run[1:])
-    for s, f in sorted(repeats):
-        diags.append(Diagnostic(
-            "duplicate_surface", f"surfaces {f} and {s} share "
-            f"vertex set {mesh.surf_verts[s].tolist()}", surface_id=s))
-
-    sid = stored[mapped]
-    l, r = np.take(mesh.surf_elems, sid, axis=0).T
-    cl, cr = np.take(canon.surf_elems, mapped, axis=0).T
-    same_pair = ((l == cl) & (r == cr)) | ((l == cr) & (r == cl))
-    wrong = (l < 0) | ~same_pair
-    differs = (np.take(mesh.surf_verts, sid, axis=0)
-               != np.take(canon.surf_verts, mapped, axis=0))
-    for column in differs.T:  # numpy reduces short rows slowly
-        wrong |= column
-    for k, s in zip(mapped[wrong], sid[wrong]):
-        diags.append(Diagnostic(
-            "incidence", f"surface {s} has vertices "
-            f"{mesh.surf_verts[s].tolist()} and elements "
-            f"{mesh.surf_elems[s].tolist()}; its elements imply "
-            f"{canon.surf_verts[k].tolist()} and "
-            f"{canon.surf_elems[k].tolist()}", surface_id=int(s)))
-    return diags

@@ -148,11 +148,12 @@ def _check_permutations(mesh: Mesh, element_perm, surface_perm) -> None:
     carries these maps.
 
     The reader assembles the elements in their old order and relabels
-    the result with the maps.  For a mesh that passes ``validate`` this
-    gives back ``mesh`` exactly when, in the old numbering, the surface
-    ids follow their first encounter over the element sides (element
-    by element, side by side) and each interior surface's left element
-    is the smaller id, which is how ``assemble`` numbers them.
+    the result with the maps.  ``mesh`` itself came from ``assemble``
+    or ``relabel``, so this gives it back exactly when, in the old
+    numbering, the surface ids follow their first encounter over the
+    element sides (element by element, side by side) and each interior
+    surface's left element is the smaller id, which is how ``assemble``
+    numbers them.
     """
     ep, sp = np.asarray(element_perm), np.asarray(surface_perm)
     if not (is_bijection(ep, mesh.n_elements)

@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from meshchroma import build_surfaces
-from meshchroma.mesh import assemble
+from meshchroma.mesh import assemble, stored_surface_ids
 
 _SIDES = {
     "tri": ((0, 1), (1, 2), (2, 0)),
@@ -42,11 +41,24 @@ def brute_interior_count(elements):
 
 def mesh_elements(mesh):
     """Back-convert a Mesh to (kind, vids) pairs for the oracles."""
-    out = []
-    for i in range(mesh.n_elements):
-        e = mesh.element(i)
-        out.append((e.kind.value, list(e.vertex_ids)))
-    return out
+    kinds = ("tri", "quad", "tet")
+    return [(kinds[k], [v for v in vids if v >= 0])
+            for k, vids in zip(mesh.elem_kind.tolist(),
+                               mesh.elem_verts.tolist())]
+
+
+def assert_matches_assembly(mesh):
+    """``mesh`` holds exactly the surfaces its elements imply: it equals
+    ``assemble`` of its own elements up to a renumbering of surfaces,
+    with each element pair possibly swapped left/right."""
+    canon = assemble(mesh.vertices, mesh.elem_kind, mesh.elem_verts)
+    stored = stored_surface_ids(mesh, canon)
+    assert sorted(stored.tolist()) == list(range(mesh.n_surfaces))
+    assert np.array_equal(mesh.surf_verts[stored], canon.surf_verts)
+    pairs, want = mesh.surf_elems[stored], canon.surf_elems
+    assert (pairs[:, 0] >= 0).all()
+    assert (np.all(pairs == want, axis=1)
+            | np.all(pairs == want[:, ::-1], axis=1)).all()
 
 
 def colorable_with(mesh, limit):
@@ -92,17 +104,18 @@ def hybrid_patch(nx, ny):
     def vid(i, j):
         return j * (nx + 1) + i
 
-    elems = []
+    kinds, elems = [], []
     for j in range(ny):
         for i in range(nx):
             a, b = vid(i, j), vid(i + 1, j)
             c, d = vid(i + 1, j + 1), vid(i, j + 1)
             if (i + j) % 2 == 0:
-                elems.append(("tri", (a, b, c)))
-                elems.append(("tri", (a, c, d)))
+                kinds += [0, 0]
+                elems += [(a, b, c, -1), (a, c, d, -1)]
             else:
-                elems.append(("quad", (a, b, c, d)))
-    return build_surfaces(np.asarray(verts, dtype=float), elems)
+                kinds.append(1)
+                elems.append((a, b, c, d))
+    return assemble(np.asarray(verts, dtype=float), kinds, elems)
 
 
 def random_diagonal_tri(nx, ny, seed):
@@ -128,23 +141,17 @@ def random_diagonal_tri(nx, ny, seed):
 @pytest.fixture
 def two_tri():
     """Two triangles sharing one edge; 5 surfaces."""
-    return build_surfaces(
-        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
-        [("tri", (0, 1, 2)), ("tri", (0, 2, 3))],
-    )
+    return assemble([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+                    [0, 0], [(0, 1, 2, -1), (0, 2, 3, -1)])
 
 
 @pytest.fixture
 def single_quad():
-    return build_surfaces(
-        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
-        [("quad", (0, 1, 2, 3))],
-    )
+    return assemble([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+                    [1], [(0, 1, 2, 3)])
 
 
 @pytest.fixture
 def single_tet():
-    return build_surfaces(
-        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
-        [("tet", (0, 1, 2, 3))],
-    )
+    return assemble([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                     (0.0, 0.0, 1.0)], [2], [(0, 1, 2, 3)])

@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import meshchroma.mesh as mesh_module
 from meshchroma import (
     LevelConstraintError,
     MalformedSectionError,
     PartialFamilyError,
     SurfaceColoring,
     UnrefinableKindError,
-    build_surfaces,
     child_color,
     coarsen,
     color,
-    connectivity_graph,
     gen_quad_rect,
     gen_tri_rect,
     max_refined_neighbors,
@@ -49,12 +46,12 @@ def test_child_color_spot_check_parent_color_one():
 
 
 def _unit_triangle():
-    mesh = build_surfaces([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
-                          [("tri", (0, 1, 2))])
+    mesh = assemble([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [0],
+                    [(0, 1, 2, -1)])
     colors = np.zeros(3, dtype=np.int32)
     by_verts = {(0, 1): 2, (1, 2): 1, (0, 2): 3}
     for k in range(3):
-        colors[k] = by_verts[tuple(mesh.surface(k).vertex_ids)]
+        colors[k] = by_verts[tuple(mesh.surf_verts[k].tolist())]
     return mesh, SurfaceColoring(colors, 3)
 
 
@@ -82,7 +79,7 @@ def test_single_triangle_worked_example():
 def test_corner_children_keep_parent_vertices():
     mesh, coloring = _unit_triangle()
     ref, _ = refine(mesh, coloring, [0])
-    child_verts = [ref.mesh.element(i).vertex_ids for i in range(4)]
+    child_verts = ref.mesh.elem_verts[:4, :3].tolist()
     for v in (0, 1, 2):
         assert any(v in verts for verts in child_verts[:3])
     interior = child_verts[3]
@@ -94,9 +91,9 @@ def test_half_ordering_follows_the_lower_endpoint():
     coloring, _ = color(mesh)
     ref, fine = refine(mesh, coloring, [0])
     for full, h1, h2 in ref.hanging_interfaces():
-        u, w = ref.mesh.surface(full).vertex_ids
+        u, w = ref.mesh.surf_verts[full].tolist()
         c = int(fine.colors[full])
-        assert min(u, w) in ref.mesh.surface(h1).vertex_ids
+        assert min(u, w) in ref.mesh.surf_verts[h1].tolist()
         assert int(fine.colors[h1]) == c
         assert int(fine.colors[h2]) == c + 3
 
@@ -108,9 +105,9 @@ def test_hanging_interfaces_pair_halves_with_the_full_edge():
     hanging = ref.hanging_interfaces()
     assert len(hanging) > 0
     for full, h1, h2 in hanging:
-        fv = set(ref.mesh.surface(full).vertex_ids)
-        v1 = set(ref.mesh.surface(h1).vertex_ids)
-        v2 = set(ref.mesh.surface(h2).vertex_ids)
+        fv = set(ref.mesh.surf_verts[full].tolist())
+        v1 = set(ref.mesh.surf_verts[h1].tolist())
+        v2 = set(ref.mesh.surf_verts[h2].tolist())
         mid = v1 & v2
         assert len(mid) == 1
         assert (v1 | v2) - mid == fv
@@ -202,12 +199,13 @@ def test_coarsen_requires_whole_families():
 def test_six_refined_neighbors_is_the_ceiling():
     mesh = gen_tri_rect(4, 4, (True, True))  # closed: 3 neighbors each
     coloring, _ = color(mesh)
-    g = connectivity_graph(mesh)
-    center = int(np.argmax(g.degrees))
-    assert g.degrees[center] == 3
+    lines = mesh.surf_elems[mesh.surf_elems[:, 1] >= 0]
+    degrees = np.bincount(lines.ravel(), minlength=mesh.n_elements)
+    center = int(np.argmax(degrees))
+    assert degrees[center] == 3
     neighbors = sorted(
         {int(a) if b == center else int(b)
-         for a, b in g.lines if center in (int(a), int(b))}
+         for a, b in lines if center in (int(a), int(b))}
     )
     ref, _ = refine(mesh, coloring, neighbors)
     assert max_refined_neighbors(ref) == 6
@@ -371,14 +369,11 @@ def test_reconstruct_assembles_the_base_only(monkeypatch):
     assert np.array_equal(rec_col.colors, fine.colors)
 
 
-def test_amr_runs_without_the_element_tuple_path(monkeypatch):
+def test_amr_runs_without_the_element_tuple_path():
+    # refine, reconstruct, refine again and coarsen twice: every mesh on
+    # the way is built by the array-level assemble or relabel
     mesh = gen_tri_rect(3, 3)
     coloring, _ = color(mesh)
-
-    def refuse(elements):
-        raise AssertionError("per-element tuple path used")
-
-    monkeypatch.setattr(mesh_module, "_normalize_elements", refuse)
     ref, fine = refine(mesh, coloring, [0, 4])
     rec, rec_col = reconstruct_refinement(ref.mesh, ref.parents, fine)
     unrefined = int(np.flatnonzero(rec.child_slot < 0)[0])

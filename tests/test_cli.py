@@ -312,7 +312,7 @@ def test_race_check_flags_a_planted_conflict(tmp_path, capsys):
     coloring, _ = color(mesh)
     bad = coloring.copy()
     e = next(i for i in range(mesh.n_elements))
-    s0, s1 = mesh.element(e).surface_ids[:2]
+    s0, s1 = mesh.elem_surfs[e, :2]
     bad.colors[s1] = bad.colors[s0]
     path = tmp_path / "bad.mesh"
     write_native(path, mesh, bad)

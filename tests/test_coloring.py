@@ -96,8 +96,8 @@ def test_single_swap_chain(two_tri):
     # until one single-presence color moves, then a free boundary slot opens
     shared = next(k for k in range(5) if two_tri.surf_elems[k, 1] >= 0)
     colors = np.empty(5, dtype=np.int32)
-    e0 = [s for s in two_tri.element(0).surface_ids if s != shared]
-    e1 = [s for s in two_tri.element(1).surface_ids if s != shared]
+    e0 = [s for s in two_tri.elem_surfs[0, :3].tolist() if s != shared]
+    e1 = [s for s in two_tri.elem_surfs[1, :3].tolist() if s != shared]
     colors[e0[0]], colors[e0[1]] = 1, 2
     colors[e1[0]], colors[e1[1]] = 2, 3
     colors[shared] = -1
@@ -257,7 +257,7 @@ def test_naive_greedy_overshoots_on_incoherent_numbering():
 def test_verify_flags_planted_conflict(two_tri):
     shared = next(k for k in range(5) if two_tri.surf_elems[k, 1] >= 0)
     colors = np.full(5, -1, dtype=np.int32)
-    e0 = [s for s in two_tri.element(0).surface_ids if s != shared]
+    e0 = [s for s in two_tri.elem_surfs[0, :3].tolist() if s != shared]
     colors[shared] = 1
     colors[e0[0]] = 1  # element 0 now repeats color 1
     colors[e0[1]] = 2
@@ -307,13 +307,13 @@ def test_total_seconds_times_the_whole_call(monkeypatch):
 
     import meshchroma.coloring as coloring_module
 
-    real = coloring_module.connectivity_graph
+    real = coloring_module.vizing_bound
 
     def slow(mesh):
         time.sleep(0.05)
         return real(mesh)
 
-    monkeypatch.setattr(coloring_module, "connectivity_graph", slow)
+    monkeypatch.setattr(coloring_module, "vizing_bound", slow)
     _, report = color(gen_tri_rect(3, 3))
     assert report.total_seconds >= 0.05
 
@@ -376,15 +376,15 @@ def test_sweep_of_a_generated_quad_grid_is_the_identity(nx, ny):
 def _sweep_by_loops(mesh):
     """The sweep the slow, obvious way: rank by centroid, then walk the
     ranked elements' sides and number each surface when first met."""
-    centroids = [mesh.vertices[list(mesh.element(e).vertex_ids)].mean(axis=0)
-                 for e in range(mesh.n_elements)]
+    centroids = [mesh.vertices[[v for v in vids if v >= 0]].mean(axis=0)
+                 for vids in mesh.elem_verts.tolist()]
     order = sorted(range(mesh.n_elements),
                    key=lambda e: tuple(centroids[e][::-1]))
     rank = {e: q for q, e in enumerate(order)}
     surfaces = []
     for e in order:
-        for s in mesh.element(e).surface_ids:
-            if s not in surfaces:
+        for s in mesh.elem_surfs[e].tolist():
+            if s >= 0 and s not in surfaces:
                 surfaces.append(s)
     ends = [sorted(rank[e] for e in mesh.surf_elems[s].tolist() if e >= 0)
             for s in surfaces]

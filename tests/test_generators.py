@@ -13,9 +13,9 @@ from meshchroma import (
     gen_tri_rect,
     generate,
     shuffle_elements,
-    validate,
 )
-from conftest import brute_interior_count, brute_surface_count, mesh_elements
+from conftest import (assert_matches_assembly, brute_interior_count,
+                      brute_surface_count, mesh_elements)
 
 # counts frozen from hand enumeration before the generators were written
 FROZEN = [
@@ -117,7 +117,7 @@ def test_shuffle_elements_permutes_without_changing_the_mesh():
     shuf = shuffle_elements(mesh, seed=3)
     assert shuf.n_elements == mesh.n_elements
     assert shuf.n_surfaces == mesh.n_surfaces
-    assert validate(shuf) == []
+    assert_matches_assembly(shuf)
     a = sorted(map(tuple, np.sort(mesh.elem_verts, axis=1).tolist()))
     b = sorted(map(tuple, np.sort(shuf.elem_verts, axis=1).tolist()))
     assert a == b
@@ -135,5 +135,5 @@ def test_shuffle_elements_permutes_without_changing_the_mesh():
 def test_generated_meshes_validate_clean(nx, ny, px, py):
     for gen in (gen_tri_rect, gen_quad_rect):
         mesh = gen(nx, ny, (px, py))
-        assert validate(mesh) == []
+        assert_matches_assembly(mesh)
         assert mesh.n_surfaces == brute_surface_count(mesh_elements(mesh))

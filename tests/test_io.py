@@ -25,9 +25,9 @@ from meshchroma import (
     write_native,
     write_report,
 )
-from meshchroma.mesh import assemble, relabel, validate
+from meshchroma.mesh import CODE_TO_KIND, assemble, relabel
 from meshchroma.meshio import _CHUNK_LINES
-from conftest import hybrid_patch
+from conftest import assert_matches_assembly, hybrid_patch
 
 MESH_FIELDS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
                "surf_verts", "surf_elems")
@@ -212,9 +212,9 @@ def test_native_round_trip_is_exact(tmp_path_factory, family, n, seed,
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_any_bijective_permutations_read_back_valid(tmp_path_factory,
                                                     family, n, seed):
-    # verify leaves validate out: whatever bijections a PERMUTATIONS
-    # section holds, even ones the writer refuses, the reader assembles
-    # the elements and relabels, so the mesh keeps the surfaces they imply
+    # whatever bijections a PERMUTATIONS section holds, even ones the
+    # writer refuses, the reader assembles the elements and relabels, so
+    # the mesh keeps the surfaces they imply
     mesh = _FAMILIES[family](n)
     rng = np.random.default_rng(seed)
     ep = rng.permutation(mesh.n_elements)
@@ -227,7 +227,7 @@ def test_any_bijective_permutations_read_back_valid(tmp_path_factory,
     back = read_native(path)
     assert np.array_equal(back.element_perm, ep)
     assert np.array_equal(back.surface_perm, sp)
-    assert validate(back.mesh) == []
+    assert_matches_assembly(back.mesh)
 
 
 # written by the line-per-call writer this one replaced; re-frozen when
@@ -268,7 +268,7 @@ def _one_format_file(mesh, colors):
     up in a table."""
     fmt = {"tri": "tri %d %d %d\n", "quad": "quad %d %d %d %d\n",
            "tet": "tet %d %d %d %d\n"}
-    kinds = [mesh.kind_of(i) for i in range(mesh.n_elements)]
+    kinds = [CODE_TO_KIND[c] for c in mesh.elem_kind.tolist()]
     rows = [v for i, k in enumerate(kinds)
             for v in mesh.elem_verts[i, :k.n_vertices].tolist()]
     return (f"ELEMENTS {mesh.n_elements}\n"
@@ -411,10 +411,8 @@ def test_writes_are_byte_identical(tmp_path):
 
 
 def test_float_coordinates_survive(tmp_path):
-    from meshchroma import build_surfaces
-
     verts = [(0.1 + 0.2, 0.0), (1.0 / 3.0, 0.0), (0.5, np.pi)]
-    mesh = build_surfaces(verts, [("tri", (0, 1, 2))])
+    mesh = assemble(verts, [0], [(0, 1, 2, -1)])
     path = tmp_path / "f.mesh"
     write_native(path, mesh)
     back = read_native(path).mesh

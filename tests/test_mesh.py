@@ -1,6 +1,8 @@
-"""Mesh assembly, incidence, and validation."""
+"""Mesh assembly, incidence, and the one way to build a Mesh."""
 
+import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,51 +10,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meshchroma
 from meshchroma import (
     DanglingVertexError,
     ElementKind,
+    Mesh,
+    MixedKindsError,
     NonManifoldError,
+    RepeatedVertexError,
     apply_plan,
     build_plan,
-    build_surfaces,
     color,
-    connectivity_graph,
     gen_quad_rect,
     gen_tet_prism,
     gen_tri_rect,
     refine,
     shuffle_elements,
-    validate,
     vizing_bound,
 )
 from meshchroma import mesh as mesh_module
-from meshchroma.mesh import _PAIR_LIMIT, _row_groups, assemble
-from conftest import _SIDES, brute_surface_count, mesh_elements
+from meshchroma.mesh import KIND_TO_CODE, _row_groups, assemble, relabel
+from conftest import (_SIDES, assert_matches_assembly, brute_surface_count,
+                      mesh_elements)
+
+# the largest bound whose pairs of values always pack into one int64
+_PAIR_LIMIT = math.isqrt(2**63 - 1)
+
+_FIELDS = ("vertices", "elem_kind", "elem_verts", "elem_surfs", "surf_verts",
+           "surf_elems")
 
 
 def test_two_triangles_share_one_edge(two_tri):
     assert two_tri.n_elements == 2
     assert two_tri.n_surfaces == 5
-    shared = [k for k in range(5) if two_tri.surf_elems[k, 1] >= 0]
+    shared = np.flatnonzero(two_tri.surf_elems[:, 1] >= 0)
     assert len(shared) == 1
-    s = two_tri.surface(shared[0])
-    assert {s.left_element, s.right_element} == {0, 1}
-    assert s.vertex_ids == (0, 2)
+    assert sorted(two_tri.surf_elems[shared[0]].tolist()) == [0, 1]
+    assert two_tri.surf_verts[shared[0]].tolist() == [0, 2]
 
 
 def test_element_accessor(two_tri):
-    e = two_tri.element(0)
-    assert e.kind is ElementKind.TRIANGLE
-    assert e.vertex_ids == (0, 1, 2)
-    assert len(e.surface_ids) == 3
+    # an element is one row of each element array
+    assert two_tri.elem_kind[0] == KIND_TO_CODE[ElementKind.TRIANGLE]
+    assert two_tri.elem_verts[0].tolist() == [0, 1, 2, -1]
+    assert (two_tri.elem_surfs[0] >= 0).tolist() == [True] * 3 + [False]
 
 
 def test_boundary_surface_has_no_right(single_quad):
     assert single_quad.n_surfaces == 4
-    for k in range(4):
-        s = single_quad.surface(k)
-        assert s.left_element == 0
-        assert s.right_element is None
+    assert single_quad.surf_elems.tolist() == [[0, -1]] * 4
 
 
 def test_surf_verts_rows_sorted(two_tri):
@@ -67,35 +73,26 @@ def test_tet_has_triangle_faces(single_tet):
 
 def test_dangling_vertex_rejected():
     with pytest.raises(DanglingVertexError):
-        build_surfaces([(0.0, 0.0), (1.0, 0.0)], [("tri", (0, 1, 7))])
+        assemble([(0.0, 0.0), (1.0, 0.0)], [0], [(0, 1, 7, -1)])
 
 
 def test_repeated_vertex_rejected():
     with pytest.raises(ValueError):
-        build_surfaces(
-            [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
-            [("tri", (0, 1, 1))],
-        )
+        assemble([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [0], [(0, 1, 1, -1)])
 
 
 def test_mixed_dimensionality_rejected():
     verts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
              (0.0, 0.0, 1.0), (1.0, 1.0, 0.0)]
     with pytest.raises(ValueError):
-        build_surfaces(verts, [
-            ("tet", (0, 1, 2, 3)),
-            ("tri", (0, 1, 4)),
-        ])
+        assemble(verts, [2, 0], [(0, 1, 2, 3), (0, 1, 4, -1)])
 
 
 def test_three_elements_on_one_edge_rejected():
     verts = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (2.0, 0.5)]
     with pytest.raises(NonManifoldError):
-        build_surfaces(verts, [
-            ("tri", (0, 1, 2)),
-            ("tri", (0, 1, 3)),
-            ("tri", (0, 1, 4)),
-        ])
+        assemble(verts, [0, 0, 0],
+                 [(0, 1, 2, -1), (0, 1, 3, -1), (0, 1, 4, -1)])
 
 
 def _refined():
@@ -119,104 +116,121 @@ def test_validate_clean_on_generated_meshes():
         _refined(),
         _reordered(),
     ):
-        assert validate(mesh) == []
+        assert_matches_assembly(mesh)
 
 
-def _tampered(mesh, **swaps):
-    from meshchroma import Mesh
-
-    fields = {
-        "vertices": mesh.vertices, "elem_kind": mesh.elem_kind,
-        "elem_verts": mesh.elem_verts, "elem_surfs": mesh.elem_surfs,
-        "surf_verts": mesh.surf_verts, "surf_elems": mesh.surf_elems,
-    }
-    for name, edit in swaps.items():
-        arr = fields[name].copy()
-        edit(arr)
-        fields[name] = arr
-    return Mesh(**fields)
+def test_a_mesh_is_built_only_by_assemble_or_relabel(two_tri):
+    arrays = {name: getattr(two_tri, name) for name in _FIELDS}
+    for build in (lambda: Mesh(**arrays),
+                  lambda: Mesh(**arrays, builder=object()),
+                  lambda: dataclasses.replace(two_tri)):
+        with pytest.raises(TypeError, match=re.escape("mesh.assemble(")):
+            build()
+    moved = relabel(two_tri, [1, 0], [4, 3, 2, 1, 0])
+    assert_matches_assembly(moved)
+    assert moved.surf_elems[2].tolist() == [1, 0]  # roles kept
 
 
 def test_validate_reports_tampered_incidence(two_tri):
-    def flip(a):
-        a[0, 0] = 1 - a[0, 0]
-
-    bad = _tampered(two_tri, surf_elems=flip)
-    codes = {d.code for d in validate(bad)}
-    assert "incidence" in codes
+    # two rows of surf_elems swapped: a mesh its elements do not imply
+    swapped = two_tri.surf_elems[[0, 1, 3, 2, 4]]
+    assert not np.array_equal(swapped, two_tri.surf_elems)
+    with pytest.raises(TypeError, match="assemble"):
+        dataclasses.replace(two_tri, surf_elems=swapped)
 
 
 def test_validate_reports_duplicate_surface(two_tri):
-    def dup(a):
-        a[1] = a[0]
-
-    bad = _tampered(two_tri, surf_verts=dup)
-    codes = {d.code for d in validate(bad)}
-    assert "duplicate_surface" in codes
+    with pytest.raises(ValueError, match="read-only"):
+        two_tri.surf_verts[1] = two_tri.surf_verts[0]
+    arrays = {name: getattr(two_tri, name).copy() for name in _FIELDS}
+    arrays["surf_verts"][1] = arrays["surf_verts"][0]
+    with pytest.raises(TypeError, match="assemble"):
+        Mesh(**arrays)
 
 
 # gen_tri_rect(2, 2): element 3 is (2, 5, 4); surface 1 is the interior
 # edge (1, 4) of elements 0 and 2; element 2 lists surfaces (5, 6, 1).
-# assemble's own errors name their elements in the message, and the
-# diagnostic's element_id is the first of them.
+# A fault in the elements fails assemble, which names the elements at
+# fault, the first of them first in ``element_ids``.  A fault in the
+# derived arrays needs a hand-built Mesh, and that is refused.
 @pytest.mark.parametrize(
-    "field, index, value, code, element_id, surface_id, named", [
-        ("elem_verts", (3, 1), 99, "dangling_vertex", 3, None,
-         "elements [3]"),
-        ("elem_verts", (3, 1), 2, "repeated_vertex", 3, None,
-         "elements [3]"),
-        ("elem_verts", (3, 0), 1, "non_manifold", 0, None,
+    "field, index, value, error, element_id, named", [
+        ("elem_verts", (3, 1), 99, DanglingVertexError, 3, "elements [3]"),
+        ("elem_verts", (3, 1), 2, RepeatedVertexError, 3, "elements [3]"),
+        ("elem_verts", (3, 0), 1, NonManifoldError, 0,
          "surface (1, 4) shared by elements [0, 2, 3]"),
-        ("elem_kind", 0, 2, "mixed_kinds", 0, None,
-         "3D ones are elements [0]"),
-        ("elem_surfs", (2, 1), -1, "side_count", 2, None, "element 2"),
-        ("elem_surfs", (2, 1), 99, "incidence", 2, None, "surface 99"),
-        ("elem_surfs", (2, 1), 2, "incidence", 2, None, "surface 6"),
-        ("elem_surfs", (0, 0), 1, "incidence", None, 0,
-         "surface 0 stands for 0"),
-        ("surf_elems", (1, 1), -1, "incidence", None, 1, "surface 1"),
-        ("surf_verts", 0, [0, 2], "incidence", None, 0, "surface 0"),
-        ("surf_verts", 1, [0, 1], "duplicate_surface", None, 1,
-         "surfaces 0 and 1"),
+        ("elem_kind", 0, 2, MixedKindsError, 0, "3D ones are elements [0]"),
+        ("elem_surfs", (2, 1), -1, TypeError, None, "assemble"),
+        ("elem_surfs", (2, 1), 99, TypeError, None, "assemble"),
+        ("elem_surfs", (2, 1), 2, TypeError, None, "assemble"),
+        ("elem_surfs", (0, 0), 1, TypeError, None, "assemble"),
+        ("surf_elems", (1, 1), -1, TypeError, None, "assemble"),
+        ("surf_verts", 0, [0, 2], TypeError, None, "assemble"),
+        ("surf_verts", 1, [0, 1], TypeError, None, "assemble"),
     ], ids=["dangling_vertex", "repeated_vertex", "non_manifold",
             "mixed_kinds", "side_count", "slot_out_of_range", "slots_disagree",
             "surface_unused",
             "dropped_right_element", "wrong_vertices", "duplicate_surface"])
-def test_validate_names_planted_faults(field, index, value, code,
-                                       element_id, surface_id, named):
-    def plant(a):
-        a[index] = value
-
-    diags = validate(_tampered(gen_tri_rect(2, 2), **{field: plant}))
-    assert any(d.code == code and d.element_id == element_id
-               and d.surface_id == surface_id and named in d.message
-               for d in diags), diags
+def test_validate_names_planted_faults(field, index, value, error,
+                                       element_id, named):
+    mesh = gen_tri_rect(2, 2)
+    arrays = {name: getattr(mesh, name).copy() for name in _FIELDS}
+    arrays[field][index] = value
+    with pytest.raises(error, match=re.escape(named)) as caught:
+        if error is TypeError:
+            Mesh(**arrays)
+        else:
+            assemble(arrays["vertices"], arrays["elem_kind"],
+                     arrays["elem_verts"])
+    if error is TypeError:
+        with pytest.raises(TypeError, match=named):
+            dataclasses.replace(mesh, **{field: arrays[field]})
+    else:
+        assert caught.value.element_ids[0] == element_id
 
 
 def test_validate_reports_other_assembly_errors_as_malformed():
-    from meshchroma import Mesh
-
     mesh = gen_tet_prism(1, 1, 1)
-    flat = Mesh(mesh.vertices[:, :2].copy(), mesh.elem_kind, mesh.elem_verts,
-                mesh.elem_surfs, mesh.surf_verts, mesh.surf_elems)
-    diags = validate(flat)
-    assert [d.code for d in diags] == ["malformed"]
-    assert "3D vertex coordinates" in diags[0].message
+    with pytest.raises(ValueError, match="3D vertex coordinates"):
+        assemble(mesh.vertices[:, :2], mesh.elem_kind, mesh.elem_verts)
 
 
 def test_connectivity_graph_two_tri(two_tri):
-    g = connectivity_graph(two_tri)
-    assert g.n_nodes == 2
-    assert g.lines.tolist() == [[0, 1]]
-    assert g.degrees.tolist() == [1, 1]
-    assert vizing_bound(g) == 2
+    # one node per element, one line per interior surface
+    lines = two_tri.surf_elems[two_tri.surf_elems[:, 1] >= 0]
+    assert lines.tolist() == [[0, 1]]
+    assert vizing_bound(two_tri) == 2
 
 
 def test_vizing_bound_interior_tri():
     mesh = gen_tri_rect(4, 4)
-    g = connectivity_graph(mesh)
-    assert g.degrees.max() == 3
-    assert vizing_bound(g) == 4
+    lines = mesh.surf_elems[mesh.surf_elems[:, 1] >= 0]
+    assert np.bincount(lines.ravel()).max() == 3
+    assert vizing_bound(mesh) == 4
+    lone = assemble([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [0], [(0, 1, 2, -1)])
+    assert vizing_bound(lone) == 1  # no interior surface
+
+
+def test_public_names_are_pinned():
+    assert sorted(meshchroma.__all__) == sorted("""
+        AccumulationState CoalescingReport ColoringConfig ColoringReport
+        DanglingVertexError Diagnostic ElementFaultError ElementKind
+        FAMILIES GeneratorSpec LevelConstraintError MalformedSectionError
+        MemoryEstimate Mesh MeshChromaError MixedKindsError NativeMesh
+        NonManifoldError PartialFamilyError PlanMeshMismatchError
+        RefinedMesh RefinementMap ReorderingPlan RepeatedVertexError
+        RestartsExhaustedError SurfaceColoring SwapBudgetExceededError
+        UnrefinableKindError UnsupportedVersionError WriteConflictError
+        apply_plan assert_race_free basis_count build_plan child_color
+        coalescing_metric coarsen color color_set_size default_payload
+        gen_quad_rect gen_tet_prism gen_tri_rect generate invert_plan
+        max_refined_neighbors memory_saved modified_greedy naive_greedy
+        read_msh read_native reconstruct_refinement refine
+        resolve_conflicts shuffle_elements surface_buffer sweep_buffered
+        sweep_colored sweep_sequential verify_coloring vizing_bound
+        write_native write_report""".split())
+    for name in meshchroma.__all__:
+        assert hasattr(meshchroma, name), name
 
 
 @settings(deadline=None, max_examples=25)
@@ -242,8 +256,8 @@ def test_tet_surface_count_matches_brute_force(nx, ny, nz):
     assert mesh.n_surfaces == brute_surface_count(mesh_elements(mesh))
 
 
-# Plain-Python references for the grouping that assemble and validate do
-# with packed int64 keys.
+# Plain-Python references for the grouping that assemble does with packed
+# int64 keys.
 
 def _reference_assembly(vertices, elem_kind, elem_verts):
     """All six Mesh arrays, numbering surfaces by first encounter over
@@ -317,8 +331,8 @@ def test_assemble_matches_the_first_encounter_reference(family, n, seed):
 
 
 def _lexsort_row_groups(rows):
-    """The stable grouping validate used before packed keys: a lexsort,
-    so equal rows keep index order, and the positions where runs start."""
+    """The stable grouping by a lexsort, so equal rows keep index order,
+    and the positions where runs start."""
     order = np.lexsort(rows.T[::-1])
     new_run = np.zeros(len(rows), dtype=bool)
     new_run[:1] = True
@@ -328,55 +342,8 @@ def _lexsort_row_groups(rows):
     return order, np.flatnonzero(new_run)
 
 
-def _lexsort_duplicates(rows):
-    """(first, later) index pairs of repeated rows, by later index."""
-    order, starts = _lexsort_row_groups(rows)
-    first = np.empty(len(rows), dtype=np.int64)
-    first[order] = np.repeat(order[starts], np.diff(starts, append=len(rows)))
-    return [(int(first[s]), int(s))
-            for s in np.flatnonzero(first != np.arange(len(rows)))]
-
-
 def _groups(order, starts):
     return sorted(sorted(g.tolist()) for g in np.split(order, starts[1:]))
-
-
-@settings(deadline=None, max_examples=40)
-@given(edits=st.lists(
-    st.tuples(st.integers(min_value=0, max_value=55),
-              st.sampled_from([-5, -1, 16, 10**12, -2**62, 2**62 + 7]),
-              st.integers(min_value=0, max_value=1),
-              st.integers(min_value=0, max_value=55)),
-    min_size=1, max_size=8))
-def test_validate_duplicates_match_the_lexsort_reference(edits):
-    mesh = gen_tri_rect(4, 4)  # 56 surfaces over 25 vertices
-    rows = mesh.surf_verts.copy()
-    for s, value, col, copy_to in edits:
-        rows[s, col] = value
-        rows[copy_to] = rows[s]
-    bad = _tampered(mesh, surf_verts=lambda a: a.__setitem__(..., rows))
-    found = [(d.surface_id, d.message) for d in validate(bad)
-             if d.code == "duplicate_surface"]
-    want = [(s, f"surfaces {f} and {s} share vertex set {rows[s].tolist()}")
-            for f, s in _lexsort_duplicates(rows)]
-    assert found == want
-
-
-def test_validate_names_three_equal_rows_with_out_of_range_ids():
-    mesh = gen_tri_rect(3, 3)
-    rows = mesh.surf_verts.copy()
-    rows[[9, 2, 20]] = [10**12, -5]
-    rows[[4, 11]] = [-5, 10**12]
-    bad = _tampered(mesh, surf_verts=lambda a: a.__setitem__(..., rows))
-    found = [d.message for d in validate(bad) if d.code == "duplicate_surface"]
-    assert found == [
-        f"surfaces {f} and {s} share vertex set {rows[s].tolist()}"
-        for f, s in _lexsort_duplicates(rows)]
-    assert found == [
-        "surfaces 2 and 9 share vertex set [1000000000000, -5]",
-        "surfaces 4 and 11 share vertex set [-5, 1000000000000]",
-        "surfaces 2 and 20 share vertex set [1000000000000, -5]",
-    ]
 
 
 @pytest.mark.parametrize("width", [2, 3])

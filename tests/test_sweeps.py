@@ -94,8 +94,8 @@ def test_race_free_check_passes_and_fails():
     assert_race_free(mesh, coloring)  # no raise
     bad = coloring.copy()
     e = next(i for i in range(mesh.n_elements)
-             if all(s >= 0 for s in mesh.element(i).surface_ids[:3]))
-    s0, s1 = mesh.element(e).surface_ids[:2]
+             if (mesh.elem_surfs[i, :3] >= 0).all())
+    s0, s1 = mesh.elem_surfs[e, :2]
     bad.colors[s1] = bad.colors[s0]  # element e now repeats a color
     # only class c repeats: the message names it, its smallest repeated
     # element and that element's count
