@@ -147,18 +147,20 @@ def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, len(distinct)
 
 
-def _pack(key, bound: int, column: np.ndarray,
+def _pack(key: np.ndarray, bound: int, column: np.ndarray,
           n_values: int) -> tuple[np.ndarray, int]:
     """``key * n_values + column`` and its bound, for ``key`` in
     ``[0, bound)`` and ``column`` in ``[0, n_values)``: the packed keys
-    sort as the (key, column) pairs do.  Where the bound would pass
-    2**63, ``key`` is first replaced by its dense rank, and if that is
-    not enough, ``column`` too."""
+    sort as the (key, column) pairs do.  ``key`` is packed in place,
+    unless the bound would pass 2**63: it is then first replaced by its
+    dense rank, and if that is not enough, ``column`` too."""
     if bound * n_values > 2**63:
         key, bound = _dense_rank(key)
         if bound * n_values > 2**63:
             column, n_values = _dense_rank(column)
-    return key * n_values + column, bound * n_values
+    key *= n_values
+    key += column
+    return key, bound * n_values
 
 
 def _stable_sort(columns, bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -166,15 +168,19 @@ def _stable_sort(columns, bounds) -> tuple[np.ndarray, np.ndarray]:
     ``[0, bounds[c])``, with one default-kind ``np.sort`` of one key per
     item: its columns packed (``_pack``), then its index in a field a
     power of two wide.  Returns the sorted keys, equal where the items'
-    columns are, and ``order``, which sorts the items, ties by index."""
-    key, bound = 0, 1
-    for column, n_values in zip(columns, bounds):
+    columns are, and ``order``, which sorts the items, ties by index.
+    The key is packed and split in place, so at most one item-sized
+    array lives beside it."""
+    key, bound = np.array(columns[0], dtype=np.int64), bounds[0]
+    for column, n_values in zip(columns[1:], bounds[1:]):
         key, bound = _pack(key, bound, column, n_values)
     n = len(key)
     shift = max(n - 1, 0).bit_length()
-    packed = _pack(key, bound, np.arange(n), 1 << shift)[0]
-    packed.sort()
-    return packed >> shift, packed & ((1 << shift) - 1)
+    key = _pack(key, bound, np.arange(n), 1 << shift)[0]
+    key.sort()
+    order = key & ((1 << shift) - 1)
+    key >>= shift
+    return key, order
 
 
 def _row_groups(rows: np.ndarray,
@@ -288,44 +294,56 @@ def assemble(vertices, kind_codes: np.ndarray, elem_verts: np.ndarray) -> Mesh:
     # (nv, nv), past every real row.
     widest, *others = sorted(present, key=lambda k: -k.n_sides)
     n_slots = widest.n_sides
-    sides = np.take(elem_verts, np.ravel(_SIDE_POSITIONS[widest]), axis=1)
+    rows = np.take(elem_verts, np.ravel(_SIDE_POSITIONS[widest]), axis=1)
     for kind in others:
         mine = np.flatnonzero(kind_codes == KIND_TO_CODE[kind])
         cols = np.ravel(_SIDE_POSITIONS[kind])
-        sides[mine, len(cols):] = nv
-        sides[mine, :len(cols)] = np.take(elem_verts, mine, axis=0)[:, cols]
-    rows = _sort_within_rows(sides.reshape(-1, width))
+        rows[mine, len(cols):] = nv
+        rows[mine, :len(cols)] = np.take(elem_verts, mine, axis=0)[:, cols]
+    rows = _sort_within_rows(rows.reshape(-1, width))
+    n_rows = len(rows)
     n_real = sum(counts[KIND_TO_CODE[k]] * k.n_sides for k in present)
 
     # a surface is a run of equal rows, one or two slots long.  The sort
     # is stable and slots are element-major, so a run's first slot lies
     # in its left (smaller) element and its last in the right one.  The
-    # empty slots sort last, as one run, and are dropped.
+    # empty slots sort last, as one run, and are dropped.  Each slot-
+    # sized array is deleted once used, to keep the peak of live arrays
+    # down: this runs for every file a command reads.
     order, starts = _row_groups(rows, nv + 1)
     starts = starts[:np.searchsorted(starts, n_real)]
     run_len = np.diff(starts, append=n_real)
     if (run_len > 2).any():
         raise _non_manifold(rows, n_slots, order, starts, run_len)
     lo = order[starts]
-    hi = order[starts + run_len - 1]
+    starts += run_len
+    starts -= 1
+    hi = order[starts]
+    sid = np.empty(n_rows, dtype=np.int64)
+    sid[order[n_real:]] = -1
+    del order, starts, run_len
 
     # surface ids follow each run's first slot: first-encounter order
-    first = np.zeros(len(rows), dtype=bool)
+    first = np.zeros(n_rows, dtype=bool)
     first[lo] = True
     first_slot = np.flatnonzero(first)
+    del first
+    surf_verts = np.take(rows, first_slot, axis=0)
+    del rows
     ns = len(first_slot)
-    sid = np.empty(len(rows), dtype=np.int64)
     sid[first_slot] = np.arange(ns)
     run_sid = sid[lo]
+    del lo
     sid[hi] = run_sid
-    sid[order[n_real:]] = -1
-    surf_verts = np.take(rows, first_slot, axis=0)
-    last_slot = np.empty(ns, dtype=np.int64)
-    last_slot[run_sid] = hi
+    # first and last slot of each surface, then their elements; a
+    # boundary surface's run is one slot long
     surf_elems = np.empty((ns, 2), dtype=np.int64)
-    surf_elems[:, 0] = first_slot // n_slots
-    surf_elems[:, 1] = np.where(last_slot != first_slot,
-                                last_slot // n_slots, -1)
+    surf_elems[:, 0] = first_slot
+    surf_elems[run_sid, 1] = hi
+    del first_slot, run_sid, hi
+    boundary = surf_elems[:, 1] == surf_elems[:, 0]
+    surf_elems //= n_slots
+    surf_elems[boundary, 1] = -1
 
     elem_surfs = np.full((ne, MAX_SIDES), -1, dtype=np.int64)
     elem_surfs[:, :n_slots] = sid.reshape(ne, n_slots)
@@ -365,24 +383,23 @@ def relabel(mesh: Mesh, element_perm: np.ndarray,
 
     Pure relabeling: left/right roles and local side order are kept, so
     the result describes the same topology.  New row i is old row
-    ``inverse[i]``, gathered with ``np.take``.  The caller checks that
-    both maps are bijections of the right length.
+    ``inverse[i]``, gathered with ``np.take``.  Vertices keep their ids,
+    so the result shares ``mesh``'s read-only vertex array.  The caller
+    checks that both maps are bijections of the right length.
     """
     ep = np.asarray(element_perm, dtype=np.int64)
     sp = np.asarray(surface_perm, dtype=np.int64)
-    old_elem = inverse_permutation(ep)
-    old_surf = inverse_permutation(sp)
-    elem_surfs = np.take(mesh.elem_surfs, old_elem, axis=0)
-    surf_elems = np.take(mesh.surf_elems, old_surf, axis=0)
-    return Mesh(
-        vertices=mesh.vertices.copy(),
-        elem_kind=np.take(mesh.elem_kind, old_elem),
-        elem_verts=np.take(mesh.elem_verts, old_elem, axis=0),
-        elem_surfs=np.where(elem_surfs >= 0, sp[elem_surfs], -1),
-        surf_verts=np.take(mesh.surf_verts, old_surf, axis=0),
-        surf_elems=np.where(surf_elems >= 0, ep[surf_elems], -1),
-        builder=_BUILDER,
-    )
+    # -1 (an empty side slot, or no right element) indexes the -1
+    # appended to each map
+    old = inverse_permutation(ep)
+    elem_kind = np.take(mesh.elem_kind, old)
+    elem_verts = np.take(mesh.elem_verts, old, axis=0)
+    elem_surfs = np.append(sp, -1)[np.take(mesh.elem_surfs, old, axis=0)]
+    old = inverse_permutation(sp)
+    surf_verts = np.take(mesh.surf_verts, old, axis=0)
+    surf_elems = np.append(ep, -1)[np.take(mesh.surf_elems, old, axis=0)]
+    return Mesh(mesh.vertices, elem_kind, elem_verts, elem_surfs,
+                surf_verts, surf_elems, builder=_BUILDER)
 
 
 def vizing_bound(mesh: Mesh) -> int:

@@ -47,8 +47,12 @@ the same value checks (finite coordinates, PARENTS and COLORS ranges)
 and end in ``_finish``, which assembles the mesh from kind codes and a
 padded vertex array (``mesh.assemble``) and checks the trailing
 sections against it.  The MSH reader shares ``_Lines`` and builds the
-same two arrays for ``assemble``.  The writer formats each section with
-one ``%`` operation over the section's values.
+same two arrays for ``assemble``.  The writer formats VERTICES with one
+``%r`` operation over the coordinates, the shortest text that reads
+back exactly, and every integer section with ``_int_lines``, the
+reverse of ``_token_values``: it counts each token's bytes, places the
+tokens with one ``cumsum`` and writes their digits a column at a time
+into one byte buffer.
 
 Writes go through a temp file plus rename so a crash cannot leave a
 half-written mesh behind.
@@ -91,13 +95,12 @@ _KIND_TOKEN = {
     ElementKind.TET: "tet",
 }
 _TOKEN_KIND = {v: k for k, v in _KIND_TOKEN.items()}
-# one element line per kind code, and the vertex slots each code uses
-_ELEMENT_FORMAT = tuple(
-    _KIND_TOKEN[k] + " %d" * k.n_vertices + "\n" for k in CODE_TO_KIND
-)
-_USED_SLOTS = np.arange(MAX_ELEM_VERTS)[None, :] < np.array(
-    [k.n_vertices for k in CODE_TO_KIND]
-)[:, None]
+# per kind code: the head of its element lines, its vertex ids per line
+# and the vertex slots those use
+_HEADS = tuple(_KIND_TOKEN[k].encode() + b" " for k in CODE_TO_KIND)
+_HEAD_BYTES = np.array([len(h) for h in _HEADS], dtype=np.uint8)
+_N_IDS = np.array([k.n_vertices for k in CODE_TO_KIND])
+_USED_SLOTS = np.arange(MAX_ELEM_VERTS)[None, :] < _N_IDS[:, None]
 
 _MSH_KIND = {2: ElementKind.TRIANGLE, 3: ElementKind.QUAD,
              4: ElementKind.TET}
@@ -127,13 +130,16 @@ class NativeMesh:
     surface_perm: np.ndarray | None = None
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_write(path, chunks) -> None:
+    """Write the bytes-like ``chunks`` in order to a temp file beside
+    ``path``, then rename it over ``path``."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
                                prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -178,26 +184,78 @@ def _check_permutations(mesh: Mesh, element_perm, surface_perm) -> None:
         )
 
 
-def _int_rows(values) -> str:
-    values = np.asarray(values, dtype=np.int64)
-    return ("%d\n" * len(values)) % tuple(values.tolist())
+def _int_lines(tokens, kinds: np.ndarray | None = None) -> np.ndarray:
+    """The bytes ``%d`` formatting gives int64 ``tokens``: one per line,
+    a row per line for an (n, w) array, or, given element kind codes,
+    the ELEMENTS lines of flat ``tokens``, line i being ``_HEADS[c]``
+    and the next ``_N_IDS[c]`` tokens for ``c = kinds[i]``.
 
-
-# widest value range whose lines ``_color_rows`` looks up in a table
-_TABLE_SPAN = 256
-
-
-def _color_rows(colors) -> str:
-    """``_int_rows`` of a coloring: its few distinct values are formatted
-    once each and the lines are gathered from that table."""
-    colors = np.asarray(colors, dtype=np.int64)
-    if not len(colors):
-        return ""
-    lo, hi = int(colors.min()), int(colors.max())
-    if hi - lo >= _TABLE_SPAN:
-        return _int_rows(colors)
-    table = np.array(["%d\n" % v for v in range(lo, hi + 1)], dtype=object)
-    return "".join(table[colors - lo].tolist())
+    The reverse of ``_token_values``.  Each token's digits are counted
+    by comparing its magnitude with powers of ten; with its sign, its
+    line's head and the space or newline after it, that gives its
+    bytes, and their ``cumsum`` every token's end.  Digit columns are
+    then written for all tokens at once, the longest token's first
+    column first.  A column past a short token's first digit lands on a
+    byte of an earlier token that a later column, or the separators,
+    signs and heads written last, overwrites, so no column needs a
+    mask.  Magnitudes are the tokens' unsigned wrap, negated where the
+    token is negative, which is exact for -2**63 as well.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if not tokens.size:
+        return np.empty(0, dtype=np.uint8)
+    if kinds is None:
+        per_line = tokens.shape[1] if tokens.ndim == 2 else 1
+        tokens = tokens.ravel()
+        last = slice(per_line - 1, None, per_line)  # each line's last token
+    else:
+        per_line = _N_IDS[kinds]
+        last = np.cumsum(per_line) - 1
+        first = last - (per_line - 1)  # and its first
+    top = max(int(tokens.max()), -int(tokens.min()))
+    longest = len(str(top))
+    mag = tokens.astype(np.uint32 if top < 2**32 else np.uint64)
+    neg = tokens < 0
+    np.negative(mag, out=mag, where=neg)
+    size = neg.astype(np.uint8)  # sign and digits
+    size += 1
+    for k in range(1, longest):
+        size += mag >= 10**k
+    span = size + 1  # each token's bytes, the separator after it included
+    if kinds is not None:
+        heads = _HEAD_BYTES[kinds]
+        span[first] += heads
+    at = np.cumsum(span, dtype=np.int64)  # each token's end
+    del span
+    # ``longest`` bytes before the text catch the first tokens' columns
+    buf = np.empty(longest + int(at[-1]), dtype=np.uint8)
+    at -= 1  # column ``longest`` of every token, in ``buf``
+    digit = np.empty_like(mag)
+    for k in range(longest - 1, -1, -1):
+        np.floor_divide(mag, 10**k, out=digit)
+        buf[at] = digit.astype(np.uint8)
+        digit *= 10**k
+        mag -= digit
+        at += 1
+    del mag, digit
+    buf += 48
+    # ``at`` now holds each token's separator
+    if kinds is None and per_line == 1:
+        buf[at] = 10
+    else:
+        buf[at] = 32
+        buf[at[last]] = 10
+    if neg.any():
+        buf[at[neg] - size[neg]] = 45
+    if kinds is not None:
+        start = at[first]
+        start -= size[first]
+        start -= heads
+        for code, head in enumerate(_HEADS):
+            mine = start[kinds == code]
+            for j, byte in enumerate(head):
+                buf[mine + j] = byte
+    return buf[longest:]
 
 
 def write_native(path, mesh: Mesh,
@@ -212,20 +270,10 @@ def write_native(path, mesh: Mesh,
     permutations under which the mesh would reload with other surface
     numbering.
     """
-    out = [f"{FORMAT_NAME} {FORMAT_VERSION}\nVERTICES {mesh.n_vertices}\n",
-           ("%r" + " %r" * (mesh.dim - 1) + "\n") * mesh.n_vertices
-           % tuple(mesh.vertices.ravel().tolist()),
-           f"ELEMENTS {mesh.n_elements}\n",
-           "".join(map(_ELEMENT_FORMAT.__getitem__, mesh.elem_kind.tolist()))
-           % tuple(mesh.elem_verts[_USED_SLOTS[mesh.elem_kind]].tolist())]
-    if parents is not None:
-        if len(parents) != mesh.n_elements:
-            raise ValueError("parents must list one entry per element")
-        out += [f"PARENTS {mesh.n_elements}\n", _int_rows(parents)]
-    if coloring is not None:
-        if len(coloring.colors) != mesh.n_surfaces:
-            raise ValueError("coloring must list one entry per surface")
-        out += [f"COLORS {mesh.n_surfaces}\n", _color_rows(coloring.colors)]
+    if parents is not None and len(parents) != mesh.n_elements:
+        raise ValueError("parents must list one entry per element")
+    if coloring is not None and len(coloring.colors) != mesh.n_surfaces:
+        raise ValueError("coloring must list one entry per surface")
     if (element_perm is None) != (surface_perm is None):
         raise ValueError("element and surface permutations come together")
     if element_perm is not None:
@@ -233,9 +281,22 @@ def write_native(path, mesh: Mesh,
                 or len(surface_perm) != mesh.n_surfaces):
             raise ValueError("permutation lengths do not match the mesh")
         _check_permutations(mesh, element_perm, surface_perm)
-        out += [f"PERMUTATIONS {mesh.n_elements} {mesh.n_surfaces}\n",
-                _int_rows(element_perm), _int_rows(surface_perm)]
-    _atomic_write(path, "".join(out))
+    out = [f"{FORMAT_NAME} {FORMAT_VERSION}\nVERTICES {mesh.n_vertices}\n"
+           .encode(),
+           (("%r" + " %r" * (mesh.dim - 1) + "\n") * mesh.n_vertices
+            % tuple(mesh.vertices.ravel().tolist())).encode(),
+           f"ELEMENTS {mesh.n_elements}\n".encode(),
+           _int_lines(mesh.elem_verts[_USED_SLOTS[mesh.elem_kind]],
+                      mesh.elem_kind)]
+    if parents is not None:
+        out += [f"PARENTS {mesh.n_elements}\n".encode(), _int_lines(parents)]
+    if coloring is not None:
+        out += [f"COLORS {mesh.n_surfaces}\n".encode(),
+                _int_lines(coloring.colors)]
+    if element_perm is not None:
+        out += [f"PERMUTATIONS {mesh.n_elements} {mesh.n_surfaces}\n"
+                .encode(), _int_lines(element_perm), _int_lines(surface_perm)]
+    _atomic_write(path, out)
 
 
 class _Lines:
@@ -380,8 +441,10 @@ def _section_header(line: str, path) -> tuple[str, list[int]]:
 
 
 def _finite(coords: np.ndarray, path) -> np.ndarray:
-    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
-    if bad.size:
+    """``coords``, or an error naming the first vertices that are not
+    finite; they are only looked for once one is known to exist."""
+    if not np.isfinite(coords).all():
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
         raise MalformedSectionError(
             f"{path}: non-finite coordinates at vertices {bad[:10].tolist()}"
         )
@@ -444,22 +507,26 @@ def _body_length(name: str, counts: list[int], ne: int, path) -> int:
     return sum(counts)
 
 
-def _token_values(buf: np.ndarray, ends: np.ndarray, size: np.ndarray,
+def _token_values(buf: np.ndarray, ends: np.ndarray, seps: np.ndarray,
                   signed: bool) -> np.ndarray:
-    """The integers of the tokens of ``buf`` that end before ``ends``
-    and are ``size`` bytes long.  Column k holds the byte k places
-    before every token's end; the columns are summed by Horner's rule
-    from the longest token's first digit, with 0 where a token has
+    """The integers of the tokens of ``buf`` that lie between the
+    separators at ``seps`` and ``ends``.  Column k holds the byte k
+    places before every token's end; the columns are summed by Horner's
+    rule from the longest token's first digit, with 0 where a token has
     fewer digits.  A ``-`` first gives the sign where ``signed``; any
     other byte that is not a digit, or a token longer than
     ``_MAX_INT_CHARS``, raises ``_OtherForm``.  A sign is never a whole
     token (``_bulk_sections`` checks that no token ends in one)."""
-    _need(size.max(initial=0) <= _MAX_INT_CHARS)
-    neg = np.take(buf, ends - size) == 45 if signed else False
-    digits = (size - neg).astype(np.uint8)
+    at = ends - seps  # each token's length plus one
+    _need(at.max(initial=0) <= _MAX_INT_CHARS + 1)
+    digits = at.astype(np.uint8)
+    digits -= 1
+    if signed:
+        neg = np.take(buf[1:], seps) == 45  # each token's first byte
+        digits -= neg
     longest = int(digits.max(initial=0))
     values = np.zeros(ends.shape, dtype=np.int64)
-    at = ends - longest  # column k of every token, from k = longest
+    np.subtract(ends, longest, out=at)  # column k, from k = longest
     for k in range(longest, 0, -1):
         d = np.take(buf, at)
         at += 1
@@ -492,22 +559,23 @@ def _bulk_sections(data: bytes):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf <= 32)  # the space or newline after a token
-    size = np.empty_like(ends)  # each token's length
-    size[0] = ends[0]
-    np.subtract(ends[1:], ends[:-1] + 1, out=size[1:])
-    last = buf[ends - 1]
     # an empty token is a doubled space, a space at a line's end or start
-    # or a blank line; no token of any section ends in a sign
-    if size.min() < 1 or ((last == 43) | (last == 45)).any():
+    # or a blank line, so the byte before its end is one too; no token
+    # of any section ends in a sign
+    last = np.take(buf, ends - 1)
+    if ends[0] == 0 or ((last <= 32) | (last == 43) | (last == 45)).any():
         return None
+    del last
     line_end = np.flatnonzero(buf[ends] == 10)  # the tokens ending lines
-    nl = ends[line_end]
+
+    def nl(i):  # the newline of line i
+        return int(ends[line_end[i]])
 
     def line(i):
-        return data[nl[i - 1] + 1 if i else 0:nl[i]].decode()
+        return data[nl(i - 1) + 1 if i else 0:nl(i)].decode()
 
     def body(a, b):  # lines a..b-1, each with its newline
-        return data[nl[a - 1] + 1:nl[b - 1] + 1]
+        return data[nl(a - 1) + 1:nl(b - 1) + 1]
 
     def widths(a, b):  # tokens per line
         return np.diff(line_end[a - 1:b])
@@ -516,11 +584,11 @@ def _bulk_sections(data: bytes):
         return slice(line_end[a - 1] + 1, line_end[b - 1] + 1)
 
     def section(at, names, ne):
-        _need(at < len(nl))
+        _need(at < len(line_end))
         name, counts = _section_header(line(at), None)
         _need(name in names)
         n = _body_length(name, counts, ne, None)
-        _need(at + 1 + n <= len(nl))
+        _need(at + 1 + n <= len(line_end))
         return name, at + 1, at + 1 + n
 
     def vertices(a, b):
@@ -536,22 +604,22 @@ def _bulk_sections(data: bytes):
         token = line(a).split(" ", 1)[0]
         kind = _TOKEN_KIND.get(token)
         _need(kind is not None and (widths(a, b) == 1 + kind.n_vertices).all())
-        prefix = (token + " ").encode()
-        starts = nl[a - 1:b - 1] + 1
-        _need(all((buf[starts + j] == c).all() for j, c in enumerate(prefix)))
         nv = kind.n_vertices
-
-        def ids(table):  # the vertex id tokens, past each line's kind
-            return table[tokens(a, b)].reshape(b - a, 1 + nv)[:, 1:]
-
+        # each line's token ends; the vertex ids follow the kind
+        table = ends[tokens(a, b)].reshape(b - a, 1 + nv)
+        starts = table[:, 0] - len(token)  # and where the kind starts
+        _need(all((buf[starts + j] == c).all()
+                  for j, c in enumerate(b"\n" + token.encode(), -1)))
         verts = np.full((b - a, MAX_ELEM_VERTS), -1, dtype=np.int64)
-        verts[:, :nv] = _token_values(buf, ids(ends), ids(size), signed=False)
+        verts[:, :nv] = _token_values(buf, table[:, 1:], table[:, :-1],
+                                      signed=False)
         return np.full(b - a, KIND_TO_CODE[kind], dtype=np.int8), verts
 
     def integers(a, b):
         t = tokens(a, b)
         _need(t.stop - t.start == b - a)  # one token per line
-        return _token_values(buf, ends[t], size[t], signed=True)
+        return _token_values(buf, ends[t], ends[t.start - 1:t.stop - 1],
+                             signed=True)
 
     try:
         _need(line(0) == f"{FORMAT_NAME} {FORMAT_VERSION}")
@@ -560,7 +628,7 @@ def _bulk_sections(data: bytes):
         _, a, b = section(b, ("ELEMENTS",), 0)
         kinds, verts = elements(a, b)
         tail: dict[str, np.ndarray] = {}
-        while b < len(nl):
+        while b < len(line_end):
             name, a, b = section(
                 b, [s for s in _TAIL_SECTIONS if s not in tail], len(kinds))
             tail[name] = integers(a, b)
@@ -835,4 +903,4 @@ def write_report(report: ColoringReport | Mapping, path=None) -> None:
     elif hasattr(path, "write"):
         path.write(text)
     else:
-        _atomic_write(path, text)
+        _atomic_write(path, [text.encode()])

@@ -26,7 +26,7 @@ from meshchroma import (
     write_report,
 )
 from meshchroma.mesh import CODE_TO_KIND, assemble, relabel
-from meshchroma.meshio import _CHUNK_LINES
+from meshchroma.meshio import _CHUNK_LINES, _N_IDS, _int_lines
 from conftest import assert_matches_assembly, hybrid_patch
 
 MESH_FIELDS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
@@ -300,6 +300,72 @@ def test_writer_sections_match_one_format_per_section(tmp_path, build,
     assert text[text.index("ELEMENTS"):] == _one_format_file(mesh, colors)
 
 
+# magnitudes where a digit count changes, and the int64 ends
+_EDGE_INTS = sorted({s * v for k in range(19) for v in (10**k, 10**k - 1)
+                     for s in (1, -1)} | {-2**63, 2**63 - 1})
+_INTS = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(_EDGE_INTS),
+                  st.integers(-1, 20))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_INTS, max_size=48), st.integers(1, 4))
+def test_int_lines_match_percent_d(values, width):
+    rows = np.array(values[:len(values) // width * width],
+                    dtype=np.int64).reshape(-1, width)
+    want = "".join(" ".join("%d" % v for v in row) + "\n"
+                   for row in rows.tolist())
+    assert _int_lines(rows).tobytes() == want.encode()
+    if width == 1:
+        assert _int_lines(rows.ravel()).tobytes() == want.encode()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, len(CODE_TO_KIND) - 1),
+                          st.lists(_INTS, min_size=4, max_size=4)),
+                max_size=24))
+def test_int_lines_of_element_lines(lines):
+    kinds = np.array([k for k, _ in lines], dtype=np.int8)
+    ids = [row[:_N_IDS[k]] for k, row in lines]
+    want = "".join(CODE_TO_KIND[k].value + "".join(" %d" % v for v in row)
+                   + "\n" for (k, _), row in zip(lines, ids))
+    tokens = np.array([v for row in ids for v in row], dtype=np.int64)
+    assert _int_lines(tokens, kinds).tobytes() == want.encode()
+
+
+def _percent_file(mesh, parents, colors, element_perm, surface_perm):
+    """A native file as the writer that formatted every section with
+    ``%`` wrote it."""
+    lines = ["MESHCHROMA 1", f"VERTICES {mesh.n_vertices}"]
+    lines += [" ".join(map(repr, row)) for row in mesh.vertices.tolist()]
+    lines.append(f"ELEMENTS {mesh.n_elements}")
+    for code, row in zip(mesh.elem_kind.tolist(), mesh.elem_verts.tolist()):
+        kind = CODE_TO_KIND[code]
+        lines.append(kind.value + " %d" * kind.n_vertices
+                     % tuple(row[:kind.n_vertices]))
+    lines += [f"PARENTS {len(parents)}"] + ["%d" % p for p in parents]
+    lines += [f"COLORS {len(colors)}"] + ["%d" % c for c in colors]
+    lines.append(f"PERMUTATIONS {len(element_perm)} {len(surface_perm)}")
+    lines += ["%d" % p for p in list(element_perm) + list(surface_perm)]
+    return "\n".join(lines) + "\n"
+
+
+def test_mixed_file_matches_percent_formatting(tmp_path):
+    mesh = hybrid_patch(5, 4)
+    coloring, _ = color(mesh)
+    plan = build_plan(mesh, coloring)
+    new_mesh, new_coloring = apply_plan(mesh, coloring, plan)
+    assert len(new_mesh.element_kind_profile) == 2
+    # -1, single digits and wider values, as refined files hold
+    parents = np.arange(new_mesh.n_elements) * 37 % 1201 - 1
+    path = tmp_path / "mixed.mesh"
+    write_native(path, new_mesh, new_coloring, parents=parents,
+                 element_perm=plan.element_perm,
+                 surface_perm=plan.surface_perm)
+    assert path.read_text() == _percent_file(
+        new_mesh, parents.tolist(), new_coloring.colors.tolist(),
+        plan.element_perm.tolist(), plan.surface_perm.tolist())
+
+
 def test_sections_longer_than_one_chunk(tmp_path):
     mesh = gen_tri_rect(70, 70)
     coloring, _ = color(mesh)
@@ -350,28 +416,58 @@ def test_sections_longer_than_one_chunk(tmp_path):
         assert str(err.value) == f"{path}: {expected}", name
 
 
-def test_read_native_memory_peak(tmp_path):
-    # tracemalloc peak of one read, in MiB: the reader that parsed one
-    # token per call peaked at 5.19 on this file and this one at 4.40
-    # (CPython 3.11, numpy 2.4).  The bound is the old peak, 0.8 MiB
-    # above the current one; a change that spends memory for speed
-    # crosses it.
+def _traced_peak(call) -> float:
+    """tracemalloc peak of ``call()`` in MiB, after one untraced call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def reordered_60():
+    """A reordered shuffled 60x60 tri_rect mesh, its coloring and plan."""
     mesh = shuffle_elements(gen_tri_rect(60, 60), seed=7)
     coloring, _ = color(mesh)
     plan = build_plan(mesh, coloring)
-    new_mesh, new_coloring = apply_plan(mesh, coloring, plan)
+    return (*apply_plan(mesh, coloring, plan), plan)
+
+
+def test_read_native_memory_peak(tmp_path, reordered_60):
+    # tracemalloc peak of one read, in MiB: the reader that parsed one
+    # token per call peaked at 5.19 on this file and this one at 2.37
+    # (CPython 3.11, numpy 2.4).  The bound is the old peak; a change
+    # that spends memory for speed crosses it.
+    new_mesh, new_coloring, plan = reordered_60
     path = tmp_path / "m.mesh"
     write_native(path, new_mesh, new_coloring,
                  element_perm=plan.element_perm,
                  surface_perm=plan.surface_perm)
-    read_native(path)
-    tracemalloc.start()
-    try:
-        read_native(path)
-        peak = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5.19
+    assert _traced_peak(lambda: read_native(path)) <= 5.19
+
+
+def test_assemble_memory_peak(reordered_60):
+    # in MiB: the bound is the peak while every slot-sized array lived
+    # to the end of assemble; deleting each once used brought it to 0.99
+    mesh = reordered_60[0]
+    peak = _traced_peak(
+        lambda: assemble(mesh.vertices, mesh.elem_kind, mesh.elem_verts))
+    assert peak <= 1.82
+
+
+def test_write_native_memory_peak(tmp_path, reordered_60):
+    # in MiB: the bound is the peak of the writer that formatted each
+    # section with one ``%`` and then checked the permutations; the
+    # digit-column writer, which checks them first, peaks at 1.12
+    new_mesh, new_coloring, plan = reordered_60
+    path = tmp_path / "m.mesh"
+    peak = _traced_peak(lambda: write_native(
+        path, new_mesh, new_coloring, element_perm=plan.element_perm,
+        surface_perm=plan.surface_perm))
+    assert peak <= 1.30
 
 
 def test_refined_parents_need_a_triangle_mesh(tmp_path):
