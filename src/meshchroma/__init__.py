@@ -13,7 +13,6 @@ from .amr import (
     RefinementMap,
     child_color,
     coarsen,
-    max_refined_neighbors,
     reconstruct_refinement,
     refine,
 )
@@ -73,7 +72,6 @@ from .reorder import (
     apply_plan,
     build_plan,
     coalescing_metric,
-    invert_plan,
 )
 from .sweeps import (
     AccumulationState,
@@ -135,8 +133,6 @@ __all__ = [
     "gen_tet_prism",
     "gen_tri_rect",
     "generate",
-    "invert_plan",
-    "max_refined_neighbors",
     "memory_saved",
     "modified_greedy",
     "naive_greedy",

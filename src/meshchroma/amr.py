@@ -144,7 +144,7 @@ class RefinedMesh:
     def n_unrefined(self) -> int:
         return int((self.child_slot < 0).sum())
 
-    def hanging_interfaces(self) -> tuple[tuple[int, int, int], ...]:
+    def _hanging_interfaces(self) -> tuple[tuple[int, int, int], ...]:
         """(coarse full edge, lower half, upper half) fine surface ids
         for every nonconforming interface."""
         halves = np.full((self.base.n_surfaces, 2), -1, dtype=np.int64)
@@ -383,7 +383,7 @@ def coarsen(refined: RefinedMesh, coloring: SurfaceColoring,
     return _with_colors(_materialize(refined.base, remaining), base_colors)
 
 
-def max_refined_neighbors(refined: RefinedMesh) -> int:
+def _max_refined_neighbors(refined: RefinedMesh) -> int:
     """Largest number of refinement children adjacent to any unrefined
     element.  Each refined edge neighbor contributes two children, so a
     triangle with all three neighbors refined scores six."""

@@ -271,7 +271,7 @@ def _cmd_color(args) -> int:
     coloring, report = color(nm.mesh, config)
     write_native(args.output, nm.mesh, coloring=coloring,
                  parents=nm.parents, element_perm=nm.element_perm,
-                 surface_perm=nm.surface_perm)
+                 surface_perm=nm.surface_perm, source=nm)
     write_report(report, args.report)
     return EXIT_OK
 
@@ -314,7 +314,7 @@ def _cmd_refine(args) -> int:
     ids = (range(mesh.n_elements) if args.all else args.elements)
     refined, fine_coloring = refine(mesh, coloring, ids)
     write_native(args.output, refined.mesh, coloring=fine_coloring,
-                 parents=refined.parents)
+                 parents=refined.parents, source=nm)
     print(f"refined {len(refined.map.refined)} elements; "
           f"{refined.mesh.n_elements} elements, "
           f"{refined.mesh.n_surfaces} surfaces -> {args.output}")
@@ -355,7 +355,7 @@ def _cmd_reorder(args) -> int:
         surface_perm = surface_perm[nm.surface_perm]
     write_native(args.output, new_mesh, coloring=new_coloring,
                  parents=parents, element_perm=element_perm,
-                 surface_perm=surface_perm)
+                 surface_perm=surface_perm, source=nm)
     if args.metric:
         before = coalescing_metric(nm.mesh, coloring)
         after = coalescing_metric(new_mesh, new_coloring)

@@ -33,26 +33,37 @@ trailing sections, integers short enough not to overflow), numpy finds
 the newline and space positions once, which give every token's end and
 length and every line's token count.  The integers of ELEMENTS and of
 the trailing sections are then summed from digit columns of the byte
-buffer at those token ends (``_token_values``); VERTICES is converted
-with one ``np.fromstring`` call, which rounds decimal text correctly.
-Any other file, so every file with a malformed line, goes to the line
-parser ``_read_native``: the reference the bulk path is tested
-against, the path for hand-edited files with comments or other
-spacing, and the one that names the first bad line.  It takes its
-lines from ``_Lines``, which reads the file in blocks of about 64k
-characters, cuts each line at ``#``, strips it and drops blank lines,
-and it parses each section in chunks of up to 4096 lines, so neither
-the file nor a section is held as one list of lines.  Both paths apply
-the same value checks (finite coordinates, PARENTS and COLORS ranges)
-and end in ``_finish``, which assembles the mesh from kind codes and a
-padded vertex array (``mesh.assemble``) and checks the trailing
-sections against it.  The MSH reader shares ``_Lines`` and builds the
-same two arrays for ``assemble``.  The writer formats VERTICES with one
-``%r`` operation over the coordinates, the shortest text that reads
-back exactly, and every integer section with ``_int_lines``, the
+buffer at those token ends (``_token_values``).  A VERTICES body in
+fixed notation, every token ``-?[0-9]+.[0-9]+`` with a mantissa below
+2**53, is decoded from the same digit columns on each side of the
+point and divided by the power of ten of each token's fraction digits
+(``_fixed_values``), which rounds once, as ``np.fromstring`` does; any
+other body, exponents and longer tokens included, goes to one
+``np.fromstring`` call.  The bulk path keeps the VERTICES body bytes
+as ``NativeMesh.vertex_text``.  Any other file, so every file with a
+malformed line, goes to the line parser ``_read_native``: the
+reference the bulk path is tested against, the path for hand-edited
+files with comments or other spacing, and the one that names the first
+bad line.  It takes its lines from ``_Lines``, which reads the file in
+blocks of about 64k characters, cuts each line at ``#``, strips it and
+drops blank lines, and it parses each section in chunks of up to 4096
+lines, so neither the file nor a section is held as one list of lines.
+Both paths apply the same value checks (finite coordinates, PARENTS and
+COLORS ranges) and end in ``_finish``, which assembles the mesh from
+kind codes and a padded vertex array (``mesh.assemble``) and checks the
+trailing sections against it.  The MSH reader shares ``_Lines`` and
+builds the same two arrays for ``assemble``.
+
+The writer formats every integer section with ``_int_lines``, the
 reverse of ``_token_values``: it counts each token's bytes, places the
 tokens with one ``cumsum`` and writes their digits a column at a time
-into one byte buffer.
+into one byte buffer.  VERTICES rows are formatted with one ``%r``
+operation, the shortest text that reads back exactly, except the
+leading rows that are bit for bit the vertices of the ``source`` file
+the mesh came from: those are written as the bytes that file held.
+The bytes of a file the writer produced are its ``%r`` text, so they
+come out unchanged; a hand-written token such as ``0.50`` is passed
+through as it was read.
 
 Writes go through a temp file plus rename so a crash cannot leave a
 half-written mesh behind.
@@ -66,7 +77,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -117,6 +128,9 @@ _FORM_BYTES = (b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # an integer of at most 18 characters is below 10**18 < 2**63 in
 # magnitude, so its digit sum cannot overflow an int64
 _MAX_INT_CHARS = 18
+# 10**k for every fraction length of a fixed-notation token of at most
+# _MAX_INT_CHARS digits; each is an exact double as well
+_POW10 = 10 ** np.arange(_MAX_INT_CHARS, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -128,6 +142,9 @@ class NativeMesh:
     parents: np.ndarray | None = None
     element_perm: np.ndarray | None = None
     surface_perm: np.ndarray | None = None
+    # the VERTICES body bytes the bulk reader decoded ``mesh.vertices``
+    # from; None from the line parser and the MSH reader
+    vertex_text: bytes | None = field(default=None, repr=False)
 
 
 def _atomic_write(path, chunks) -> None:
@@ -258,13 +275,34 @@ def _int_lines(tokens, kinds: np.ndarray | None = None) -> np.ndarray:
     return buf[longest:]
 
 
+def _vertex_rows(mesh: Mesh, source: NativeMesh | None) -> list[bytes]:
+    """The VERTICES body: ``source.vertex_text`` for the leading rows
+    when they are ``source.mesh.vertices`` bit for bit (so -0.0 is not
+    0.0), and ``%r`` text for every other row."""
+    kept = []
+    rows = mesh.vertices
+    if source is not None and source.vertex_text is not None:
+        old = source.mesh.vertices
+        if (old.shape[1] == mesh.dim and len(old) <= mesh.n_vertices
+                and np.array_equal(rows[:len(old)].view(np.int64),
+                                   old.view(np.int64))):
+            kept, rows = [source.vertex_text], rows[len(old):]
+    return kept + [(("%r" + " %r" * (mesh.dim - 1) + "\n") * len(rows)
+                    % tuple(rows.ravel().tolist())).encode()]
+
+
 def write_native(path, mesh: Mesh,
                  coloring: SurfaceColoring | None = None,
                  parents: np.ndarray | None = None,
                  element_perm: np.ndarray | None = None,
-                 surface_perm: np.ndarray | None = None) -> None:
+                 surface_perm: np.ndarray | None = None, *,
+                 source: NativeMesh | None = None) -> None:
     """Serialize a mesh and its optional coloring, parent table, and
     reordering permutations.
+
+    ``source`` is the file the mesh was read from, if any: leading
+    vertex rows equal to its vertices are written as the bytes it
+    held, not formatted again.
 
     Raises ``ValueError`` when an extra does not fit the mesh, including
     permutations under which the mesh would reload with other surface
@@ -283,8 +321,7 @@ def write_native(path, mesh: Mesh,
         _check_permutations(mesh, element_perm, surface_perm)
     out = [f"{FORMAT_NAME} {FORMAT_VERSION}\nVERTICES {mesh.n_vertices}\n"
            .encode(),
-           (("%r" + " %r" * (mesh.dim - 1) + "\n") * mesh.n_vertices
-            % tuple(mesh.vertices.ravel().tolist())).encode(),
+           *_vertex_rows(mesh, source),
            f"ELEMENTS {mesh.n_elements}\n".encode(),
            _int_lines(mesh.elem_verts[_USED_SLOTS[mesh.elem_kind]],
                       mesh.elem_kind)]
@@ -463,11 +500,11 @@ def read_native(path) -> NativeMesh:
     if sections is None:
         with open(path) as fh:
             return _read_native(_Lines(fh, path), path)
-    coords, kinds, verts, tail = sections
+    coords, vertex_text, kinds, verts, tail = sections
     _finite(coords, path)
     for name, values in tail.items():
         _check_tail(name, values, path)
-    return _finish(path, coords, kinds, verts, tail)
+    return _finish(path, coords, kinds, verts, tail, vertex_text)
 
 
 class _OtherForm(Exception):
@@ -540,20 +577,61 @@ def _token_values(buf: np.ndarray, ends: np.ndarray, seps: np.ndarray,
     return values
 
 
+def _fixed_values(buf: np.ndarray, ends: np.ndarray,
+                  seps: np.ndarray) -> np.ndarray | None:
+    """The doubles of the tokens of ``buf`` between the separators at
+    ``seps`` and ``ends`` when every token is in fixed notation,
+    ``-?[0-9]+.[0-9]+``, and its digits form a mantissa m below 2**53;
+    otherwise None.
+
+    Each token holds exactly one point when the sorted points of the
+    body lie one inside each token, between two digits.
+    ``_token_values`` then sums the digit columns on each side of the
+    point, the whole part w and the k fraction digits f, and m is
+    w * 10**k + f.  The value is m / 10**k: m and 10**k are exact
+    doubles and one IEEE division rounds once, so the result is the
+    correctly rounded one ``np.fromstring`` gives (Clinger's fast
+    path), -0.0 included.
+    """
+    points = np.flatnonzero(buf[seps[0]:ends[-1]] == 46)
+    if len(points) != len(ends):
+        return None
+    points += seps[0]
+    neg = np.take(buf, seps + 1) == 45
+    before = seps + neg  # the byte before each token's first digit
+    k = ends - 1 - points
+    # a digit on each side of the point, at most _MAX_INT_CHARS in all
+    if not ((points > before + 1) & (k > 0)
+            & (ends - before <= _MAX_INT_CHARS + 2)).all():
+        return None
+    try:
+        mantissa = _token_values(buf, points, before, signed=False)
+        mantissa *= _POW10[k]
+        mantissa += _token_values(buf, ends, points, signed=False)
+    except _OtherForm:
+        return None
+    if mantissa.max() >= 2**53:
+        return None
+    values = mantissa / _POW10[k]
+    np.negative(values, out=values, where=neg)
+    return values
+
+
 def _bulk_sections(data: bytes):
     """The sections of a file in the writer's form, or None.
 
-    Returns the coordinates, kind codes, padded vertex ids and a dict of
-    the trailing sections in file order.  The form: only bytes of
-    ``_FORM_BYTES``, single spaces, no space at either end of a line,
-    no blank line, a final newline, headers the line parser accepts,
-    one vertex width of 2 or 3, one element kind whose token starts
-    every element line, and one integer per line in the trailing
-    sections.  Integer tokens are ``-?[0-9]+`` (unsigned in ELEMENTS)
-    and at most ``_MAX_INT_CHARS`` long; they are decoded from the
-    token table by ``_token_values``.  Vertex coordinates go through
-    ``np.fromstring``, which must give one value per token.  Any other
-    file gives None.
+    Returns the coordinates, the VERTICES body bytes, kind codes, padded
+    vertex ids and a dict of the trailing sections in file order.  The
+    form: only bytes of ``_FORM_BYTES``, single spaces, no space at
+    either end of a line, no blank line, a final newline, headers the
+    line parser accepts, one vertex width of 2 or 3, one element kind
+    whose token starts every element line, and one integer per line in
+    the trailing sections.  Integer tokens are ``-?[0-9]+`` (unsigned in
+    ELEMENTS) and at most ``_MAX_INT_CHARS`` long; they are decoded from
+    the token table by ``_token_values``.  A VERTICES body in fixed
+    notation is decoded from the same table by ``_fixed_values``; any
+    other body goes through ``np.fromstring``, which must give one
+    value per token.  Any other file gives None.
     """
     if not data.endswith(b"\n") or data.translate(None, _FORM_BYTES):
         return None
@@ -592,13 +670,15 @@ def _bulk_sections(data: bytes):
         return name, at + 1, at + 1 + n
 
     def vertices(a, b):
-        text, w = body(a, b), widths(a, b)
-        _need(w[0] in (2, 3) and (w == w[0]).all()
-              # digits, signs, points, exponents, inf and nan
-              and not text.translate(None, b"0123456789.+-eEinfa \n"))
-        values = np.fromstring(text, sep=" ")
-        _need(values.size == w.sum())
-        return values.reshape(-1, w[0])
+        text, w, t = body(a, b), widths(a, b), tokens(a, b)
+        _need(w[0] in (2, 3) and (w == w[0]).all())
+        values = _fixed_values(buf, ends[t], ends[t.start - 1:t.stop - 1])
+        if values is None:
+            # digits, signs, points, exponents, inf and nan
+            _need(not text.translate(None, b"0123456789.+-eEinfa \n"))
+            values = np.fromstring(text, sep=" ")
+            _need(values.size == w.sum())
+        return values.reshape(-1, w[0]), text
 
     def elements(a, b):
         token = line(a).split(" ", 1)[0]
@@ -624,7 +704,7 @@ def _bulk_sections(data: bytes):
     try:
         _need(line(0) == f"{FORMAT_NAME} {FORMAT_VERSION}")
         _, a, b = section(1, ("VERTICES",), 0)
-        coords = vertices(a, b)
+        coords, vertex_text = vertices(a, b)
         _, a, b = section(b, ("ELEMENTS",), 0)
         kinds, verts = elements(a, b)
         tail: dict[str, np.ndarray] = {}
@@ -636,7 +716,7 @@ def _bulk_sections(data: bytes):
     # is reported again, with the file's path, by the line parser.
     except (_OtherForm, MalformedSectionError, ValueError):
         return None
-    return coords, kinds, verts, tail
+    return coords, vertex_text, kinds, verts, tail
 
 
 def _check_tail(name: str, values: np.ndarray, path) -> None:
@@ -714,7 +794,8 @@ def _read_native(src: _Lines, path) -> NativeMesh:
 
 
 def _finish(path, coords: np.ndarray, kinds: np.ndarray, verts: np.ndarray,
-            tail: dict[str, np.ndarray]) -> NativeMesh:
+            tail: dict[str, np.ndarray],
+            vertex_text: bytes | None = None) -> NativeMesh:
     """Assemble the mesh both parsers read and check the trailing
     sections against it."""
     ne = len(kinds)
@@ -767,7 +848,8 @@ def _finish(path, coords: np.ndarray, kinds: np.ndarray, verts: np.ndarray,
                 f"palette of {base} colors"
             )
         coloring = SurfaceColoring(colors.astype(np.int32), base)
-    return NativeMesh(mesh, coloring, parents, element_perm, surface_perm)
+    return NativeMesh(mesh, coloring, parents, element_perm, surface_perm,
+                      vertex_text)
 
 
 def read_msh(path) -> Mesh:

@@ -163,7 +163,7 @@ def apply_plan(mesh: Mesh, coloring: SurfaceColoring,
             SurfaceColoring(new_colors, coloring.n_colors))
 
 
-def invert_plan(plan: ReorderingPlan) -> ReorderingPlan:
+def _invert_plan(plan: ReorderingPlan) -> ReorderingPlan:
     """The plan that undoes this one."""
     return ReorderingPlan(
         element_perm=inverse_permutation(plan.element_perm),

@@ -16,13 +16,13 @@ from meshchroma import (
     color,
     gen_quad_rect,
     gen_tri_rect,
-    max_refined_neighbors,
     read_native,
     reconstruct_refinement,
     refine,
     verify_coloring,
     write_native,
 )
+from meshchroma.amr import _max_refined_neighbors
 from meshchroma.mesh import assemble
 
 # the half that contains the lower endpoint keeps the parent color,
@@ -90,7 +90,7 @@ def test_half_ordering_follows_the_lower_endpoint():
     mesh = gen_tri_rect(2, 2)
     coloring, _ = color(mesh)
     ref, fine = refine(mesh, coloring, [0])
-    for full, h1, h2 in ref.hanging_interfaces():
+    for full, h1, h2 in ref._hanging_interfaces():
         u, w = ref.mesh.surf_verts[full].tolist()
         c = int(fine.colors[full])
         assert min(u, w) in ref.mesh.surf_verts[h1].tolist()
@@ -102,7 +102,7 @@ def test_hanging_interfaces_pair_halves_with_the_full_edge():
     mesh = gen_tri_rect(2, 2)
     coloring, _ = color(mesh)
     ref, _ = refine(mesh, coloring, [0])
-    hanging = ref.hanging_interfaces()
+    hanging = ref._hanging_interfaces()
     assert len(hanging) > 0
     for full, h1, h2 in hanging:
         fv = set(ref.mesh.surf_verts[full].tolist())
@@ -208,7 +208,7 @@ def test_six_refined_neighbors_is_the_ceiling():
          for a, b in lines if center in (int(a), int(b))}
     )
     ref, _ = refine(mesh, coloring, neighbors)
-    assert max_refined_neighbors(ref) == 6
+    assert _max_refined_neighbors(ref) == 6
 
 
 def test_reconstruct_from_native_file(tmp_path):
@@ -295,8 +295,8 @@ def test_interface_counts_match_a_per_surface_loop(closed, targets):
     mesh = gen_tri_rect(4, 4, closed)
     coloring, _ = color(mesh)
     ref, _ = refine(mesh, coloring, targets)
-    assert ref.hanging_interfaces() == _hanging_by_loop(ref)
-    assert max_refined_neighbors(ref) == _max_refined_neighbors_by_loop(ref)
+    assert ref._hanging_interfaces() == _hanging_by_loop(ref)
+    assert _max_refined_neighbors(ref) == _max_refined_neighbors_by_loop(ref)
 
 
 def _refined_family():

@@ -25,7 +25,8 @@ from meshchroma import (
     write_native,
     write_report,
 )
-from meshchroma.mesh import CODE_TO_KIND, assemble, relabel
+from meshchroma.cli import main
+from meshchroma.mesh import CODE_TO_KIND, ElementKind, assemble, relabel
 from meshchroma.meshio import _CHUNK_LINES, _N_IDS, _int_lines
 from conftest import assert_matches_assembly, hybrid_patch
 
@@ -513,6 +514,96 @@ def test_float_coordinates_survive(tmp_path):
     write_native(path, mesh)
     back = read_native(path).mesh
     assert (back.vertices == mesh.vertices).all()
+
+
+def _jittered_tri(nx, ny):
+    """A shuffled triangle patch whose coordinates print with up to 17
+    digits, in exponent notation near 0."""
+    mesh = shuffle_elements(gen_tri_rect(nx, ny), seed=3)
+    rng = np.random.default_rng(5)
+    vertices = mesh.vertices + rng.normal(scale=1e-3,
+                                          size=mesh.vertices.shape)
+    vertices[0] = (3e-7, -2e-5)
+    return assemble(vertices, mesh.elem_kind, mesh.elem_verts)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: shuffle_elements(gen_tri_rect(5, 4), 2),
+    lambda: gen_quad_rect(4, 3),
+    lambda: shuffle_elements(gen_tet_prism(2, 2, 2), 1),
+    lambda: _jittered_tri(5, 4),
+], ids=["tri", "quad", "tet", "jittered"])
+def test_writing_with_source_gives_the_same_bytes(tmp_path, build):
+    mesh = build()
+    coloring, _ = color(mesh)
+    path = tmp_path / "c.mesh"
+    write_native(path, mesh, coloring)
+    nm = read_native(path)
+    assert nm.vertex_text is not None
+
+    def written(name, *args, **kwargs):
+        """The bytes written with ``source=nm``, checked against the
+        bytes written without it."""
+        got, want = tmp_path / f"{name}.src", tmp_path / f"{name}.fmt"
+        write_native(got, *args, source=nm, **kwargs)
+        write_native(want, *args, **kwargs)
+        assert got.read_bytes() == want.read_bytes(), name
+        return got.read_bytes()
+
+    assert written("same", nm.mesh, nm.coloring) == path.read_bytes()
+    plan = build_plan(nm.mesh, nm.coloring)
+    new_mesh, new_coloring = apply_plan(nm.mesh, nm.coloring, plan)
+    written("reordered", new_mesh, new_coloring,
+            element_perm=plan.element_perm, surface_perm=plan.surface_perm)
+    if mesh.element_kind_profile == {ElementKind.TRIANGLE}:
+        refined, fine = refine(nm.mesh, nm.coloring, [0, 3])
+        assert refined.mesh.n_vertices > mesh.n_vertices
+        written("refined", refined.mesh, fine, parents=refined.parents)
+
+
+def test_source_rows_must_match_bit_for_bit(tmp_path):
+    mesh = gen_tri_rect(2, 1)
+    path = tmp_path / "a.mesh"
+    write_native(path, mesh)
+    nm = read_native(path)
+    flipped = mesh.vertices.copy()
+    flipped[0, 1] = -0.0  # equal to 0.0, but not the same bits
+    moved = assemble(flipped, mesh.elem_kind, mesh.elem_verts)
+    got, want = tmp_path / "b.mesh", tmp_path / "c.mesh"
+    write_native(got, moved, source=nm)
+    write_native(want, moved)
+    assert got.read_bytes() == want.read_bytes()
+    assert b"VERTICES 6\n0.0 -0.0\n" in got.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [
+    ["0.00 0.0", "0.50 00.0", "1.000 0.0", "0.0 0.50", "0.5 0.500",
+     "001.0 0.50"],
+    ["0e0 +0.0", "5e-1 0", "1E0 -0.0", ".0 .5", "0.5 5.0e-1", "1. 0.5"],
+], ids=["fixed", "other"])
+def test_hand_written_coordinates_pass_through(tmp_path, capsys, rows):
+    # the commands keep the bytes a coordinate was read from: a token
+    # such as 0.50 is not rewritten as 0.5
+    path = tmp_path / "in.mesh"
+    write_native(path, gen_tri_rect(2, 1))
+    lines = path.read_text().split("\n")
+    lines[2:8] = rows
+    path.write_text("\n".join(lines))
+    text = "".join(row + "\n" for row in rows).encode()
+    want = read_native(path)
+    assert want.vertex_text == text
+    colored, fine, reordered = (str(tmp_path / f"{name}.mesh")
+                                for name in ("c", "f", "r"))
+    assert main(["color", "-i", str(path), "-o", colored]) == 0
+    assert main(["reorder", "-i", colored, "-o", reordered]) == 0
+    assert main(["refine", "-i", colored, "-o", fine, "--all"]) == 0
+    for name in (colored, reordered, fine):
+        back = read_native(name)
+        assert back.vertex_text.startswith(text)
+        assert np.array_equal(back.mesh.vertices[:6].view(np.int64),
+                              want.mesh.vertices.view(np.int64))
+        assert main(["verify", "-i", name]) == 0
+    capsys.readouterr()
 
 
 def test_perms_must_come_together(tmp_path):

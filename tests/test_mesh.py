@@ -223,9 +223,9 @@ def test_public_names_are_pinned():
         UnrefinableKindError UnsupportedVersionError WriteConflictError
         apply_plan assert_race_free basis_count build_plan child_color
         coalescing_metric coarsen color color_set_size default_payload
-        gen_quad_rect gen_tet_prism gen_tri_rect generate invert_plan
-        max_refined_neighbors memory_saved modified_greedy naive_greedy
-        read_msh read_native reconstruct_refinement refine
+        gen_quad_rect gen_tet_prism gen_tri_rect generate memory_saved
+        modified_greedy naive_greedy read_msh read_native
+        reconstruct_refinement refine
         resolve_conflicts shuffle_elements surface_buffer sweep_buffered
         sweep_colored sweep_sequential verify_coloring vizing_bound
         write_native write_report""".split())

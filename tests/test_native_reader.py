@@ -6,6 +6,8 @@ operations over its bytes and hands any other file to the line parser
 and dtypes, or the same exception type and message.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,8 @@ from meshchroma import (
     write_native,
 )
 from meshchroma.cli import main
-from meshchroma.meshio import (_MAX_INT_CHARS, _bulk_sections, _Lines,
-                                _read_native)
+from meshchroma.meshio import (_MAX_INT_CHARS, _bulk_sections,
+                                _fixed_values, _Lines, _read_native)
 
 MESH_FIELDS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
                "surf_verts", "surf_elems")
@@ -291,3 +293,108 @@ def test_parents_of_every_width_take_the_bulk_path(bases, tmp_path_factory,
     got = read_native(path)
     assert_same(got, _line_parser(path))
     assert got.parents.tolist() == [v for v, _ in drawn]
+
+
+def _fixed(tokens):
+    """``_fixed_values`` of ``tokens`` as one VERTICES line."""
+    buf = np.frombuffer(("\n" + " ".join(tokens) + "\n").encode(),
+                        dtype=np.uint8)
+    seps = np.flatnonzero(buf <= 32)
+    return _fixed_values(buf, seps[1:], seps[:-1])
+
+
+def _decodes_fixed(token) -> bool:
+    """Whether ``token`` is in fixed notation with a mantissa below
+    2**53, the tokens ``_fixed_values`` converts."""
+    digits = token.lstrip("-").replace(".", "")
+    return (re.fullmatch(r"-?[0-9]+\.[0-9]+", token) is not None
+            and len(digits) <= _MAX_INT_CHARS and int(digits) < 2**53)
+
+
+def _assert_decodes_as_fromstring(tokens):
+    got = _fixed(tokens)
+    want = np.fromstring(" ".join(tokens), sep=" ")
+    assert (got is not None) == all(map(_decodes_fixed, tokens)), tokens
+    if got is not None:  # bit for bit, so -0.0 is not 0.0
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# 0, magnitudes where %r turns to exponents, and mantissas of 15, 16
+# and 17 digits
+_EDGE_FLOATS = [0.0, 1e-4, float(np.nextafter(1e-4, 0)),
+                float(np.nextafter(1e16, 0)), 1e16, 0.1 + 0.2, 1 / 3,
+                123456789012345.0, 0.12345678901234, 2.0**53 / 1e3,
+                (2.0**53 - 1) / 1e3, 9007199254740.993, 0.1234567890123456]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS]),
+    st.floats(-1e16, 1e16), st.floats(-1, 1)), min_size=1, max_size=12))
+def test_fixed_decoder_matches_fromstring_on_repr(values):
+    _assert_decodes_as_fromstring([repr(v) for v in values])
+
+
+@st.composite
+def _fixed_tokens(draw):
+    """Fixed-notation text of up to 19 digits, leading and trailing
+    zeros included: ``0.50``, ``007.25``, ``-0.000``."""
+    n = draw(st.integers(min_value=2, max_value=19))
+    digits = str(draw(st.integers(0, 10**n - 1))).zfill(n)
+    point = draw(st.integers(min_value=1, max_value=n - 1))
+    sign = draw(st.sampled_from(["", "-"]))
+    return f"{sign}{digits[:point]}.{digits[point:]}"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_fixed_tokens(), min_size=1, max_size=12))
+def test_fixed_decoder_matches_fromstring_on_fixed_text(tokens):
+    _assert_decodes_as_fromstring(tokens)
+
+
+def test_fixed_decoder_examples():
+    for tokens in (["0.50", "007.25"], ["-0.0", "0.0"], ["1.0"] * 3,
+                   ["9007199254740.991", "0.000000000000001"]):
+        _assert_decodes_as_fromstring(tokens)
+        assert _fixed(tokens) is not None
+    # 2**53 itself, an exponent, and tokens that are not fixed notation
+    for tokens in (["9007199254740.992"], ["1.0", "1e5"], ["-.5", "1.0"],
+                   ["5.", "1.0"], ["+1.0"], ["1.2.3", "1.0"],
+                   ["1.0", "1.0.", "5"]):
+        assert _fixed(tokens) is None, tokens
+
+
+# a vertex token -> what read_native gives for it (a coordinate or the
+# error after the path) and verify's exit code, as np.fromstring and
+# the line parser decided before the fixed-notation decoder existed
+MALFORMED_VERTEX = {
+    "-.5": (-0.5, 0),
+    "5.": (5.0, 0),
+    "+1.0": (1.0, 0),
+    "1.2.3": ("bad vertex line '1.0 1.2.3'", 4),
+    "--1": ("bad vertex line '1.0 --1'", 4),
+    "1-2": ("bad vertex line '1.0 1-2'", 4),
+    "1e999": ("non-finite coordinates at vertices [1]", 4),
+    "nan": ("non-finite coordinates at vertices [1]", 4),
+    "-0.0": (-0.0, 0),
+    "007.25": (7.25, 0),
+}
+
+
+@pytest.mark.parametrize("token", MALFORMED_VERTEX)
+def test_vertex_tokens_keep_their_verdicts(tmp_path, capsys, token):
+    path = tmp_path / "t.mesh"
+    path.write_text(f"MESHCHROMA 1\nVERTICES 3\n0.0 0.0\n1.0 {token}\n"
+                    "0.0 1.0\nELEMENTS 1\ntri 0 1 2\n")
+    want, code = MALFORMED_VERTEX[token]
+    if isinstance(want, str):
+        with pytest.raises(MalformedSectionError) as err:
+            read_native(path)
+        assert str(err.value) == f"{path}: {want}"
+    else:
+        y = read_native(path).mesh.vertices[1, 1]
+        assert y == want and np.signbit(y) == np.signbit(want)
+    assert_same(_outcome(read_native, path), _outcome(_line_parser, path))
+    assert main(["verify", "-i", str(path)]) == code
+    capsys.readouterr()

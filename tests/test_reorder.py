@@ -19,12 +19,12 @@ from meshchroma import (
     gen_quad_rect,
     gen_tet_prism,
     gen_tri_rect,
-    invert_plan,
     naive_greedy,
     refine,
     shuffle_elements,
     verify_coloring,
 )
+from meshchroma.reorder import _invert_plan
 from conftest import assert_matches_assembly
 
 
@@ -112,7 +112,7 @@ def test_invert_plan_round_trips():
     coloring, _ = color(mesh)
     plan = build_plan(mesh, coloring)
     re_mesh, re_col = apply_plan(mesh, coloring, plan)
-    back_mesh, back_col = apply_plan(re_mesh, re_col, invert_plan(plan))
+    back_mesh, back_col = apply_plan(re_mesh, re_col, _invert_plan(plan))
     assert (back_mesh.elem_verts == mesh.elem_verts).all()
     assert (back_mesh.surf_verts == mesh.surf_verts).all()
     assert (back_col.colors == coloring.colors).all()
