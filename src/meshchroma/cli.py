@@ -330,11 +330,11 @@ def _cmd_coarsen(args) -> int:
     result, out_coloring = coarsen(refined, fine_coloring, args.parents)
     if isinstance(result, RefinedMesh):
         write_native(args.output, result.mesh, coloring=out_coloring,
-                     parents=result.parents)
+                     parents=result.parents, source=nm)
         print(f"{len(result.map.refined)} elements stay refined "
               f"-> {args.output}")
     else:
-        write_native(args.output, result, coloring=out_coloring)
+        write_native(args.output, result, coloring=out_coloring, source=nm)
         print(f"fully coarsened -> {args.output}")
     return EXIT_OK
 

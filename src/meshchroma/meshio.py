@@ -34,8 +34,8 @@ the newline and space positions once, which give every token's end and
 length and every line's token count.  The integers of ELEMENTS and of
 the trailing sections are then summed from digit columns of the byte
 buffer at those token ends (``_token_values``).  A VERTICES body in
-fixed notation, every token ``-?[0-9]+.[0-9]+`` with a mantissa below
-2**53, is decoded from the same digit columns on each side of the
+fixed notation, every token ``-?[0-9]+.[0-9]+`` with at most 15
+digits, is decoded from the same digit columns on each side of the
 point and divided by the power of ten of each token's fraction digits
 (``_fixed_values``), which rounds once, as ``np.fromstring`` does; any
 other body, exponents and longer tokens included, goes to one
@@ -59,8 +59,10 @@ reverse of ``_token_values``: it counts each token's bytes, places the
 tokens with one ``cumsum`` and writes their digits a column at a time
 into one byte buffer.  VERTICES rows are formatted with one ``%r``
 operation, the shortest text that reads back exactly, except the
-leading rows that are bit for bit the vertices of the ``source`` file
-the mesh came from: those are written as the bytes that file held.
+longest run of leading rows that are bit for bit the leading vertices
+of the ``source`` file the mesh came from: those are written as the
+bytes that file held, so ``refine`` formats only its midpoints and
+``coarsen`` nothing.
 The bytes of a file the writer produced are its ``%r`` text, so they
 come out unchanged; a hand-written token such as ``0.50`` is passed
 through as it was read.
@@ -128,9 +130,11 @@ _FORM_BYTES = (b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # an integer of at most 18 characters is below 10**18 < 2**63 in
 # magnitude, so its digit sum cannot overflow an int64
 _MAX_INT_CHARS = 18
-# 10**k for every fraction length of a fixed-notation token of at most
-# _MAX_INT_CHARS digits; each is an exact double as well
-_POW10 = 10 ** np.arange(_MAX_INT_CHARS, dtype=np.int64)
+# a fixed-notation VERTICES token of at most 15 digits has a mantissa
+# below 10**15 < 2**53, an exact double
+_MAX_FIXED_DIGITS = 15
+# 10**k for every fraction length of such a token; each is exact too
+_POW10 = 10 ** np.arange(_MAX_FIXED_DIGITS, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -276,19 +280,23 @@ def _int_lines(tokens, kinds: np.ndarray | None = None) -> np.ndarray:
 
 
 def _vertex_rows(mesh: Mesh, source: NativeMesh | None) -> list[bytes]:
-    """The VERTICES body: ``source.vertex_text`` for the leading rows
-    when they are ``source.mesh.vertices`` bit for bit (so -0.0 is not
-    0.0), and ``%r`` text for every other row."""
-    kept = []
+    """The VERTICES body: the bytes of ``source.vertex_text`` for the
+    longest run of leading rows that are ``source.mesh.vertices`` bit
+    for bit (so -0.0 is not 0.0), and ``%r`` text for every other row."""
+    kept = b""
     rows = mesh.vertices
     if source is not None and source.vertex_text is not None:
         old = source.mesh.vertices
-        if (old.shape[1] == mesh.dim and len(old) <= mesh.n_vertices
-                and np.array_equal(rows[:len(old)].view(np.int64),
-                                   old.view(np.int64))):
-            kept, rows = [source.vertex_text], rows[len(old):]
-    return kept + [(("%r" + " %r" * (mesh.dim - 1) + "\n") * len(rows)
-                    % tuple(rows.ravel().tolist())).encode()]
+        n = min(len(old), len(rows)) if old.shape[1] == mesh.dim else 0
+        same = (rows[:n].view(np.int64) == old[:n].view(np.int64)).all(1)
+        n = n if same.all() else int(same.argmin())
+        kept = source.vertex_text
+        if n < len(old):  # cut after the newline of row n - 1
+            lines = np.flatnonzero(np.frombuffer(kept, dtype=np.uint8) == 10)
+            kept = kept[:lines[n - 1] + 1] if n else b""
+        rows = rows[n:]
+    return [kept, (("%r" + " %r" * (mesh.dim - 1) + "\n") * len(rows)
+                   % tuple(rows.ravel().tolist())).encode()]
 
 
 def write_native(path, mesh: Mesh,
@@ -301,8 +309,8 @@ def write_native(path, mesh: Mesh,
     reordering permutations.
 
     ``source`` is the file the mesh was read from, if any: leading
-    vertex rows equal to its vertices are written as the bytes it
-    held, not formatted again.
+    vertex rows bit for bit equal to its leading vertices are written
+    as the bytes it held, not formatted again.
 
     Raises ``ValueError`` when an extra does not fit the mesh, including
     permutations under which the mesh would reload with other surface
@@ -581,36 +589,42 @@ def _fixed_values(buf: np.ndarray, ends: np.ndarray,
                   seps: np.ndarray) -> np.ndarray | None:
     """The doubles of the tokens of ``buf`` between the separators at
     ``seps`` and ``ends`` when every token is in fixed notation,
-    ``-?[0-9]+.[0-9]+``, and its digits form a mantissa m below 2**53;
+    ``-?[0-9]+.[0-9]+``, with at most ``_MAX_FIXED_DIGITS`` digits;
     otherwise None.
 
-    Each token holds exactly one point when the sorted points of the
-    body lie one inside each token, between two digits.
-    ``_token_values`` then sums the digit columns on each side of the
-    point, the whole part w and the k fraction digits f, and m is
-    w * 10**k + f.  The value is m / 10**k: m and 10**k are exact
-    doubles and one IEEE division rounds once, so the result is the
-    correctly rounded one ``np.fromstring`` gives (Clinger's fast
-    path), -0.0 included.
+    The checks cost little next to ``np.fromstring`` and come before
+    any digit column is read: the token lengths first (the 17 digits
+    of most ``%r`` text fail there), then one pass over the body for a
+    letter (exponents, ``inf``, ``nan``) and one for the points.  Each
+    token holds exactly one point when the sorted points of the body
+    lie one inside each token, between two digits.  ``_token_values``
+    then sums the digit columns on each side of the point, the whole
+    part w and the k fraction digits f, and m is w * 10**k + f.  The
+    value is m / 10**k: m < 10**15 < 2**53 and 10**k are exact doubles
+    and one IEEE division rounds once, so the result is the correctly
+    rounded one ``np.fromstring`` gives (Clinger's fast path), -0.0
+    included.
     """
-    points = np.flatnonzero(buf[seps[0]:ends[-1]] == 46)
+    neg = np.take(buf, seps + 1) == 45
+    before = seps + neg  # the byte before each token's first digit
+    # a token's digits, when it has one point, are ends - before - 2
+    if (ends - before).max() > _MAX_FIXED_DIGITS + 2:
+        return None
+    body = buf[seps[0]:ends[-1]]
+    if body.max() > 57:  # a byte above '9'
+        return None
+    points = np.flatnonzero(body == 46)
     if len(points) != len(ends):
         return None
     points += seps[0]
-    neg = np.take(buf, seps + 1) == 45
-    before = seps + neg  # the byte before each token's first digit
     k = ends - 1 - points
-    # a digit on each side of the point, at most _MAX_INT_CHARS in all
-    if not ((points > before + 1) & (k > 0)
-            & (ends - before <= _MAX_INT_CHARS + 2)).all():
+    if not ((points > before + 1) & (k > 0)).all():
         return None
     try:
         mantissa = _token_values(buf, points, before, signed=False)
         mantissa *= _POW10[k]
         mantissa += _token_values(buf, ends, points, signed=False)
-    except _OtherForm:
-        return None
-    if mantissa.max() >= 2**53:
+    except _OtherForm:  # a sign or a point where a digit should be
         return None
     values = mantissa / _POW10[k]
     np.negative(values, out=values, where=neg)

@@ -13,6 +13,7 @@ from meshchroma import (
     UnsupportedVersionError,
     apply_plan,
     build_plan,
+    coarsen,
     color,
     gen_quad_rect,
     gen_tet_prism,
@@ -541,11 +542,11 @@ def test_writing_with_source_gives_the_same_bytes(tmp_path, build):
     nm = read_native(path)
     assert nm.vertex_text is not None
 
-    def written(name, *args, **kwargs):
-        """The bytes written with ``source=nm``, checked against the
-        bytes written without it."""
+    def written(name, *args, source=nm, **kwargs):
+        """The bytes written with ``source``, checked against the bytes
+        written without it."""
         got, want = tmp_path / f"{name}.src", tmp_path / f"{name}.fmt"
-        write_native(got, *args, source=nm, **kwargs)
+        write_native(got, *args, source=source, **kwargs)
         write_native(want, *args, **kwargs)
         assert got.read_bytes() == want.read_bytes(), name
         return got.read_bytes()
@@ -559,6 +560,14 @@ def test_writing_with_source_gives_the_same_bytes(tmp_path, build):
         refined, fine = refine(nm.mesh, nm.coloring, [0, 3])
         assert refined.mesh.n_vertices > mesh.n_vertices
         written("refined", refined.mesh, fine, parents=refined.parents)
+        fine_nm = read_native(tmp_path / "refined.src")
+        # fewer rows than the source: its leading rows are cut from it
+        partial, coloring = coarsen(refined, fine, [0])
+        written("partial", partial.mesh, coloring, parents=partial.parents,
+                source=fine_nm)
+        base, coloring = coarsen(refined, fine, [0, 3])
+        assert written("base", base, coloring,
+                       source=fine_nm) == path.read_bytes()
 
 
 def test_source_rows_must_match_bit_for_bit(tmp_path):
@@ -592,12 +601,19 @@ def test_hand_written_coordinates_pass_through(tmp_path, capsys, rows):
     text = "".join(row + "\n" for row in rows).encode()
     want = read_native(path)
     assert want.vertex_text == text
-    colored, fine, reordered = (str(tmp_path / f"{name}.mesh")
-                                for name in ("c", "f", "r"))
+    colored, fine, reordered, coarse, partial = (
+        str(tmp_path / f"{name}.mesh") for name in ("c", "f", "r", "b", "p"))
     assert main(["color", "-i", str(path), "-o", colored]) == 0
     assert main(["reorder", "-i", colored, "-o", reordered]) == 0
     assert main(["refine", "-i", colored, "-o", fine, "--all"]) == 0
-    for name in (colored, reordered, fine):
+    assert main(["coarsen", "-i", fine, "-o", coarse,
+                 "--parents", "0,1,2,3"]) == 0
+    with open(colored, "rb") as a, open(coarse, "rb") as b:
+        assert a.read() == b.read()
+    # the base rows lead; the midpoints that stay differ from the fine ones
+    assert main(["coarsen", "-i", fine, "-o", partial,
+                 "--parents", "0,2"]) == 0
+    for name in (colored, reordered, fine, partial):
         back = read_native(name)
         assert back.vertex_text.startswith(text)
         assert np.array_equal(back.mesh.vertices[:6].view(np.int64),

@@ -26,6 +26,7 @@ from meshchroma import (
     shuffle_elements,
     write_native,
 )
+from meshchroma import meshio
 from meshchroma.cli import main
 from meshchroma.meshio import (_MAX_INT_CHARS, _bulk_sections,
                                 _fixed_values, _Lines, _read_native)
@@ -304,11 +305,11 @@ def _fixed(tokens):
 
 
 def _decodes_fixed(token) -> bool:
-    """Whether ``token`` is in fixed notation with a mantissa below
-    2**53, the tokens ``_fixed_values`` converts."""
+    """Whether ``token`` is in fixed notation with at most 15 digits,
+    the tokens ``_fixed_values`` converts."""
     digits = token.lstrip("-").replace(".", "")
     return (re.fullmatch(r"-?[0-9]+\.[0-9]+", token) is not None
-            and len(digits) <= _MAX_INT_CHARS and int(digits) < 2**53)
+            and len(digits) <= 15)
 
 
 def _assert_decodes_as_fromstring(tokens):
@@ -355,13 +356,26 @@ def test_fixed_decoder_matches_fromstring_on_fixed_text(tokens):
 
 def test_fixed_decoder_examples():
     for tokens in (["0.50", "007.25"], ["-0.0", "0.0"], ["1.0"] * 3,
-                   ["9007199254740.991", "0.000000000000001"]):
+                   ["999999999999.999", "-0.00000000000001"]):
         _assert_decodes_as_fromstring(tokens)
         assert _fixed(tokens) is not None
-    # 2**53 itself, an exponent, and tokens that are not fixed notation
-    for tokens in (["9007199254740.992"], ["1.0", "1e5"], ["-.5", "1.0"],
-                   ["5.", "1.0"], ["+1.0"], ["1.2.3", "1.0"],
-                   ["1.0", "1.0.", "5"]):
+    # 16 digits, exponents, and tokens that are not fixed notation
+    for tokens in (["1.0", "0.000000000000001"], ["1.0", "1e5"],
+                   ["1.5e-05"], ["-.5", "1.0"], ["5.", "1.0"], ["+1.0"],
+                   ["1.2.3", "1.0"], ["1.0", "1.0.", "5"]):
+        assert _fixed(tokens) is None, tokens
+
+
+def test_fixed_decoder_rejects_other_bodies_before_the_digit_columns(
+        monkeypatch):
+    # a body of %r text that is not fixed notation costs a few passes,
+    # not a decode that is thrown away
+    def unread(*args, **kwargs):
+        raise AssertionError("digit columns read")
+
+    monkeypatch.setattr(meshio, "_token_values", unread)
+    for tokens in (["1.0", repr(1 / 7)], ["1.0", repr(9.007199254740993)],
+                   ["0.5", "1.5e-05"], ["1.0", "nan"], ["0.5", "5"]):
         assert _fixed(tokens) is None, tokens
 
 
