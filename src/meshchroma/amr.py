@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coloring import SurfaceColoring, verify_coloring
+from .coloring import SurfaceColoring, _require_valid
 from .errors import (
     ElementFaultError,
     LevelConstraintError,
@@ -139,21 +139,6 @@ class RefinedMesh:
     def parents(self) -> np.ndarray:
         """Per fine element: parent base id, or -1 for unrefined copies."""
         return np.where(self.child_slot >= 0, self.origin, -1)
-
-    @property
-    def n_unrefined(self) -> int:
-        return int((self.child_slot < 0).sum())
-
-    def _hanging_interfaces(self) -> tuple[tuple[int, int, int], ...]:
-        """(coarse full edge, lower half, upper half) fine surface ids
-        for every nonconforming interface."""
-        halves = np.full((self.base.n_surfaces, 2), -1, dtype=np.int64)
-        h = np.flatnonzero(self.surf_origin == 1)
-        halves[self.base_surface[h], self.half_index[h] - 1] = h
-        full = np.flatnonzero(self.surf_origin == 0)
-        full = full[halves[self.base_surface[full], 0] >= 0]
-        rows = np.column_stack([full, halves[self.base_surface[full]]])
-        return tuple(tuple(row) for row in rows.tolist())
 
 
 def _derive_fine_colors(refined: RefinedMesh,
@@ -263,18 +248,6 @@ def _with_colors(
     return _proven(refined, _derive_fine_colors(refined, base_colors))
 
 
-def _check_base_coloring(mesh: Mesh, coloring: SurfaceColoring) -> None:
-    colors = coloring.colors
-    if len(colors) != mesh.n_surfaces:
-        raise ValueError("coloring does not match the mesh")
-    if not coloring.is_complete:
-        raise ValueError("refinement needs a complete coloring")
-    if colors.min() < 1 or colors.max() > 3:
-        raise ValueError("refinement needs a three-color base coloring")
-    if verify_coloring(mesh, coloring):
-        raise ValueError("refinement needs a valid coloring")
-
-
 def _recover_base_colors(refined: RefinedMesh,
                          coloring: SurfaceColoring) -> np.ndarray:
     """Read the base coloring back out of a fine coloring.
@@ -335,7 +308,9 @@ def refine(source, coloring: SurfaceColoring,
     ``source`` is a conforming triangle mesh with a complete, valid
     3-coloring, or an existing RefinedMesh (with its 6-coloring) whose
     unrefined elements may be refined further.  Returns the refined
-    mesh and a complete, valid coloring over at most six colors.
+    mesh and a complete, valid coloring over at most six colors.  A
+    base coloring that ``verify_coloring`` faults raises ``ValueError``
+    naming its first diagnostic, as does one that uses a fourth color.
     """
     if isinstance(source, RefinedMesh):
         ids = _element_ids(elements, source.mesh.n_elements)
@@ -356,7 +331,9 @@ def refine(source, coloring: SurfaceColoring,
             "1:4 refinement is defined for triangle meshes only"
         )
     ids = _element_ids(elements, mesh.n_elements)
-    _check_base_coloring(mesh, coloring)
+    _require_valid(mesh, coloring, "refinement")
+    if coloring.colors.max() > 3:
+        raise ValueError("refinement needs a three-color base coloring")
     return _with_colors(_materialize(mesh, ids), coloring.colors)
 
 
@@ -381,19 +358,6 @@ def coarsen(refined: RefinedMesh, coloring: SurfaceColoring,
     if not remaining.size:
         return refined.base, SurfaceColoring(base_colors, 3)
     return _with_colors(_materialize(refined.base, remaining), base_colors)
-
-
-def _max_refined_neighbors(refined: RefinedMesh) -> int:
-    """Largest number of refinement children adjacent to any unrefined
-    element.  Each refined edge neighbor contributes two children, so a
-    triangle with all three neighbors refined scores six."""
-    base = refined.base
-    is_refined = np.zeros(base.n_elements, dtype=bool)
-    is_refined[refined.origin[refined.map.first_child::4]] = True
-    left, right = base.surf_elems[base.surf_elems[:, 1] >= 0].T
-    mixed = is_refined[left] != is_refined[right]
-    coarse = np.where(is_refined[left], right, left)[mixed]
-    return 2 * int(np.bincount(coarse).max(initial=0))
 
 
 def check_parent_layout(parents, n_elements: int) -> np.ndarray:

@@ -228,17 +228,27 @@ def _require_coloring(nm: NativeMesh):
     return nm.coloring
 
 
+def _is_refinement(nm: NativeMesh) -> bool:
+    """Whether the file records a refinement: refined PARENTS entries."""
+    return nm.parents is not None and bool((nm.parents >= 0).any())
+
+
 def _recorded_refinement(nm: NativeMesh):
-    """The refinement a colored file with refined PARENTS records,
-    rebuilt on the element and surface order before any renumbering
-    the file records; raises as ``reconstruct_refinement`` does."""
-    mesh, coloring, parents = nm.mesh, nm.coloring, nm.parents
+    """The refinement a file with refined PARENTS records, rebuilt on
+    the element and surface order before any renumbering the file
+    records; raises as ``reconstruct_refinement`` does.  A file without
+    colors has only its parent table checked, and gives None."""
+    parents = (nm.parents if nm.element_perm is None
+               else nm.parents[nm.element_perm])
+    if nm.coloring is None:
+        check_parent_layout(parents, nm.mesh.n_elements)
+        return None
+    mesh, coloring = nm.mesh, nm.coloring
     if nm.element_perm is not None:
-        ep, sp = nm.element_perm, nm.surface_perm
-        mesh = relabel(mesh, inverse_permutation(ep),
+        sp = nm.surface_perm
+        mesh = relabel(mesh, inverse_permutation(nm.element_perm),
                        inverse_permutation(sp))
         coloring = SurfaceColoring(coloring.colors[sp], coloring.n_colors)
-        parents = parents[ep]
     return reconstruct_refinement(mesh, parents, coloring)
 
 
@@ -264,7 +274,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_color(args) -> int:
     nm = _read_mesh_file(args.input)
-    if nm.parents is not None and (nm.parents >= 0).any():
+    if _is_refinement(nm):
         raise LevelConstraintError(
             "input is refined; coarsen it before coloring")
     config = ColoringConfig(rng_seed=_resolve_seed(args))
@@ -281,13 +291,8 @@ def _cmd_verify(args) -> int:
     # surfaces they imply; what is left to check is the refinement and
     # the coloring
     nm = _read_mesh_file(args.input)
-    if nm.parents is not None and (nm.parents >= 0).any():
-        if nm.coloring is not None:
-            _recorded_refinement(nm)
-        else:
-            parents = (nm.parents if nm.element_perm is None
-                       else nm.parents[nm.element_perm])
-            check_parent_layout(parents, nm.mesh.n_elements)
+    if _is_refinement(nm):
+        _recorded_refinement(nm)
     if nm.coloring is None:
         print("mesh has no coloring")
         return EXIT_OK
@@ -304,7 +309,7 @@ def _cmd_verify(args) -> int:
 def _cmd_refine(args) -> int:
     nm = _read_mesh_file(args.input)
     coloring = _require_coloring(nm)
-    if nm.parents is not None and (nm.parents >= 0).any():
+    if _is_refinement(nm):
         raise LevelConstraintError(
             "input is already refined; one level is the maximum"
         )
@@ -324,7 +329,7 @@ def _cmd_refine(args) -> int:
 def _cmd_coarsen(args) -> int:
     nm = _read_mesh_file(args.input)
     _require_coloring(nm)
-    if nm.parents is None or not (np.asarray(nm.parents) >= 0).any():
+    if not _is_refinement(nm):
         raise PartialFamilyError("input has no refinement to coarsen")
     refined, fine_coloring = _recorded_refinement(nm)
     result, out_coloring = coarsen(refined, fine_coloring, args.parents)

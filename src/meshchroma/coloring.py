@@ -692,23 +692,21 @@ def naive_greedy(mesh: Mesh) -> SurfaceColoring:
     return SurfaceColoring(np.asarray(colors, dtype=np.int32), top)
 
 
-def verify_coloring(mesh: Mesh, coloring: SurfaceColoring
-                    ) -> list[Diagnostic]:
-    """List every element with a repeated color, every uncolored
-    surface and every surface whose color is above ``n_colors``.  An
-    empty list means complete and valid.
+def _side_repeats(mesh: Mesh, colors: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's side colors (-2 on an absent side) and the mask of
+    the elements that see a color twice.
 
-    Repeats are found by comparing every pair of an element's at most
-    four side-color columns, which is exact and needs no sort: a row
-    repeats a color iff two of its colored sides are equal.  Messages
-    are built for the flagged rows only.  Raises ``ValueError`` when the
-    coloring's length is not the mesh's surface count.
+    This is the one race-freedom test: an element that sees a color on
+    two sides is written twice when that color's class is swept.  It
+    compares every pair of an element's at most four side-color columns,
+    which is exact and needs no sort: a row repeats a color iff two of
+    its colored sides are equal.  A color below 1 is no color and never
+    repeats; one above the palette does.  Raises ``ValueError`` when
+    ``colors`` does not hold one color per surface.
     """
-    colors = np.asarray(coloring.colors)
     if len(colors) != mesh.n_surfaces:
         raise ValueError("coloring does not match the mesh")
-    diags: list[Diagnostic] = []
-
     # -1 side slots read the last color and are then masked to -2
     gathered = np.where(mesh.elem_surfs >= 0,
                         np.take(colors, mesh.elem_surfs), -2)
@@ -718,6 +716,22 @@ def verify_coloring(mesh: Mesh, coloring: SurfaceColoring
         colored = gathered[:, i] >= 1
         for j in range(i + 1, width):
             repeats |= colored & (gathered[:, i] == gathered[:, j])
+    return gathered, repeats
+
+
+def verify_coloring(mesh: Mesh, coloring: SurfaceColoring
+                    ) -> list[Diagnostic]:
+    """List every element with a repeated color, every uncolored
+    surface and every surface whose color is above ``n_colors``.  An
+    empty list means complete and valid.
+
+    Repeats are the elements ``_side_repeats`` flags; messages are
+    built for those rows only.  Raises ``ValueError`` when the
+    coloring's length is not the mesh's surface count.
+    """
+    colors = np.asarray(coloring.colors)
+    gathered, repeats = _side_repeats(mesh, colors)
+    diags: list[Diagnostic] = []
     for e in np.flatnonzero(repeats):
         row = [int(v) for v in gathered[e] if v >= 1]
         repeated = sorted({v for v in row if row.count(v) > 1})
@@ -738,3 +752,14 @@ def verify_coloring(mesh: Mesh, coloring: SurfaceColoring
             f"palette of {coloring.n_colors}", surface_id=int(k),
         ))
     return diags
+
+
+def _require_valid(mesh: Mesh, coloring: SurfaceColoring, task: str
+                   ) -> None:
+    """Raise ``ValueError`` naming the first of ``verify_coloring``'s
+    diagnostics unless the coloring is complete and valid; ``task``
+    names what needs it."""
+    diags = verify_coloring(mesh, coloring)
+    if diags:
+        raise ValueError(
+            f"{task} needs a complete, valid coloring: {diags[0].message}")

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import SurfaceColoring, verify_coloring
+from .coloring import SurfaceColoring, _require_valid
 from .errors import PlanMeshMismatchError
-from .mesh import Mesh, inverse_permutation, is_bijection, relabel
+from .mesh import Mesh, is_bijection, relabel
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,6 @@ class ReorderingPlan:
         return self.group_bounds[color - 1], self.group_bounds[color]
 
 
-def _check_coloring(mesh: Mesh, coloring: SurfaceColoring) -> None:
-    if len(coloring.colors) != mesh.n_surfaces:
-        raise ValueError("coloring does not match the mesh")
-    if not coloring.is_complete:
-        raise ValueError("reordering needs a complete coloring")
-    diags = verify_coloring(mesh, coloring)
-    if diags:
-        raise ValueError(
-            f"reordering needs a valid coloring: {diags[0].message}")
-
-
 def _first_occurrence(mesh: Mesh, classes: list[np.ndarray]) -> np.ndarray:
     """Number elements by first occurrence over the surfaces in color
     order, id order within a color, left end first."""
@@ -85,8 +74,10 @@ def _first_occurrence(mesh: Mesh, classes: list[np.ndarray]) -> np.ndarray:
 
 
 def build_plan(mesh: Mesh, coloring: SurfaceColoring) -> ReorderingPlan:
-    """Plan the renumbering induced by a complete valid coloring."""
-    _check_coloring(mesh, coloring)
+    """Plan the renumbering induced by a complete valid coloring; any
+    other coloring raises ``ValueError`` naming the first diagnostic
+    ``verify_coloring`` reports."""
+    _require_valid(mesh, coloring, "reordering")
     colors = coloring.colors
     left = mesh.surf_elems[:, 0]
     right = mesh.surf_elems[:, 1]
@@ -161,17 +152,6 @@ def apply_plan(mesh: Mesh, coloring: SurfaceColoring,
     new_colors[sp] = coloring.colors
     return (relabel(mesh, ep, sp),
             SurfaceColoring(new_colors, coloring.n_colors))
-
-
-def _invert_plan(plan: ReorderingPlan) -> ReorderingPlan:
-    """The plan that undoes this one."""
-    return ReorderingPlan(
-        element_perm=inverse_permutation(plan.element_perm),
-        surface_perm=inverse_permutation(plan.surface_perm),
-        group_bounds=plan.group_bounds,
-        n_interior_first=plan.n_interior_first,
-        used_fallback=plan.used_fallback,
-    )
 
 
 @dataclass(frozen=True)

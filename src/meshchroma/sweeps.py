@@ -19,8 +19,10 @@ compare bit-exactly across strategies, with no reassociation slack:
   to their own buffer slots 2k and 2k+1, then each element gathers its
   slots.  Trades 2 * n_surfaces extra storage for independence.
 
-assert_race_free checks the static property directly: within each
-color class, no element id appears twice.
+assert_race_free checks the static property directly: no element sees
+a color on two of its sides, so no color class writes an element twice.
+The test is ``verify_coloring``'s conflict test, the same code, so the
+two never disagree.
 
 Also here: the memory cost of the buffered strategy's extra buffers
 for a hypothetical degree-p solver, which is what the buffered->colored
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import SurfaceColoring
+from .coloring import SurfaceColoring, _side_repeats
 from .errors import WriteConflictError
 from .mesh import Mesh
 
@@ -93,27 +95,25 @@ def sweep_sequential(mesh: Mesh, payload=None) -> AccumulationState:
 def assert_race_free(mesh: Mesh, coloring: SurfaceColoring) -> None:
     """Check that no color class writes any element twice.
 
-    Each class is one ``np.bincount`` over the elements it touches; the
-    error names the first class that repeats, its smallest repeated
-    element and that element's count.
+    An element is written twice by a class when it sees that class's
+    color on two of its sides, which is the repeat ``verify_coloring``
+    reports as a conflict; colors above the palette count too.  The
+    error names the smallest repeated color, the smallest element that
+    repeats it and how many of that element's sides carry it, read off
+    the flagged rows only.
     """
-    colors = coloring.colors
-    if len(colors) != mesh.n_surfaces:
-        raise ValueError("coloring does not match the mesh")
-    left = mesh.surf_elems[:, 0]
-    right = mesh.surf_elems[:, 1]
-    for c in range(1, coloring.n_colors + 1):
-        mask = colors == c
-        touched = np.concatenate([
-            left[mask], right[mask & (right >= 0)]
-        ])
-        counts = np.bincount(touched, minlength=mesh.n_elements)
-        dup = np.flatnonzero(counts > 1)
-        if dup.size:
-            raise WriteConflictError(
-                f"color {c} writes element {int(dup[0])} "
-                f"{int(counts[dup[0]])} times"
-            )
+    gathered, repeats = _side_repeats(mesh, np.asarray(coloring.colors))
+    if not repeats.any():
+        return
+    rows = gathered[repeats]
+    counts = (rows[:, :, None] == rows[:, None, :]).sum(axis=2)
+    c = int(rows[(counts > 1) & (rows >= 1)].min())
+    hits = (rows == c).sum(axis=1)
+    k = int(np.argmax(hits > 1))
+    raise WriteConflictError(
+        f"color {c} writes element {int(np.flatnonzero(repeats)[k])} "
+        f"{int(hits[k])} times"
+    )
 
 
 def sweep_colored(mesh: Mesh, coloring: SurfaceColoring,
@@ -122,10 +122,15 @@ def sweep_colored(mesh: Mesh, coloring: SurfaceColoring,
 
     Each color class is one fancy-index update, which is exact only
     because the race-free check run first guarantees distinct element
-    ids within a class; a violation raises WriteConflictError.
+    ids within a class; a violation raises WriteConflictError.  A color
+    outside 1..n_colors would leave its surfaces out of every class, so
+    -1 and colors above the palette raise ``ValueError``.
     """
     if not coloring.is_complete:
         raise ValueError("colored sweep needs a complete coloring")
+    if (coloring.colors > coloring.n_colors).any():
+        raise ValueError(f"colored sweep needs colors within the palette "
+                         f"of {coloring.n_colors}")
     assert_race_free(mesh, coloring)
     payload = _payload_for(mesh, payload)
     left = mesh.surf_elems[:, 0]

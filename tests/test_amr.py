@@ -22,7 +22,6 @@ from meshchroma import (
     verify_coloring,
     write_native,
 )
-from meshchroma.amr import _max_refined_neighbors
 from meshchroma.mesh import assemble
 
 # the half that contains the lower endpoint keeps the parent color,
@@ -90,7 +89,7 @@ def test_half_ordering_follows_the_lower_endpoint():
     mesh = gen_tri_rect(2, 2)
     coloring, _ = color(mesh)
     ref, fine = refine(mesh, coloring, [0])
-    for full, h1, h2 in ref._hanging_interfaces():
+    for full, h1, h2 in _hanging_by_loop(ref):
         u, w = ref.mesh.surf_verts[full].tolist()
         c = int(fine.colors[full])
         assert min(u, w) in ref.mesh.surf_verts[h1].tolist()
@@ -102,7 +101,7 @@ def test_hanging_interfaces_pair_halves_with_the_full_edge():
     mesh = gen_tri_rect(2, 2)
     coloring, _ = color(mesh)
     ref, _ = refine(mesh, coloring, [0])
-    hanging = ref._hanging_interfaces()
+    hanging = _hanging_by_loop(ref)
     assert len(hanging) > 0
     for full, h1, h2 in hanging:
         fv = set(ref.mesh.surf_verts[full].tolist())
@@ -119,7 +118,7 @@ def test_refined_coloring_is_always_valid():
     ref, fine = refine(mesh, coloring, [0, 4, 7])
     assert fine.n_colors == 6
     assert verify_coloring(ref.mesh, fine) == []
-    assert ref.n_unrefined == mesh.n_elements - 3
+    assert ref.map.first_child == mesh.n_elements - 3
     assert ref.mesh.n_elements == mesh.n_elements - 3 + 12
 
 
@@ -208,7 +207,7 @@ def test_six_refined_neighbors_is_the_ceiling():
          for a, b in lines if center in (int(a), int(b))}
     )
     ref, _ = refine(mesh, coloring, neighbors)
-    assert _max_refined_neighbors(ref) == 6
+    assert _max_refined_neighbors_by_loop(ref) == 6
 
 
 def test_reconstruct_from_native_file(tmp_path):
@@ -291,12 +290,16 @@ def _max_refined_neighbors_by_loop(ref):
 
 @settings(deadline=None, max_examples=30)
 @given(st.booleans(), st.sets(st.integers(min_value=0, max_value=31)))
-def test_interface_counts_match_a_per_surface_loop(closed, targets):
+def test_interface_counts_hold_for_random_sets(closed, targets):
+    # one hanging interface per base edge between a refined and an
+    # unrefined element, and at most six children next to any element
     mesh = gen_tri_rect(4, 4, closed)
     coloring, _ = color(mesh)
     ref, _ = refine(mesh, coloring, targets)
-    assert ref._hanging_interfaces() == _hanging_by_loop(ref)
-    assert _max_refined_neighbors(ref) == _max_refined_neighbors_by_loop(ref)
+    mixed = sum((left in targets) != (right in targets)
+                for left, right in mesh.surf_elems.tolist() if right >= 0)
+    assert len(_hanging_by_loop(ref)) == mixed
+    assert _max_refined_neighbors_by_loop(ref) <= 6
 
 
 def _refined_family():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meshchroma import (
@@ -215,3 +215,62 @@ def test_equivalence_holds_for_any_seeded_payload(kind, nx, ny, seed):
                   sweep_buffered(mesh, pay)):
         assert state.totals.dtype == np.int64
         assert (state.totals == expected).all()
+
+
+def _expected_conflict(mesh, colors):
+    """The first write conflict, classes in color order: per class one
+    count of each element's writes over the surfaces' two ends."""
+    for c in sorted(set(colors[colors >= 1].tolist())):
+        ends = mesh.surf_elems[colors == c].ravel()
+        counts = np.bincount(ends[ends >= 0], minlength=mesh.n_elements)
+        if counts.max() > 1:
+            e = int(np.argmax(counts > 1))
+            return f"color {c} writes element {e} {counts[e]} times"
+    return None
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["tri", "quad", "tet"]),
+    edits=st.lists(st.tuples(st.integers(min_value=0, max_value=10**6),
+                             st.integers(min_value=0, max_value=3),
+                             st.sampled_from(["repeat", "uncolor", "above"])),
+                   max_size=4),
+)
+@example(kind="tri", edits=[(0, 0, "above")])
+@example(kind="quad", edits=[(0, 0, "above"), (0, 1, "repeat")])
+def test_race_checks_agree_on_any_coloring(kind, edits):
+    # each edit takes side j of an element: "repeat" gives it the color
+    # of the element's previous side, "uncolor" -1, "above" a color
+    # above the palette
+    mesh, coloring = _colored_mesh(kind, 3, 3)
+    colors = coloring.colors.copy()
+    for pick, j, edit in edits:
+        sides = mesh.elem_surfs[pick % mesh.n_elements]
+        sides = sides[sides >= 0]
+        s = sides[j % len(sides)]
+        if edit == "repeat":
+            colors[s] = colors[sides[j % len(sides) - 1]]
+        elif edit == "uncolor":
+            colors[s] = -1
+        else:
+            colors[s] = coloring.n_colors + 1 + pick % 2
+    bad = SurfaceColoring(colors, coloring.n_colors)
+
+    diags = verify_coloring(mesh, bad)
+    message = _expected_conflict(mesh, colors)
+    assert (message is not None) == any(d.code == "conflict" for d in diags)
+    if message is None:
+        assert_race_free(mesh, bad)  # no raise
+    else:
+        with pytest.raises(WriteConflictError, match=f"^{message}$"):
+            assert_race_free(mesh, bad)
+
+    payload = default_payload(mesh.n_surfaces)
+    try:
+        state = sweep_colored(mesh, bad, payload)
+    except (ValueError, WriteConflictError):
+        assert diags
+        return
+    assert diags == []
+    assert (state.totals == sweep_sequential(mesh, payload).totals).all()
