@@ -3,15 +3,23 @@
 The palette has 3 colors for pure triangle meshes and 4 as soon as any
 quad or tetrahedron is present.  A first greedy pass assigns each
 surface a random color that conflicts with neither incident element and
-leaves -1 where no such color exists.  The repair pass then takes each
-leftover conflict from a queue.  If its two elements share a free color
-it gets that color.  Otherwise it gets one Kempe attempt: with a free
-at the left element l and b free at the right element r, the (a, b)
-chain from r and the (b, a) chain from l are walked in step, the
-shorter one has its two colors exchanged, and the surface takes the
-color that the exchange freed on both sides.  On a bipartite element
-graph that always succeeds; the generated families are bipartite
-except for quad grids with an odd cell count along a periodic axis.
+leaves -1 where no such color exists.  It has no boundary branch: a
+boundary surface's right element is a slot of its own past the last
+element, which only that surface reads, so it always reads no color.
+Two tables indexed by the colors the two elements already use give the
+one color left (-1 for none, 0 when there is a choice) and the
+choices; the RNG is drawn only for a choice, so a seed gives the same
+coloring as a pass that tests for the boundary.
+
+The repair pass then takes each leftover conflict from a queue.  If
+its two elements share a free color it gets that color.  Otherwise it
+gets one Kempe attempt: with a free at the left element l and b free
+at the right element r, the (a, b) chain from r and the (b, a) chain
+from l are walked in step, the shorter one has its two colors
+exchanged, and the surface takes the color that the exchange freed on
+both sides.  On a bipartite element graph that always succeeds; the
+generated families are bipartite except for quad grids with an odd
+cell count along a periodic axis.
 
 A chain that reaches the other element closes an odd cycle through the
 surface; the conflict then goes to the paper's swap walk.  The walk
@@ -50,6 +58,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -89,18 +98,36 @@ class SurfaceColoring:
 
     @property
     def is_complete(self) -> bool:
+        """Whether every surface has a color.  Whether the colors lie
+        within the palette is ``verify_coloring``'s to judge."""
         return bool((self.colors >= 1).all())
 
     def conflict_ids(self) -> np.ndarray:
         return np.flatnonzero(self.colors < 0)
 
     def color_counts(self) -> tuple[int, ...]:
+        """Surfaces per color 1..``n_colors``; raises ``ValueError``
+        naming the first surface whose color is above the palette."""
+        _require_palette(self, "counting colors")
         counts = np.bincount(self.colors[self.colors >= 1],
                              minlength=self.n_colors + 1)
-        return tuple(int(c) for c in counts[1:self.n_colors + 1])
+        return tuple(int(c) for c in counts[1:])
 
     def copy(self) -> "SurfaceColoring":
         return SurfaceColoring(self.colors.copy(), self.n_colors)
+
+
+def _require_palette(coloring: SurfaceColoring, task: str) -> None:
+    """Raise ``ValueError`` naming the first surface whose color is
+    above ``n_colors``, which every per-color loop would leave out;
+    ``task`` names what needs it."""
+    above = np.flatnonzero(coloring.colors > coloring.n_colors)
+    if above.size:
+        k = int(above[0])
+        raise ValueError(
+            f"{task} needs colors within the palette: surface {k} has "
+            f"color {coloring.colors[k]}, above the palette of "
+            f"{coloring.n_colors}")
 
 
 @dataclass(frozen=True)
@@ -145,10 +172,13 @@ class _Sweep:
     """A mesh renumbered in its visiting order.
 
     Sweep element q is mesh element ``elements[q]`` and sweep surface t
-    is mesh surface ``surfaces[t]``.  ``left`` and ``right`` are the
-    sweep ranks of each sweep surface's elements, the smaller rank left
-    and -1 on the boundary, as arrays and as plain lists for the hot
-    loops.
+    is mesh surface ``surfaces[t]``.  ``left_ids`` and ``right_ids`` are
+    the sweep ranks of each sweep surface's elements, the smaller rank
+    left and -1 on the boundary.  The greedy pass reads two plain lists,
+    built with the sweep: ``left`` and ``slots``, which is ``right_ids``
+    with the i-th boundary surface given slot ``n_elements + i``.
+    ``right``, the list form of ``right_ids`` that repair reads, is
+    built on first use, so a pass without conflicts never builds it.
     """
 
     mesh: Mesh
@@ -157,7 +187,11 @@ class _Sweep:
     left_ids: np.ndarray
     right_ids: np.ndarray
     left: list
-    right: list
+    slots: list
+
+    @cached_property
+    def right(self) -> list:
+        return self.right_ids.tolist()
 
     def surface_name(self, t: int) -> str:
         """Sweep surface t as the mesh names it."""
@@ -167,8 +201,9 @@ class _Sweep:
 
     def to_mesh(self, colors) -> np.ndarray:
         """Per-sweep-surface colors, scattered to mesh surface ids."""
-        out = np.empty(len(self.surfaces), dtype=np.int32)
-        out[self.surfaces] = colors
+        n = len(self.surfaces)
+        out = np.empty(n, dtype=np.int32)
+        out[self.surfaces] = np.fromiter(colors, np.int32, n)
         return out
 
 
@@ -205,39 +240,43 @@ def _sweep(mesh: Mesh) -> _Sweep:
     surfaces = np.take(sides, first)
     first, other = np.take(at, first), np.take(at, other)
     left = first // MAX_SIDES
-    right = np.where(other != first, other // MAX_SIDES, -1)
+    inner = other != first
+    right = np.where(inner, other // MAX_SIDES, -1)
+    slots = np.where(inner, right, len(order) - 1 + np.cumsum(~inner))
     return _Sweep(mesh, order, surfaces, left, right,
-                  left.tolist(), right.tolist())
+                  left.tolist(), slots.tolist())
 
 
-def _greedy_pass(left, right, n_elements, n_colors, rng):
-    """One pass in surface order; returns colors, per-element color
-    bitmasks, and the ids left unresolved."""
+def _greedy_pass(left, slots, n_elements, n_colors, rng):
+    """One pass in surface order over the ``_Sweep.left`` and
+    ``_Sweep.slots`` lists; returns colors, per-element color bitmasks,
+    and the ids left unresolved."""
     full = ((1 << n_colors) - 1) << 1
-    choices = _MASK_CHOICES
-    used = [0] * n_elements
-    ns = len(left)
-    colors = [-1] * ns
+    # by the mask of colors the two elements use: the free colors, and
+    # the one free color, -1 for none or 0 for a choice
+    free = [_MASK_CHOICES[full & ~u] for u in range(full + 1)]
+    forced = [t[0] if len(t) == 1 else 0 if t else -1 for t in free]
+    used = [0] * (n_elements + len(slots))
+    colors = []
     conflicts = []
     rand = rng.random
+    put = colors.append
     push = conflicts.append
-    for k in range(ns):
-        l = left[k]
-        r = right[k]
+    for l, r in zip(left, slots):
         ul = used[l]
-        ur = used[r] if r >= 0 else 0
-        m = full & ~(ul | ur)
-        if m:
-            t = choices[m]
-            n = len(t)
-            c = t[0] if n == 1 else t[int(rand() * n)]
-            colors[k] = c
+        ur = used[r]
+        c = forced[ul | ur]
+        if not c:
+            t = free[ul | ur]
+            c = t[int(rand() * len(t))]
+        if c > 0:
             b = 1 << c
             used[l] = ul | b
-            if r >= 0:
-                used[r] = ur | b
+            used[r] = ur | b
         else:
-            push(k)
+            push(len(colors))
+        put(c)
+    del used[n_elements:]
     return colors, used, conflicts
 
 
@@ -546,7 +585,7 @@ def modified_greedy(mesh: Mesh,
     n_colors = color_set_size(mesh)
     sweep = _sweep(mesh)
     rng = random.Random(config.rng_seed)
-    colors, _, _ = _greedy_pass(sweep.left, sweep.right, mesh.n_elements,
+    colors, _, _ = _greedy_pass(sweep.left, sweep.slots, mesh.n_elements,
                                 n_colors, rng)
     return SurfaceColoring(sweep.to_mesh(colors), n_colors)
 
@@ -627,7 +666,7 @@ def color(mesh: Mesh,
         rng = random.Random(config.rng_seed + attempt)
         t0 = time.perf_counter()
         colors, used, conflicts = _greedy_pass(
-            sweep.left, sweep.right, mesh.n_elements, n_colors, rng
+            sweep.left, sweep.slots, mesh.n_elements, n_colors, rng
         )
         t1 = time.perf_counter()
         n_conflicts = len(conflicts)

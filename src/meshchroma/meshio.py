@@ -39,20 +39,21 @@ digits, is decoded from the same digit columns on each side of the
 point and divided by the power of ten of each token's fraction digits
 (``_fixed_values``), which rounds once, as ``np.fromstring`` does; any
 other body, exponents and longer tokens included, goes to one
-``np.fromstring`` call.  The bulk path keeps the VERTICES body bytes
-as ``NativeMesh.vertex_text``.  Any other file, so every file with a
-malformed line, goes to the line parser ``_read_native``: the
-reference the bulk path is tested against, the path for hand-edited
-files with comments or other spacing, and the one that names the first
-bad line.  It takes its lines from ``_Lines``, which reads the file in
-blocks of about 64k characters, cuts each line at ``#``, strips it and
-drops blank lines, and it parses each section in chunks of up to 4096
-lines, so neither the file nor a section is held as one list of lines.
-Both paths apply the same value checks (finite coordinates, PARENTS and
-COLORS ranges) and end in ``_finish``, which assembles the mesh from
-kind codes and a padded vertex array (``mesh.assemble``) and checks the
-trailing sections against it.  The MSH reader shares ``_Lines`` and
-builds the same two arrays for ``assemble``.
+``np.fromstring`` call.  The bulk path keeps the VERTICES and ELEMENTS
+body bytes as ``NativeMesh.vertex_text`` and ``element_text``.  Any
+other file, so every file with a malformed line, goes to the line
+parser ``_read_native``: the reference the bulk path is tested
+against, the path for hand-edited files with comments or other
+spacing, and the one that names the first bad line.  It takes its
+lines from ``_Lines``, which reads the file in blocks of about 64k
+characters, cuts each line at ``#``, strips it and drops blank lines,
+and it parses each section in chunks of up to 4096 lines, so neither
+the file nor a section is held as one list of lines.  Both paths apply
+the same value checks (finite coordinates, PARENTS and COLORS ranges)
+and end in ``_finish``, which assembles the mesh from kind codes and a
+padded vertex array (``mesh.assemble``) and checks the trailing
+sections against it.  The MSH reader shares ``_Lines`` and builds the
+same two arrays for ``assemble``.
 
 The writer formats every integer section with ``_int_lines``, the
 reverse of ``_token_values``: it counts each token's bytes, places the
@@ -62,10 +63,14 @@ operation, the shortest text that reads back exactly, except the
 longest run of leading rows that are bit for bit the leading vertices
 of the ``source`` file the mesh came from: those are written as the
 bytes that file held, so ``refine`` formats only its midpoints and
-``coarsen`` nothing.
-The bytes of a file the writer produced are its ``%r`` text, so they
-come out unchanged; a hand-written token such as ``0.50`` is passed
-through as it was read.
+``coarsen`` nothing.  ELEMENTS is written as the bytes of ``source``
+when the mesh's kinds and vertex rows are exactly the source's, so
+``color`` formats none, and formatted whole otherwise: the element
+count and the last row are compared first, and the body is never cut.
+The bytes of a file the writer produced are its ``%r`` and ``%d``
+text, so they come out unchanged; a hand-written token such as
+``0.50`` or an element id ``007`` is written back as it was read
+wherever its row is passed through.
 
 Writes go through a temp file plus rename so a crash cannot leave a
 half-written mesh behind.
@@ -146,9 +151,11 @@ class NativeMesh:
     parents: np.ndarray | None = None
     element_perm: np.ndarray | None = None
     surface_perm: np.ndarray | None = None
-    # the VERTICES body bytes the bulk reader decoded ``mesh.vertices``
-    # from; None from the line parser and the MSH reader
+    # the VERTICES and ELEMENTS body bytes the bulk reader decoded
+    # ``mesh.vertices`` and the element rows from; None from the line
+    # parser and the MSH reader
     vertex_text: bytes | None = field(default=None, repr=False)
+    element_text: bytes | None = field(default=None, repr=False)
 
 
 def _atomic_write(path, chunks) -> None:
@@ -299,6 +306,23 @@ def _vertex_rows(mesh: Mesh, source: NativeMesh | None) -> list[bytes]:
                    % tuple(rows.ravel().tolist())).encode()]
 
 
+def _element_rows(mesh: Mesh, source: NativeMesh | None):
+    """The ELEMENTS body: ``source.element_text`` when ``mesh`` has the
+    kinds and vertex rows of ``source.mesh`` exactly, else every row
+    formatted.  The count and the last row are compared before the
+    rest, so a mesh with other elements is turned away cheaply."""
+    if source is not None and source.element_text is not None:
+        old = source.mesh
+        if (old.n_elements == mesh.n_elements
+                and old.elem_kind[-1] == mesh.elem_kind[-1]
+                and (old.elem_verts[-1] == mesh.elem_verts[-1]).all()
+                and np.array_equal(old.elem_kind, mesh.elem_kind)
+                and np.array_equal(old.elem_verts, mesh.elem_verts)):
+            return source.element_text
+    return _int_lines(mesh.elem_verts[_USED_SLOTS[mesh.elem_kind]],
+                      mesh.elem_kind)
+
+
 def write_native(path, mesh: Mesh,
                  coloring: SurfaceColoring | None = None,
                  parents: np.ndarray | None = None,
@@ -310,7 +334,8 @@ def write_native(path, mesh: Mesh,
 
     ``source`` is the file the mesh was read from, if any: leading
     vertex rows bit for bit equal to its leading vertices are written
-    as the bytes it held, not formatted again.
+    as the bytes it held, not formatted again, and so is its ELEMENTS
+    body when the mesh has exactly its element kinds and rows.
 
     Raises ``ValueError`` when an extra does not fit the mesh, including
     permutations under which the mesh would reload with other surface
@@ -331,8 +356,7 @@ def write_native(path, mesh: Mesh,
            .encode(),
            *_vertex_rows(mesh, source),
            f"ELEMENTS {mesh.n_elements}\n".encode(),
-           _int_lines(mesh.elem_verts[_USED_SLOTS[mesh.elem_kind]],
-                      mesh.elem_kind)]
+           _element_rows(mesh, source)]
     if parents is not None:
         out += [f"PARENTS {mesh.n_elements}\n".encode(), _int_lines(parents)]
     if coloring is not None:
@@ -508,11 +532,12 @@ def read_native(path) -> NativeMesh:
     if sections is None:
         with open(path) as fh:
             return _read_native(_Lines(fh, path), path)
-    coords, vertex_text, kinds, verts, tail = sections
+    coords, vertex_text, kinds, verts, element_text, tail = sections
     _finite(coords, path)
     for name, values in tail.items():
         _check_tail(name, values, path)
-    return _finish(path, coords, kinds, verts, tail, vertex_text)
+    return _finish(path, coords, kinds, verts, tail, vertex_text,
+                   element_text)
 
 
 class _OtherForm(Exception):
@@ -635,17 +660,17 @@ def _bulk_sections(data: bytes):
     """The sections of a file in the writer's form, or None.
 
     Returns the coordinates, the VERTICES body bytes, kind codes, padded
-    vertex ids and a dict of the trailing sections in file order.  The
-    form: only bytes of ``_FORM_BYTES``, single spaces, no space at
-    either end of a line, no blank line, a final newline, headers the
-    line parser accepts, one vertex width of 2 or 3, one element kind
-    whose token starts every element line, and one integer per line in
-    the trailing sections.  Integer tokens are ``-?[0-9]+`` (unsigned in
-    ELEMENTS) and at most ``_MAX_INT_CHARS`` long; they are decoded from
-    the token table by ``_token_values``.  A VERTICES body in fixed
-    notation is decoded from the same table by ``_fixed_values``; any
-    other body goes through ``np.fromstring``, which must give one
-    value per token.  Any other file gives None.
+    vertex ids, the ELEMENTS body bytes and a dict of the trailing
+    sections in file order.  The form: only bytes of ``_FORM_BYTES``,
+    single spaces, no space at either end of a line, no blank line, a
+    final newline, headers the line parser accepts, one vertex width of
+    2 or 3, one element kind whose token starts every element line, and
+    one integer per line in the trailing sections.  Integer tokens are
+    ``-?[0-9]+`` (unsigned in ELEMENTS) and at most ``_MAX_INT_CHARS``
+    long; they are decoded from the token table by ``_token_values``.  A
+    VERTICES body in fixed notation is decoded from the same table by
+    ``_fixed_values``; any other body goes through ``np.fromstring``,
+    which must give one value per token.  Any other file gives None.
     """
     if not data.endswith(b"\n") or data.translate(None, _FORM_BYTES):
         return None
@@ -707,7 +732,8 @@ def _bulk_sections(data: bytes):
         verts = np.full((b - a, MAX_ELEM_VERTS), -1, dtype=np.int64)
         verts[:, :nv] = _token_values(buf, table[:, 1:], table[:, :-1],
                                       signed=False)
-        return np.full(b - a, KIND_TO_CODE[kind], dtype=np.int8), verts
+        return (np.full(b - a, KIND_TO_CODE[kind], dtype=np.int8), verts,
+                body(a, b))
 
     def integers(a, b):
         t = tokens(a, b)
@@ -720,7 +746,7 @@ def _bulk_sections(data: bytes):
         _, a, b = section(1, ("VERTICES",), 0)
         coords, vertex_text = vertices(a, b)
         _, a, b = section(b, ("ELEMENTS",), 0)
-        kinds, verts = elements(a, b)
+        kinds, verts, element_text = elements(a, b)
         tail: dict[str, np.ndarray] = {}
         while b < len(line_end):
             name, a, b = section(
@@ -730,7 +756,7 @@ def _bulk_sections(data: bytes):
     # is reported again, with the file's path, by the line parser.
     except (_OtherForm, MalformedSectionError, ValueError):
         return None
-    return coords, vertex_text, kinds, verts, tail
+    return coords, vertex_text, kinds, verts, element_text, tail
 
 
 def _check_tail(name: str, values: np.ndarray, path) -> None:
@@ -809,7 +835,8 @@ def _read_native(src: _Lines, path) -> NativeMesh:
 
 def _finish(path, coords: np.ndarray, kinds: np.ndarray, verts: np.ndarray,
             tail: dict[str, np.ndarray],
-            vertex_text: bytes | None = None) -> NativeMesh:
+            vertex_text: bytes | None = None,
+            element_text: bytes | None = None) -> NativeMesh:
     """Assemble the mesh both parsers read and check the trailing
     sections against it."""
     ne = len(kinds)
@@ -863,7 +890,7 @@ def _finish(path, coords: np.ndarray, kinds: np.ndarray, verts: np.ndarray,
             )
         coloring = SurfaceColoring(colors.astype(np.int32), base)
     return NativeMesh(mesh, coloring, parents, element_perm, surface_perm,
-                      vertex_text)
+                      vertex_text, element_text)
 
 
 def read_msh(path) -> Mesh:

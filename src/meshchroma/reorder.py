@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import SurfaceColoring, _require_valid
+from .coloring import SurfaceColoring, _require_palette, _require_valid
 from .errors import PlanMeshMismatchError
 from .mesh import Mesh, is_bijection, relabel
 
@@ -170,6 +170,7 @@ def coalescing_metric(mesh: Mesh,
         raise ValueError("coloring does not match the mesh")
     if not coloring.is_complete:
         raise ValueError("metric needs a complete coloring")
+    _require_palette(coloring, "metric")
     colors = coloring.colors
     left = mesh.surf_elems[:, 0]
     right = mesh.surf_elems[:, 1]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import SurfaceColoring, _side_repeats
+from .coloring import SurfaceColoring, _require_palette, _side_repeats
 from .errors import WriteConflictError
 from .mesh import Mesh
 
@@ -128,9 +128,7 @@ def sweep_colored(mesh: Mesh, coloring: SurfaceColoring,
     """
     if not coloring.is_complete:
         raise ValueError("colored sweep needs a complete coloring")
-    if (coloring.colors > coloring.n_colors).any():
-        raise ValueError(f"colored sweep needs colors within the palette "
-                         f"of {coloring.n_colors}")
+    _require_palette(coloring, "colored sweep")
     assert_race_free(mesh, coloring)
     payload = _payload_for(mesh, payload)
     left = mesh.surf_elems[:, 0]

@@ -1,5 +1,6 @@
 """Two-stage coloring: greedy pass, conflict repair, verification."""
 
+import random
 import re
 
 import numpy as np
@@ -23,7 +24,7 @@ from meshchroma import (
     shuffle_elements,
     verify_coloring,
 )
-from meshchroma.coloring import _sweep
+from meshchroma.coloring import _MASK_CHOICES, _greedy_pass, _sweep
 from meshchroma.mesh import assemble
 from conftest import colorable_with, hybrid_patch, random_diagonal_tri
 
@@ -353,6 +354,61 @@ def test_kempe_repair_completes_every_family(fam, mesh_seed, seed):
         assert report.kempe_closures == 0
 
 
+def reference_greedy_pass(left, right, n_elements, n_colors, rng):
+    """The greedy pass with a boundary test per surface (-1 in
+    ``right``), kept as the reference for ``_greedy_pass``."""
+    full = ((1 << n_colors) - 1) << 1
+    used = [0] * n_elements
+    colors = [-1] * len(left)
+    conflicts = []
+    for k in range(len(left)):
+        l = left[k]
+        r = right[k]
+        ul = used[l]
+        ur = used[r] if r >= 0 else 0
+        m = full & ~(ul | ur)
+        if m:
+            t = _MASK_CHOICES[m]
+            n = len(t)
+            c = t[0] if n == 1 else t[int(rng.random() * n)]
+            colors[k] = c
+            b = 1 << c
+            used[l] = ul | b
+            if r >= 0:
+                used[r] = ur | b
+        else:
+            conflicts.append(k)
+    return colors, used, conflicts
+
+
+GREEDY_FAMILIES = {
+    **{name: build for name, (build, _) in FAMILIES.items()},
+    # no boundary surface at all
+    "quad_periodic": lambda s: shuffle_elements(gen_quad_rect(5, 6, True), s),
+}
+
+
+@settings(deadline=None, max_examples=40)
+@given(fam=st.sampled_from(sorted(GREEDY_FAMILIES)),
+       mesh_seed=st.integers(min_value=0, max_value=999),
+       seed=st.integers(min_value=0, max_value=999))
+def test_greedy_pass_matches_the_boundary_testing_loop(fam, mesh_seed,
+                                                       seed):
+    # the random-diagonal and periodic meshes leave conflicts; the same
+    # colors, masks and conflicts from the same draws, and the RNG left
+    # in the same state for the repair
+    mesh = GREEDY_FAMILIES[fam](mesh_seed)
+    sweep = _sweep(mesh)
+    n_colors = color_set_size(mesh)
+    want_rng, got_rng = random.Random(seed), random.Random(seed)
+    want = reference_greedy_pass(sweep.left, sweep.right, mesh.n_elements,
+                                 n_colors, want_rng)
+    got = _greedy_pass(sweep.left, sweep.slots, mesh.n_elements, n_colors,
+                       got_rng)
+    assert got == want
+    assert got_rng.random() == want_rng.random()
+
+
 def test_repeated_input_color_names_the_mesh_element():
     mesh = shuffle_elements(random_diagonal_tri(6, 6, 1), 5)
     colors = np.full(mesh.n_surfaces, -1, dtype=np.int32)
@@ -408,6 +464,10 @@ def test_sweep_matches_a_per_element_loop(build):
     assert sweep.surfaces.tolist() == surfaces
     assert sweep.left == left == sweep.left_ids.tolist()
     assert sweep.right == right == sweep.right_ids.tolist()
+    boundary = [k for k, r in enumerate(right) if r < 0]
+    for i, k in enumerate(boundary):
+        right[k] = mesh.n_elements + i
+    assert sweep.slots == right
 
 
 @pytest.mark.parametrize("build", [

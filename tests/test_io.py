@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshchroma import (
+    ColoringConfig,
     MalformedSectionError,
     SurfaceColoring,
     UnsupportedVersionError,
@@ -27,7 +28,8 @@ from meshchroma import (
     write_report,
 )
 from meshchroma.cli import main
-from meshchroma.mesh import CODE_TO_KIND, ElementKind, assemble, relabel
+from meshchroma.mesh import (CODE_TO_KIND, KIND_TO_CODE, ElementKind,
+                             assemble, relabel)
 from meshchroma.meshio import _CHUNK_LINES, _N_IDS, _int_lines
 from conftest import assert_matches_assembly, hybrid_patch
 
@@ -541,6 +543,11 @@ def test_writing_with_source_gives_the_same_bytes(tmp_path, build):
     write_native(path, mesh, coloring)
     nm = read_native(path)
     assert nm.vertex_text is not None
+    data = path.read_bytes()
+    head = f"ELEMENTS {mesh.n_elements}\n".encode()
+    start = data.index(head) + len(head)
+    assert data[start:start + len(nm.element_text) + 7] == (
+        nm.element_text + b"COLORS ")
 
     def written(name, *args, source=nm, **kwargs):
         """The bytes written with ``source``, checked against the bytes
@@ -556,6 +563,13 @@ def test_writing_with_source_gives_the_same_bytes(tmp_path, build):
     new_mesh, new_coloring = apply_plan(nm.mesh, nm.coloring, plan)
     written("reordered", new_mesh, new_coloring,
             element_perm=plan.element_perm, surface_perm=plan.surface_perm)
+    # a file with PERMUTATIONS holds its rows in file order, so coloring
+    # it again keeps every row
+    re_nm = read_native(tmp_path / "reordered.src")
+    assert np.array_equal(re_nm.mesh.elem_verts, new_mesh.elem_verts)
+    recolored, _ = color(re_nm.mesh, ColoringConfig(rng_seed=1))
+    written("recolored", re_nm.mesh, recolored, source=re_nm,
+            element_perm=re_nm.element_perm, surface_perm=re_nm.surface_perm)
     if mesh.element_kind_profile == {ElementKind.TRIANGLE}:
         refined, fine = refine(nm.mesh, nm.coloring, [0, 3])
         assert refined.mesh.n_vertices > mesh.n_vertices
@@ -583,6 +597,28 @@ def test_source_rows_must_match_bit_for_bit(tmp_path):
     write_native(want, moved)
     assert got.read_bytes() == want.read_bytes()
     assert b"VERTICES 6\n0.0 -0.0\n" in got.read_bytes()
+
+    # ELEMENTS is passed through whole or not at all: the source's ids
+    # carry leading zeros, and a mesh whose last row differs from the
+    # source's in its kind or in one vertex id has every row formatted
+    write_native(path, gen_quad_rect(2, 1))
+    path.write_text(path.read_text().replace("quad ", "quad 0"))
+    nm = read_native(path)
+    assert nm.element_text == b"quad 00 1 4 3\nquad 01 2 5 4\n"
+    write_native(got, nm.mesh, source=nm)
+    assert got.read_bytes() == path.read_bytes()
+    kinds, verts = nm.mesh.elem_kind.copy(), nm.mesh.elem_verts.copy()
+    kinds[-1] = KIND_TO_CODE[ElementKind.TRIANGLE]
+    verts[-1, 3] = -1
+    other_kind = assemble(nm.mesh.vertices, kinds, verts)
+    verts = nm.mesh.elem_verts.copy()
+    verts[-1, 3] = 3
+    other_vertex = assemble(nm.mesh.vertices, nm.mesh.elem_kind, verts)
+    for moved in (other_kind, other_vertex):
+        write_native(got, moved, source=nm)
+        write_native(want, moved)
+        assert got.read_bytes() == want.read_bytes()
+        assert b"quad 0 1 4 3\n" in got.read_bytes()
 
 
 @pytest.mark.parametrize("rows", [
@@ -618,6 +654,17 @@ def test_hand_written_coordinates_pass_through(tmp_path, capsys, rows):
         assert back.vertex_text.startswith(text)
         assert np.array_equal(back.mesh.vertices[:6].view(np.int64),
                               want.mesh.vertices.view(np.int64))
+        assert main(["verify", "-i", name]) == 0
+    # element ids with leading zeros: color keeps every element and so
+    # the bytes, reorder renumbers the elements and formats them
+    lines[9] = "tri 000 01 4"
+    path.write_text("\n".join(lines))
+    assert main(["color", "-i", str(path), "-o", colored]) == 0
+    assert main(["reorder", "-i", colored, "-o", reordered]) == 0
+    with open(colored, "rb") as a, open(reordered, "rb") as b:
+        assert b"\ntri 000 01 4\n" in a.read()
+        assert b" 000 " not in b.read()
+    for name in (colored, reordered):
         assert main(["verify", "-i", name]) == 0
     capsys.readouterr()
 

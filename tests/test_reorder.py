@@ -228,6 +228,14 @@ def test_build_plan_rejects_colors_above_the_palette():
         f"surface {diags[0].surface_id} has color 4, above the palette of 3")
     with pytest.raises(ValueError, match="above the palette of 3"):
         build_plan(mesh, bad)
+    # a per-color count or metric would leave those surfaces out
+    assert bad.is_complete
+    first = (f"surface {diags[0].surface_id} has color 4, above the "
+             f"palette of 3$")
+    with pytest.raises(ValueError, match=first):
+        bad.color_counts()
+    with pytest.raises(ValueError, match=first):
+        coalescing_metric(mesh, bad)
 
 
 def _sorting_build_plan(mesh, coloring):
