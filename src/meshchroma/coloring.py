@@ -103,7 +103,9 @@ class SurfaceColoring:
         return bool((self.colors >= 1).all())
 
     def conflict_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.colors < 0)
+        """The surfaces without a color: every color below 1, as
+        ``is_complete`` and ``verify_coloring`` count them."""
+        return np.flatnonzero(self.colors < 1)
 
     def color_counts(self) -> tuple[int, ...]:
         """Surfaces per color 1..``n_colors``; raises ``ValueError``

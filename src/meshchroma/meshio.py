@@ -57,12 +57,18 @@ same two arrays for ``assemble``.
 
 The writer formats every integer section with ``_int_lines``, the
 reverse of ``_token_values``: it counts each token's bytes, places the
-tokens with one ``cumsum`` and writes their digits a column at a time
-into one byte buffer.  VERTICES rows are formatted with one ``%r``
-operation, the shortest text that reads back exactly, except the
-longest run of leading rows that are bit for bit the leading vertices
-of the ``source`` file the mesh came from: those are written as the
-bytes that file held, so ``refine`` formats only its midpoints and
+tokens with one ``cumsum`` over the lines and writes their digits a
+column at a time into one byte buffer (``_digit_columns``).  VERTICES
+rows are written as ``%r`` text, the shortest that reads back exactly.
+When every value of the rows to format is one whose ``%r`` is fixed
+notation of at most 15 digits, the tokens ``_fixed_values`` decodes,
+``_fixed_lines`` writes that text from the same digit columns, the
+whole part and the fraction digits of each value as two tokens; any
+other block, a jittered mesh or 17-digit values, is formatted with one
+``%r`` operation.  Rows are formatted except the longest run of
+leading rows that are bit for bit the leading vertices of the
+``source`` file the mesh came from: those are written as the bytes
+that file held, so ``refine`` formats only its midpoints and
 ``coarsen`` nothing.  ELEMENTS is written as the bytes of ``source``
 when the mesh's kinds and vertex rows are exactly the source's, so
 ``color`` formats none, and formatted whole otherwise: the element
@@ -136,10 +142,13 @@ _FORM_BYTES = (b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # magnitude, so its digit sum cannot overflow an int64
 _MAX_INT_CHARS = 18
 # a fixed-notation VERTICES token of at most 15 digits has a mantissa
-# below 10**15 < 2**53, an exact double
+# below 10**15 < 2**53, an exact double; the reader decodes such tokens
+# from digit columns, and the writer writes a value so when its ``%r``
+# is one
 _MAX_FIXED_DIGITS = 15
 # 10**k for every fraction length of such a token; each is exact too
 _POW10 = 10 ** np.arange(_MAX_FIXED_DIGITS, dtype=np.int64)
+_POW10F = _POW10.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -221,25 +230,28 @@ def _int_lines(tokens, kinds: np.ndarray | None = None) -> np.ndarray:
     The reverse of ``_token_values``.  Each token's digits are counted
     by comparing its magnitude with powers of ten; with its sign, its
     line's head and the space or newline after it, that gives its
-    bytes, and their ``cumsum`` every token's end.  Digit columns are
-    then written for all tokens at once, the longest token's first
-    column first.  A column past a short token's first digit lands on a
-    byte of an earlier token that a later column, or the separators,
-    signs and heads written last, overwrites, so no column needs a
-    mask.  Magnitudes are the tokens' unsigned wrap, negated where the
-    token is negative, which is exact for -2**63 as well.
+    bytes, from which ``_digit_columns`` places the tokens and writes
+    their digits.  Magnitudes are the tokens' unsigned wrap, negated
+    where the token is negative, which is exact for -2**63 as well.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if not tokens.size:
         return np.empty(0, dtype=np.uint8)
     if kinds is None:
         per_line = tokens.shape[1] if tokens.ndim == 2 else 1
-        tokens = tokens.ravel()
-        last = slice(per_line - 1, None, per_line)  # each line's last token
     else:
         per_line = _N_IDS[kinds]
+        if (per_line == per_line[0]).all():
+            per_line = int(per_line[0])
+    tokens = tokens.ravel()
+    if isinstance(per_line, int):
+        first = slice(0, None, per_line)  # each line's first token
+        last = slice(per_line - 1, None, per_line)  # and its last
+        lines = (-1, per_line)
+    else:  # lines of two lengths are placed as lines of one token
         last = np.cumsum(per_line) - 1
-        first = last - (per_line - 1)  # and its first
+        first = last - (per_line - 1)
+        lines = (-1, 1)
     top = max(int(tokens.max()), -int(tokens.min()))
     longest = len(str(top))
     mag = tokens.astype(np.uint32 if top < 2**32 else np.uint64)
@@ -253,8 +265,51 @@ def _int_lines(tokens, kinds: np.ndarray | None = None) -> np.ndarray:
     if kinds is not None:
         heads = _HEAD_BYTES[kinds]
         span[first] += heads
-    at = np.cumsum(span, dtype=np.int64)  # each token's end
-    del span
+    buf, at = _digit_columns(mag, span.reshape(lines), longest)
+    del mag, span
+    if kinds is None and per_line == 1:
+        buf[at] = 10
+    else:
+        buf[at] = 32
+        buf[at[last]] = 10
+    if neg.any():
+        buf[at[neg] - size[neg]] = 45
+    if kinds is not None:
+        start = at[first] - size[first]
+        start -= heads
+        for code, head in enumerate(_HEADS):
+            mine = start[kinds == code]
+            for j, byte in enumerate(head):
+                buf[mine + j] = byte
+    return buf[longest:]
+
+
+def _digit_columns(mag: np.ndarray, span: np.ndarray,
+                   longest: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lay tokens out in one byte buffer and write the ``longest`` low
+    decimal digits of each unsigned ``mag[i]`` (consumed) right-aligned
+    before its separator.  ``span`` is (lines, tokens per line), each
+    token's bytes with the separator after it; ``mag`` lists the same
+    tokens flat.  Returns the buffer, whose first ``longest`` bytes are
+    spare, and every token's separator position in it; the caller
+    writes the separators, signs and heads.
+
+    Each token's end is the sum of the spans before it in its line plus
+    the ``cumsum`` of the line lengths, which is one accumulation per
+    line rather than per token.  Digit columns are then written for all
+    tokens at once, the longest token's first column first.  A column
+    past a short token's first digit lands on a byte of an earlier
+    token that a later column, or the bytes the caller writes last,
+    overwrites, so no column needs a mask.
+    """
+    at = span.astype(np.int64)
+    for j in range(1, at.shape[1]):
+        at[:, j] += at[:, j - 1]
+    ends = np.cumsum(at[:, -1])  # each line's end
+    for j in range(at.shape[1] - 1):
+        at[1:, j] += ends[:-1]
+    at[:, -1] = ends
+    at = at.ravel()  # each token's end
     # ``longest`` bytes before the text catch the first tokens' columns
     buf = np.empty(longest + int(at[-1]), dtype=np.uint8)
     at -= 1  # column ``longest`` of every token, in ``buf``
@@ -265,31 +320,95 @@ def _int_lines(tokens, kinds: np.ndarray | None = None) -> np.ndarray:
         digit *= 10**k
         mag -= digit
         at += 1
-    del mag, digit
     buf += 48
-    # ``at`` now holds each token's separator
-    if kinds is None and per_line == 1:
-        buf[at] = 10
-    else:
-        buf[at] = 32
-        buf[at[last]] = 10
+    return buf, at  # ``at`` now holds each token's separator
+
+
+def _fixed_lines(rows: np.ndarray) -> np.ndarray | None:
+    """The ``%r`` text of the rows of the float array ``rows``, a line
+    per row, when every value's is fixed notation of at most
+    ``_MAX_FIXED_DIGITS`` digits, the tokens ``_fixed_values`` decodes;
+    otherwise None.
+
+    Membership takes one pass, no search.  With kmax = 15 - (digits of
+    floor|v|) and m = rint(|v| * 10**kmax), v is such a value when
+    kmax >= 1, m / 10**kmax == |v|, and |v| >= 1e-4 or v == 0, as
+    ``%r`` turns to exponents below 1e-4.  m and 10**kmax are exact
+    doubles and the division rounds once (Clinger), so |v| is then the
+    double nearest to a decimal of at most 15 digits.  Two such
+    decimals never round to the same double, so that decimal, with its
+    trailing zeros dropped past the first fraction digit, is the
+    shortest text that reads back: ``%r``'s.  Its k fraction digits are
+    then found as the first k at which |v| is the double nearest to a
+    decimal of k fraction digits, trying only the values not yet
+    placed, so a block of integers or halves takes one pass.
+
+    Each value is written as two tokens for ``_digit_columns``: the
+    whole part, after a ``-`` where the sign bit is set (so -0.0 keeps
+    its sign) and before a point, and the fraction digits zero-padded
+    to k, before a space or the newline.
+    """
+    values = rows.ravel()
+    if not values.size:
+        return np.empty(0, dtype=np.uint8)
+    mag = np.abs(values)
+    top = mag.max()
+    if not top < _POW10F[-1]:  # no fraction digit left, or nan
+        return None
+    digits = len(str(int(top)))
+    whole = np.zeros(mag.shape, dtype=np.uint8)  # digits of floor|v|, less 1
+    for p in _POW10F[1:digits]:
+        whole += mag >= p
+    scale = np.take(_POW10F[::-1], whole)  # 10**kmax
+    m = mag * scale
+    np.rint(m, out=m)
+    if (m / scale != mag).any() or mag[mag < 1e-4].any():
+        return None
+    k = np.ones(mag.shape, dtype=np.uint8)
+    m = mag * 10.0
+    np.rint(m, out=m)
+    todo = np.flatnonzero(m / 10.0 != mag)
+    for j in range(2, _MAX_FIXED_DIGITS):
+        if not todo.size:
+            break
+        sub = mag[todo]
+        tried = sub * _POW10F[j]
+        np.rint(tried, out=tried)
+        hit = tried / _POW10F[j] == sub
+        placed = todo[hit]
+        m[placed] = tried[hit]
+        k[placed] = j
+        todo = todo[~hit]
+    np.floor(mag, out=mag)
+    m -= mag * np.take(_POW10F, k)  # the fraction digits
+    longest = max(digits, int(k.max()))
+    parts = np.empty((values.size, 2),
+                     dtype=np.uint32 if longest <= 9 else np.uint64)
+    parts[:, 0] = mag
+    parts[:, 1] = m
+    neg = np.signbit(values)
+    size = np.empty(parts.shape, dtype=np.uint8)  # sign and digits
+    np.add(whole, neg, out=size[:, 0])
+    size[:, 0] += 1
+    size[:, 1] = k
+    lines = (len(rows), -1)
+    buf, at = _digit_columns(parts.ravel(), (size + 1).reshape(lines),
+                             longest)
+    # a point after each whole part, a space or the newline after each
+    # fraction
+    buf[at.reshape(lines)] = np.frombuffer(
+        b". " * (rows.shape[1] - 1) + b".\n", dtype=np.uint8)
     if neg.any():
-        buf[at[neg] - size[neg]] = 45
-    if kinds is not None:
-        start = at[first]
-        start -= size[first]
-        start -= heads
-        for code, head in enumerate(_HEADS):
-            mine = start[kinds == code]
-            for j, byte in enumerate(head):
-                buf[mine + j] = byte
+        buf[at[::2][neg] - size[neg, 0]] = 45
     return buf[longest:]
 
 
 def _vertex_rows(mesh: Mesh, source: NativeMesh | None) -> list[bytes]:
     """The VERTICES body: the bytes of ``source.vertex_text`` for the
     longest run of leading rows that are ``source.mesh.vertices`` bit
-    for bit (so -0.0 is not 0.0), and ``%r`` text for every other row."""
+    for bit (so -0.0 is not 0.0), and ``%r`` text for every other row,
+    written from digit columns by ``_fixed_lines`` when it takes those
+    rows and with one ``%`` operation otherwise."""
     kept = b""
     rows = mesh.vertices
     if source is not None and source.vertex_text is not None:
@@ -302,8 +421,11 @@ def _vertex_rows(mesh: Mesh, source: NativeMesh | None) -> list[bytes]:
             lines = np.flatnonzero(np.frombuffer(kept, dtype=np.uint8) == 10)
             kept = kept[:lines[n - 1] + 1] if n else b""
         rows = rows[n:]
-    return [kept, (("%r" + " %r" * (mesh.dim - 1) + "\n") * len(rows)
-                   % tuple(rows.ravel().tolist())).encode()]
+    text = _fixed_lines(rows)
+    if text is None:
+        text = (("%r" + " %r" * (mesh.dim - 1) + "\n") * len(rows)
+                % tuple(rows.ravel().tolist())).encode()
+    return [kept, text]
 
 
 def _element_rows(mesh: Mesh, source: NativeMesh | None):
@@ -331,6 +453,10 @@ def write_native(path, mesh: Mesh,
                  source: NativeMesh | None = None) -> None:
     """Serialize a mesh and its optional coloring, parent table, and
     reordering permutations.
+
+    Coordinates are written as their ``%r`` text, from digit columns
+    when every formatted one is short fixed notation, and integers as
+    their ``%d`` text.
 
     ``source`` is the file the mesh was read from, if any: leading
     vertex rows bit for bit equal to its leading vertices are written

@@ -279,6 +279,15 @@ def test_surface_coloring_helpers():
     assert c.colors[2] == -1
 
 
+def test_color_zero_is_listed_as_a_conflict():
+    mesh = gen_tri_rect(3, 3)
+    coloring, _ = color(mesh)
+    coloring.colors[0] = 0
+    assert not coloring.is_complete
+    assert coloring.conflict_ids().tolist() == [0]
+    assert "uncolored" in {d.code for d in verify_coloring(mesh, coloring)}
+
+
 @settings(deadline=None, max_examples=20)
 @given(
     nx=st.integers(min_value=2, max_value=6),

@@ -353,21 +353,44 @@ def _percent_file(mesh, parents, colors, element_perm, surface_perm):
     return "\n".join(lines) + "\n"
 
 
+def _colored(mesh):
+    return mesh, color(mesh)[0]
+
+
+def _refined_tri():
+    """A shuffled triangle patch with four elements refined, and the
+    coloring ``refine`` gives it: the midpoints end its vertex rows."""
+    mesh = shuffle_elements(gen_tri_rect(6, 5), 3)
+    refined, fine = refine(mesh, color(mesh)[0], [0, 4, 7, 8])
+    return refined.mesh, fine
+
+
 def test_mixed_file_matches_percent_formatting(tmp_path):
-    mesh = hybrid_patch(5, 4)
-    coloring, _ = color(mesh)
-    plan = build_plan(mesh, coloring)
-    new_mesh, new_coloring = apply_plan(mesh, coloring, plan)
-    assert len(new_mesh.element_kind_profile) == 2
-    # -1, single digits and wider values, as refined files hold
-    parents = np.arange(new_mesh.n_elements) * 37 % 1201 - 1
-    path = tmp_path / "mixed.mesh"
-    write_native(path, new_mesh, new_coloring, parents=parents,
-                 element_perm=plan.element_perm,
-                 surface_perm=plan.surface_perm)
-    assert path.read_text() == _percent_file(
-        new_mesh, parents.tolist(), new_coloring.colors.tolist(),
-        plan.element_perm.tolist(), plan.surface_perm.tolist())
+    mixed = hybrid_patch(5, 4)
+    assert len(mixed.element_kind_profile) == 2
+    # and each kind of VERTICES block the writer formats: generated
+    # grids of every family, a shuffled mesh, refine's midpoints, and a
+    # jittered mesh whose rows are written with ``%r``
+    cases = {"mixed": _colored(mixed),
+             "tri_rect": _colored(gen_tri_rect(7, 5)),
+             "tri_closed": _colored(gen_tri_rect(6, 4, periodic=True)),
+             "quad_rect": _colored(gen_quad_rect(6, 5)),
+             "tet_prism": _colored(gen_tet_prism(3, 2, 2)),
+             "shuffled": _colored(shuffle_elements(gen_tri_rect(9, 8), 5)),
+             "refined": _refined_tri(),
+             "jittered": _colored(_jittered_tri(5, 4))}
+    for name, (mesh, coloring) in cases.items():
+        plan = build_plan(mesh, coloring)
+        new_mesh, new_coloring = apply_plan(mesh, coloring, plan)
+        # -1, single digits and wider values, as refined files hold
+        parents = np.arange(new_mesh.n_elements) * 37 % 1201 - 1
+        path = tmp_path / f"{name}.mesh"
+        write_native(path, new_mesh, new_coloring, parents=parents,
+                     element_perm=plan.element_perm,
+                     surface_perm=plan.surface_perm)
+        assert path.read_text() == _percent_file(
+            new_mesh, parents.tolist(), new_coloring.colors.tolist(),
+            plan.element_perm.tolist(), plan.surface_perm.tolist()), name
 
 
 def test_sections_longer_than_one_chunk(tmp_path):

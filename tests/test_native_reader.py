@@ -3,7 +3,9 @@
 ``read_native`` converts a file in the writer's form with array
 operations over its bytes and hands any other file to the line parser
 ``_read_native``.  Whatever the bytes, both must agree: the same arrays
-and dtypes, or the same exception type and message.
+and dtypes, or the same exception type and message.  The writer's
+fixed-notation encoder is checked here too, against ``%r`` and against
+the decoder that reads its text back.
 """
 
 import re
@@ -29,7 +31,8 @@ from meshchroma import (
 from meshchroma import meshio
 from meshchroma.cli import main
 from meshchroma.meshio import (_MAX_INT_CHARS, _bulk_sections,
-                                _fixed_values, _Lines, _read_native)
+                                _fixed_lines, _fixed_values, _Lines,
+                                _read_native)
 
 MESH_FIELDS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
                "surf_verts", "surf_elems")
@@ -328,11 +331,15 @@ _EDGE_FLOATS = [0.0, 1e-4, float(np.nextafter(1e-4, 0)),
                 (2.0**53 - 1) / 1e3, 9007199254740.993, 0.1234567890123456]
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.lists(st.one_of(
+# floats whose %r is in either notation, with any number of digits
+_REPR_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS]),
-    st.floats(-1e16, 1e16), st.floats(-1, 1)), min_size=1, max_size=12))
+    st.floats(-1e16, 1e16), st.floats(-1, 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_REPR_FLOATS, min_size=1, max_size=12))
 def test_fixed_decoder_matches_fromstring_on_repr(values):
     _assert_decodes_as_fromstring([repr(v) for v in values])
 
@@ -352,6 +359,44 @@ def _fixed_tokens(draw):
 @given(st.lists(_fixed_tokens(), min_size=1, max_size=12))
 def test_fixed_decoder_matches_fromstring_on_fixed_text(tokens):
     _assert_decodes_as_fromstring(tokens)
+
+
+# the values of fixed-notation text, most of which %r writes in
+# fixed notation again
+_FIXED_FLOATS = _fixed_tokens().map(float)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.lists(_REPR_FLOATS, min_size=3, max_size=12),
+                 st.lists(_FIXED_FLOATS, min_size=3, max_size=12),
+                 st.lists(st.one_of(_REPR_FLOATS, _FIXED_FLOATS),
+                          min_size=3, max_size=12)),
+       st.sampled_from((2, 3)))
+def test_fixed_encoder_writes_percent_r_that_reads_back(values, width):
+    rows = np.array(values[:len(values) // width * width]).reshape(-1, width)
+    tokens = [repr(v) for v in rows.ravel().tolist()]
+    text = _fixed_lines(rows)
+    # digit-written exactly when the decoder takes every token
+    assert (text is not None) == all(map(_decodes_fixed, tokens)), tokens
+    if text is not None:
+        want = "".join(" ".join(tokens[i:i + width]) + "\n"
+                       for i in range(0, len(tokens), width))
+        assert text.tobytes().decode() == want
+        got = _fixed(text.tobytes().decode().split())
+        assert got is not None
+        # bit for bit, so -0.0 is not 0.0
+        assert np.array_equal(got.view(np.int64), rows.ravel().view(np.int64))
+
+
+def test_fixed_encoder_turns_other_blocks_away_before_the_digit_columns(
+        monkeypatch):
+    def unwritten(*args, **kwargs):
+        raise AssertionError("digit columns written")
+
+    monkeypatch.setattr(meshio, "_digit_columns", unwritten)
+    for row in ([1.0, 0.1 + 0.2], [0.5, 1.5e-05], [123456789012345.0, 0.5],
+                [0.5, float(np.nextafter(1e-4, 0))], [0.5, float("nan")]):
+        assert _fixed_lines(np.array([row])) is None, row
 
 
 def test_fixed_decoder_examples():
