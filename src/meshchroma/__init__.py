@@ -17,14 +17,11 @@ from .amr import (
     refine,
 )
 from .coloring import (
-    ColoringConfig,
     ColoringReport,
     SurfaceColoring,
     color,
     color_set_size,
-    modified_greedy,
     naive_greedy,
-    resolve_conflicts,
     verify_coloring,
 )
 from .errors import (
@@ -39,7 +36,6 @@ from .errors import (
     PlanMeshMismatchError,
     RepeatedVertexError,
     RestartsExhaustedError,
-    SwapBudgetExceededError,
     UnrefinableKindError,
     UnsupportedVersionError,
     WriteConflictError,
@@ -91,7 +87,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccumulationState",
     "CoalescingReport",
-    "ColoringConfig",
     "ColoringReport",
     "DanglingVertexError",
     "Diagnostic",
@@ -115,7 +110,6 @@ __all__ = [
     "RepeatedVertexError",
     "RestartsExhaustedError",
     "SurfaceColoring",
-    "SwapBudgetExceededError",
     "UnrefinableKindError",
     "UnsupportedVersionError",
     "WriteConflictError",
@@ -134,13 +128,11 @@ __all__ = [
     "gen_tri_rect",
     "generate",
     "memory_saved",
-    "modified_greedy",
     "naive_greedy",
     "read_msh",
     "read_native",
     "reconstruct_refinement",
     "refine",
-    "resolve_conflicts",
     "shuffle_elements",
     "surface_buffer",
     "sweep_buffered",

@@ -32,7 +32,7 @@ from .amr import (
     reconstruct_refinement,
     refine,
 )
-from .coloring import ColoringConfig, SurfaceColoring, color, verify_coloring
+from .coloring import SurfaceColoring, color, verify_coloring
 from .errors import (
     DanglingVertexError,
     LevelConstraintError,
@@ -41,7 +41,6 @@ from .errors import (
     PartialFamilyError,
     PlanMeshMismatchError,
     RestartsExhaustedError,
-    SwapBudgetExceededError,
     UnrefinableKindError,
     UnsupportedVersionError,
     WriteConflictError,
@@ -277,8 +276,7 @@ def _cmd_color(args) -> int:
     if _is_refinement(nm):
         raise LevelConstraintError(
             "input is refined; coarsen it before coloring")
-    config = ColoringConfig(rng_seed=_resolve_seed(args))
-    coloring, report = color(nm.mesh, config)
+    coloring, report = color(nm.mesh, _resolve_seed(args))
     write_native(args.output, nm.mesh, coloring=coloring,
                  parents=nm.parents, element_perm=nm.element_perm,
                  surface_perm=nm.surface_perm, source=nm)
@@ -417,13 +415,13 @@ def _cmd_stats(args) -> int:
     # how coloring cost grows with the surface count: color one generated
     # mesh per size (n-by-n cells, n-by-n-by-n for tets) and fit log-log
     # slopes of color()'s own seconds and of the greedy conflict count
-    config = ColoringConfig(rng_seed=_resolve_seed(args))
+    seed = _resolve_seed(args)
     reports = []
     for n in args.sizes:
         nz = n if args.family == "tet_prism" else 1
         mesh = generate(GeneratorSpec(family=args.family, nx=n, ny=n,
                                       nz=nz))
-        _, report = color(mesh, config)
+        _, report = color(mesh, seed)
         reports.append(report)
         write_report({
             "family": args.family,
@@ -474,7 +472,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RestartsExhaustedError, SwapBudgetExceededError) as exc:
+    except RestartsExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLORING
     except (LevelConstraintError, UnrefinableKindError,

@@ -48,8 +48,13 @@ numbered: shuffling the element ids gives the same color per surface.
 The caveat is ties in the centroid sort, such as two elements with the
 same centroid; the sort is stable, so those keep their input order.
 
-Everything is driven by one seeded RNG, so identical seeds reproduce
-identical colorings.
+``color(mesh, seed)`` is the one entry point.  Both passes draw from one
+RNG seeded with ``seed``, so identical seeds reproduce identical
+colorings.  The repair has a swap budget: ``_SWAPS_PER_SURFACE``
+recolorings per mesh surface for one conflict chain, ``_TOTAL_CHAINS``
+times that for the whole repair.  An attempt that overruns it is thrown
+away and both passes run again from the next seed, at most
+``_RESTARTS`` times.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RestartsExhaustedError, SwapBudgetExceededError
+from .errors import RestartsExhaustedError
 from .mesh import (MAX_SIDES, Diagnostic, ElementKind, Mesh, _dense_rank,
                    _stable_sort, vizing_bound)
 
@@ -79,14 +84,16 @@ def color_set_size(mesh: Mesh) -> int:
     return 4
 
 
-@dataclass(frozen=True)
-class ColoringConfig:
-    rng_seed: int = 0
-    # swap budget per conflict chain; None means 10 * n_surfaces
-    max_swaps_per_conflict: int | None = None
-    max_restarts: int = 5
-    # recheck full validity after every repair step (tests only, slow)
-    audit: bool = False
+# attempts after the first, each from the next seed
+_RESTARTS = 5
+# recolorings one conflict chain may spend, per mesh surface; the whole
+# repair may spend _TOTAL_CHAINS chains' worth
+_SWAPS_PER_SURFACE = 10
+_TOTAL_CHAINS = 5
+
+
+class _SwapBudgetExceeded(Exception):
+    """A repair spent its swap budget; ``color`` restarts on it."""
 
 
 @dataclass(eq=False)
@@ -101,11 +108,6 @@ class SurfaceColoring:
         """Whether every surface has a color.  Whether the colors lie
         within the palette is ``verify_coloring``'s to judge."""
         return bool((self.colors >= 1).all())
-
-    def conflict_ids(self) -> np.ndarray:
-        """The surfaces without a color: every color below 1, as
-        ``is_complete`` and ``verify_coloring`` count them."""
-        return np.flatnonzero(self.colors < 1)
 
     def color_counts(self) -> tuple[int, ...]:
         """Surfaces per color 1..``n_colors``; raises ``ValueError``
@@ -282,24 +284,6 @@ def _greedy_pass(left, slots, n_elements, n_colors, rng):
     return colors, used, conflicts
 
 
-def _rebuild_used(colors, sweep: _Sweep):
-    used = [0] * sweep.mesh.n_elements
-    for k, c in enumerate(colors):
-        if c < 1:
-            continue
-        b = 1 << c
-        for e in (sweep.left[k], sweep.right[k]):
-            if e < 0:
-                continue
-            if used[e] & b:
-                raise ValueError(
-                    f"input coloring repeats color {c} on element "
-                    f"{sweep.elements[e]}"
-                )
-            used[e] |= b
-    return used
-
-
 @dataclass
 class _RepairStats:
     """The repair counters; ``ColoringReport`` has a field of each name."""
@@ -332,9 +316,10 @@ def _repair(sweep: _Sweep, colors, used, conflicts, n_colors, rng,
     """Resolve every conflict until the coloring is complete.
 
     Works in sweep numbering and mutates ``colors`` and ``used`` in
-    place.  Raises ``SwapBudgetExceededError``, naming mesh ids, when
-    the recolorings spent on one conflict exceed ``chain_budget`` or the
-    whole repair exceeds ``total_budget``.
+    place.  Raises ``_SwapBudgetExceeded``, naming mesh ids, when the
+    recolorings spent on one conflict exceed ``chain_budget`` or the
+    whole repair exceeds ``total_budget``.  ``audit``, when given, is
+    called with the carrier table after every repair step.
     """
     stats = _RepairStats()
     if not conflicts:
@@ -348,7 +333,7 @@ def _repair(sweep: _Sweep, colors, used, conflicts, n_colors, rng,
     total_swaps = 0
 
     def over_budget(e0, chain_swaps):
-        return SwapBudgetExceededError(
+        return _SwapBudgetExceeded(
             f"conflict chain from {sweep.surface_name(e0)} reached "
             f"{chain_swaps} swaps ({total_swaps} in total); the budget is "
             f"{chain_budget} per chain and {total_budget} in total"
@@ -509,7 +494,7 @@ def _repair(sweep: _Sweep, colors, used, conflicts, n_colors, rng,
                     break
                 if not stale:
                     # unreachable on conforming meshes; bail to restart
-                    raise SwapBudgetExceededError(
+                    raise _SwapBudgetExceeded(
                         f"conflict on {sweep.surface_name(e)} has no "
                         f"admissible move"
                     )
@@ -547,80 +532,6 @@ def _repair(sweep: _Sweep, colors, used, conflicts, n_colors, rng,
     return stats
 
 
-def _make_audit(sweep: _Sweep, colors, used):
-    """Check after a repair step that no element repeats a color and
-    that ``used`` and the carrier table agree with ``colors``; a failure
-    names mesh ids."""
-    elements, surfaces = sweep.elements, sweep.surfaces
-
-    def audit(carrier):
-        seen = [0] * len(used)
-        for k, c in enumerate(colors):
-            if c < 1:
-                continue
-            b = 1 << c
-            for e in (sweep.left[k], sweep.right[k]):
-                if e >= 0:
-                    assert not seen[e] & b, (
-                        f"color {c} repeated on element {elements[e]}"
-                    )
-                    seen[e] |= b
-                    held = carrier[e << 3 | c]
-                    assert held == k, (
-                        f"carrier of color {c} at element {elements[e]} is "
-                        f"{surfaces[held] if held >= 0 else -1}, not "
-                        f"surface {surfaces[k]}"
-                    )
-        assert seen == used, "per-element color masks are stale"
-        assert sum(s >= 0 for s in carrier) == sum(
-            bin(m).count("1") for m in seen), "carrier table is stale"
-    return audit
-
-
-def modified_greedy(mesh: Mesh,
-                    config: ColoringConfig | None = None) -> SurfaceColoring:
-    """Single greedy pass that leaves unresolvable surfaces at -1
-    instead of growing the palette."""
-    config = config or ColoringConfig()
-    if mesh.n_surfaces == 0:
-        raise ValueError("mesh has no surfaces")
-    n_colors = color_set_size(mesh)
-    sweep = _sweep(mesh)
-    rng = random.Random(config.rng_seed)
-    colors, _, _ = _greedy_pass(sweep.left, sweep.slots, mesh.n_elements,
-                                n_colors, rng)
-    return SurfaceColoring(sweep.to_mesh(colors), n_colors)
-
-
-def resolve_conflicts(mesh: Mesh, coloring: SurfaceColoring,
-                      config: ColoringConfig | None = None,
-                      stats_out: dict | None = None) -> SurfaceColoring:
-    """Repair a partial coloring into a complete one.
-
-    The input must be valid per element (no repeated colors); the
-    returned coloring is complete and valid.  ``stats_out``, when given,
-    receives the repair counters.
-    """
-    config = config or ColoringConfig()
-    n_colors = coloring.n_colors
-    sweep = _sweep(mesh)
-    colors = np.take(coloring.colors, sweep.surfaces).tolist()
-    used = _rebuild_used(colors, sweep)
-    conflicts = [k for k, c in enumerate(colors) if c < 1]
-    budget = config.max_swaps_per_conflict
-    if budget is None:
-        budget = 10 * mesh.n_surfaces
-    audit = None
-    if config.audit:
-        audit = _make_audit(sweep, colors, used)
-    rng = random.Random(config.rng_seed)
-    stats = _repair(sweep, colors, used, conflicts, n_colors, rng, budget,
-                    5 * budget, audit)
-    if stats_out is not None:
-        stats_out.update(vars(stats))
-    return SurfaceColoring(sweep.to_mesh(colors), n_colors)
-
-
 def _parity_obstruction(mesh: Mesh, n_colors: int) -> str | None:
     """Why no complete coloring can exist, if a parity count shows it.
 
@@ -639,19 +550,20 @@ def _parity_obstruction(mesh: Mesh, n_colors: int) -> str | None:
     )
 
 
-def color(mesh: Mesh,
-          config: ColoringConfig | None = None
+def color(mesh: Mesh, seed: int = 0
           ) -> tuple[SurfaceColoring, ColoringReport]:
     """Produce a complete valid coloring plus a work report.
 
-    Runs the greedy pass and the repair pass with one RNG stream.  If a
-    repair runs out of swap budget the whole thing restarts from seed+1,
-    up to ``max_restarts`` times, after which
-    ``RestartsExhaustedError`` is raised.  A mesh that a parity count
-    shows to have no complete coloring raises it at once.
+    Runs the greedy pass and the repair pass with one RNG stream seeded
+    with ``seed``.  A repair may spend ``_SWAPS_PER_SURFACE`` recolorings
+    per mesh surface on one conflict chain and ``_TOTAL_CHAINS`` times
+    that in total; one that runs out starts the whole thing again from
+    the next seed, up to ``_RESTARTS`` times, after which
+    ``RestartsExhaustedError`` is raised naming the last overrun.  A
+    mesh that a parity count shows to have no complete coloring raises
+    it at once.
     """
     t_start = time.perf_counter()
-    config = config or ColoringConfig()
     if mesh.n_surfaces == 0:
         raise ValueError("mesh has no surfaces")
     n_colors = color_set_size(mesh)
@@ -659,26 +571,19 @@ def color(mesh: Mesh,
     if reason is not None:
         raise RestartsExhaustedError(reason)
     sweep = _sweep(mesh)
-    budget = config.max_swaps_per_conflict
-    if budget is None:
-        budget = 10 * mesh.n_surfaces
+    budget = _SWAPS_PER_SURFACE * mesh.n_surfaces
 
-    last_error: SwapBudgetExceededError | None = None
-    for attempt in range(config.max_restarts + 1):
-        rng = random.Random(config.rng_seed + attempt)
+    for attempt in range(_RESTARTS + 1):
+        rng = random.Random(seed + attempt)
         t0 = time.perf_counter()
         colors, used, conflicts = _greedy_pass(
             sweep.left, sweep.slots, mesh.n_elements, n_colors, rng
         )
         t1 = time.perf_counter()
-        n_conflicts = len(conflicts)
-        audit = None
-        if config.audit:
-            audit = _make_audit(sweep, colors, used)
         try:
             stats = _repair(sweep, colors, used, conflicts, n_colors, rng,
-                            budget, 5 * budget, audit)
-        except SwapBudgetExceededError as err:
+                            budget, _TOTAL_CHAINS * budget)
+        except _SwapBudgetExceeded as err:
             last_error = err
             continue
         t2 = time.perf_counter()
@@ -688,7 +593,7 @@ def color(mesh: Mesh,
             n_surfaces=mesh.n_surfaces,
             n_colors=n_colors,
             vizing_bound=vizing_bound(mesh),
-            greedy_conflicts=n_conflicts,
+            greedy_conflicts=len(conflicts),
             **vars(stats),
             restarts=attempt,
             color_counts=coloring.color_counts(),
@@ -698,7 +603,7 @@ def color(mesh: Mesh,
         )
         return coloring, report
     raise RestartsExhaustedError(
-        f"no complete coloring after {config.max_restarts + 1} attempts "
+        f"no complete coloring after {_RESTARTS + 1} attempts "
         f"(last: {last_error})"
     )
 

@@ -42,12 +42,9 @@ class MalformedSectionError(MeshChromaError):
     """A file section is missing, truncated, or holds unparseable data."""
 
 
-class SwapBudgetExceededError(MeshChromaError):
-    """Conflict resolution spent its swap budget without finishing."""
-
-
 class RestartsExhaustedError(MeshChromaError):
-    """Every restart attempt ran out of swap budget."""
+    """No complete coloring: every restart attempt ran out of swap
+    budget, or a parity count shows that none exists."""
 
 
 class LevelConstraintError(MeshChromaError):

@@ -441,8 +441,13 @@ def _element_rows(mesh: Mesh, source: NativeMesh | None):
                 and np.array_equal(old.elem_kind, mesh.elem_kind)
                 and np.array_equal(old.elem_verts, mesh.elem_verts)):
             return source.element_text
-    return _int_lines(mesh.elem_verts[_USED_SLOTS[mesh.elem_kind]],
-                      mesh.elem_kind)
+    kinds = mesh.elem_kind
+    if len(kinds) and (kinds == kinds[0]).all():
+        # one kind: its slots are the leading columns
+        tokens = mesh.elem_verts[:, :_N_IDS[kinds[0]]].ravel()
+    else:
+        tokens = mesh.elem_verts[_USED_SLOTS[kinds]]
+    return _int_lines(tokens, kinds)
 
 
 def write_native(path, mesh: Mesh,
@@ -1064,13 +1069,17 @@ def _read_msh(sc: _Lines, path) -> Mesh:
                         f"{path}: node lines need id x y z"
                     )
                 try:
-                    nodes[int(parts[0])] = (
-                        float(parts[1]), float(parts[2]), float(parts[3])
-                    )
+                    nid = int(parts[0])
+                    xyz = (float(parts[1]), float(parts[2]), float(parts[3]))
                 except ValueError:
                     raise MalformedSectionError(
                         f"{path}: bad node line"
                     ) from None
+                if nid in nodes:
+                    raise MalformedSectionError(
+                        f"{path}: node {nid} is listed twice"
+                    )
+                nodes[nid] = xyz
             if sc.next("$EndNodes") != "$EndNodes":
                 raise MalformedSectionError(
                     f"{path}: unterminated $Nodes"

@@ -252,10 +252,8 @@ def test_reconstruct_rejects_tampered_colors():
 @given(st.sets(st.integers(min_value=0, max_value=17), max_size=9),
        st.integers(min_value=0, max_value=9))
 def test_random_sets_round_trip(targets, seed):
-    from meshchroma import ColoringConfig
-
     mesh = gen_tri_rect(3, 3)
-    coloring, _ = color(mesh, ColoringConfig(rng_seed=seed))
+    coloring, _ = color(mesh, seed)
     targets = sorted(targets)
     ref, fine = refine(mesh, coloring, targets)
     assert verify_coloring(ref.mesh, fine) == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from meshchroma import (
-    ColoringConfig,
     SurfaceColoring,
     color,
     gen_tet_prism,
@@ -194,7 +193,7 @@ def test_refinement_keeps_a_last_vertex_no_element_uses(tmp_path):
     mesh = gen_tri_rect(4, 3)
     mesh = assemble(np.vstack([mesh.vertices, [[9.0, 9.0]]]),
                     mesh.elem_kind, mesh.elem_verts)
-    coloring, _ = color(mesh, ColoringConfig(rng_seed=1))
+    coloring, _ = color(mesh, 1)
     colored, fine = tmp_path / "c.mesh", tmp_path / "f.mesh"
     back = tmp_path / "b.mesh"
     write_native(colored, mesh, coloring)
@@ -389,7 +388,7 @@ def test_stats_counts_do_not_depend_on_element_numbering(capsys):
         n = int(point["cells"])
         for shuffle_seed in (1, 2):
             mesh = shuffle_elements(gen_tet_prism(n, n, n), shuffle_seed)
-            _, report = color(mesh, ColoringConfig(rng_seed=0))
+            _, report = color(mesh, 0)
             assert report.greedy_conflicts == int(point["greedy_conflicts"])
             assert report.swaps == int(point["swaps"])
 
@@ -485,7 +484,7 @@ _SWAPPED = ("coloring was not produced by this refinement: fine surface 31 "
 
 def test_extra_vertex_in_a_refinement_file_is_named(tmp_path, capsys):
     mesh = gen_tri_rect(4, 4)
-    coloring, _ = color(mesh, ColoringConfig(rng_seed=0))
+    coloring, _ = color(mesh, 0)
     ref, fine = refine(mesh, coloring, [0, 5])
     path = tmp_path / "f.mesh"
     write_native(path, ref.mesh, fine, parents=ref.parents)
@@ -517,7 +516,7 @@ def test_extra_vertex_in_a_refinement_file_is_named(tmp_path, capsys):
 def test_verify_rejects_parent_tables_coarsen_rejects(tmp_path, capsys,
                                                       plant, code, reason):
     mesh = gen_tri_rect(3, 3)
-    coloring, _ = color(mesh, ColoringConfig(rng_seed=0))
+    coloring, _ = color(mesh, 0)
     path = tmp_path / "p.mesh"
     if plant.startswith("swapped_halves"):
         # a valid 6-coloring, but not the one refining element 4 derives:

@@ -2,29 +2,29 @@
 
 import random
 import re
+import zlib
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meshchroma.coloring as coloring_module
 from meshchroma import (
-    ColoringConfig,
     RestartsExhaustedError,
     SurfaceColoring,
-    SwapBudgetExceededError,
     color,
     color_set_size,
     gen_quad_rect,
     gen_tet_prism,
     gen_tri_rect,
-    modified_greedy,
     naive_greedy,
-    resolve_conflicts,
     shuffle_elements,
     verify_coloring,
 )
-from meshchroma.coloring import _MASK_CHOICES, _greedy_pass, _sweep
+from meshchroma.coloring import _MASK_CHOICES, _greedy_pass, _repair, _sweep
 from meshchroma.mesh import assemble
 from conftest import colorable_with, hybrid_patch, random_diagonal_tri
 
@@ -63,33 +63,79 @@ def test_hybrid_mesh_colors_with_four():
     assert_complete_valid(mesh, coloring)
 
 
-def test_modified_greedy_never_grows_the_palette(two_tri):
+def _element_masks(sweep, colors):
+    """Per sweep element, the bitmask of the colors its surfaces carry,
+    asserting that none is carried twice."""
+    masks = [0] * sweep.mesh.n_elements
+    for k, c in enumerate(colors):
+        if c < 1:
+            continue
+        b = 1 << c
+        for e in (sweep.left[k], sweep.right[k]):
+            if e >= 0:
+                assert not masks[e] & b, (
+                    f"color {c} repeated on element {sweep.elements[e]}")
+                masks[e] |= b
+    return masks
+
+
+def _make_audit(sweep, colors, used):
+    """Check after a repair step that no element repeats a color and
+    that ``used`` and the carrier table agree with ``colors``; a failure
+    names mesh ids."""
+    elements, surfaces = sweep.elements, sweep.surfaces
+
+    def audit(carrier):
+        seen = _element_masks(sweep, colors)
+        for k, c in enumerate(colors):
+            for e in (sweep.left[k], sweep.right[k]):
+                if c >= 1 and e >= 0:
+                    held = carrier[e << 3 | c]
+                    assert held == k, (
+                        f"carrier of color {c} at element {elements[e]} is "
+                        f"{surfaces[held] if held >= 0 else -1}, not "
+                        f"surface {surfaces[k]}"
+                    )
+        assert seen == used, "per-element color masks are stale"
+        assert sum(s >= 0 for s in carrier) == sum(
+            bin(m).count("1") for m in seen), "carrier table is stale"
+    return audit
+
+
+@contextmanager
+def repair_seam(chain_budget=None, audit=False, conflicts=None):
+    """Run ``color``'s repair with a swap budget of ``chain_budget`` per
+    chain (and ``_TOTAL_CHAINS`` times that in total) in place of the
+    default, and with the audit after every step when ``audit`` is set.
+    ``conflicts``, a list, gets each repair's greedy conflicts as a set
+    of mesh surface ids."""
+    def repair(sweep, colors, used, greedy_conflicts, n_colors, rng,
+               chain, total):
+        if chain_budget is not None:
+            chain = chain_budget
+            total = coloring_module._TOTAL_CHAINS * chain_budget
+        if conflicts is not None:
+            conflicts.append(set(sweep.surfaces[greedy_conflicts].tolist()))
+        return _repair(sweep, colors, used, greedy_conflicts, n_colors, rng,
+                       chain, total,
+                       _make_audit(sweep, colors, used) if audit else None)
+
+    with mock.patch.object(coloring_module, "_repair", repair):
+        yield
+
+
+def test_greedy_pass_never_grows_the_palette():
     mesh = random_diagonal_tri(8, 8, 0)
-    partial = modified_greedy(mesh)
-    assert len(partial.conflict_ids()) > 0
-    assert partial.n_colors == 3
+    assert color_set_size(mesh) == 3
+    sweep = _sweep(mesh)
+    colors, _, conflicts = _greedy_pass(sweep.left, sweep.slots,
+                                        mesh.n_elements, 3, random.Random(0))
+    partial = SurfaceColoring(sweep.to_mesh(colors), 3)
+    assert len(conflicts) > 0
     assert partial.colors.max() <= 3
-    assert (partial.colors >= 1).sum() + len(partial.conflict_ids()) == mesh.n_surfaces
+    assert (partial.colors >= 1).sum() + len(conflicts) == mesh.n_surfaces
     codes = {d.code for d in verify_coloring(mesh, partial)}
     assert "conflict" not in codes  # colored part is valid, only gaps remain
-
-
-def test_resolve_completes_a_partial_coloring():
-    mesh = random_diagonal_tri(8, 8, 0)
-    partial = modified_greedy(mesh)
-    assert len(partial.conflict_ids()) > 0
-    stats = {}
-    full = resolve_conflicts(mesh, partial, stats_out=stats)
-    assert_complete_valid(mesh, full)
-    assert stats["resolutions"] >= len(partial.conflict_ids())
-
-
-def test_resolve_treats_every_color_below_one_as_uncolored():
-    mesh = random_diagonal_tri(8, 8, 0)
-    partial = modified_greedy(mesh)
-    assert (partial.colors < 0).any()
-    partial.colors[partial.colors < 0] = 0
-    assert_complete_valid(mesh, resolve_conflicts(mesh, partial))
 
 
 def test_single_swap_chain(two_tri):
@@ -102,13 +148,16 @@ def test_single_swap_chain(two_tri):
     colors[e0[0]], colors[e0[1]] = 1, 2
     colors[e1[0]], colors[e1[1]] = 2, 3
     colors[shared] = -1
-    stats = {}
-    full = resolve_conflicts(two_tri, SurfaceColoring(colors, 3),
-                             stats_out=stats)
-    assert_complete_valid(two_tri, full)
-    assert stats["swaps"] == 1
-    assert stats["resolutions"] == 1
-    assert stats["loop_breaks"] == 0
+    sweep = _sweep(two_tri)
+    colors = np.take(colors, sweep.surfaces).tolist()
+    used = _element_masks(sweep, colors)
+    stats = _repair(sweep, colors, used, [colors.index(-1)], 3,
+                    random.Random(0), 50, 250,
+                    _make_audit(sweep, colors, used))
+    assert_complete_valid(two_tri, SurfaceColoring(sweep.to_mesh(colors), 3))
+    assert stats.swaps == 1
+    assert stats.resolutions == 1
+    assert stats.loop_breaks == 0
 
 
 GOLDEN = [
@@ -121,6 +170,34 @@ GOLDEN = [
     (lambda: random_diagonal_tri(8, 8, 0), 4, 50, 3, 1, 1),
     (lambda: random_diagonal_tri(12, 12, 0), 19, 164, 20, 4, 4),
 ]
+
+
+# crc32 of the little-endian int32 colors for seeds 0-3: whole colorings
+# that go through repair, so any change to what greedy or repair draws
+# or picks shows
+COLORING_CRCS = [
+    (lambda: random_diagonal_tri(8, 8, 0),
+     (0x94784a20, 0x513bd500, 0xe54d2203, 0xdac93b55)),
+    (lambda: random_diagonal_tri(12, 12, 0),
+     (0x08ffd56d, 0xe42bc841, 0xc8ab9085, 0xebc38499)),
+    (lambda: gen_tri_rect(8, 8, (True, True)),
+     (0x63af253e, 0xd99f6462, 0xd11283c9, 0x3fafe2fc)),
+    (lambda: gen_tet_prism(3, 3, 3),
+     (0x6302ea4e, 0xaa6488cb, 0x034f5b74, 0x6692af78)),
+]
+
+
+@pytest.mark.parametrize("build,crcs", COLORING_CRCS,
+                         ids=["random_diagonal_8x8", "random_diagonal_12x12",
+                              "tri_8x8_periodic", "tet_3x3x3"])
+def test_colorings_through_repair_are_pinned(build, crcs):
+    mesh = build()
+    for seed, want in enumerate(crcs):
+        coloring, report = color(mesh, seed)
+        assert report.greedy_conflicts > 0
+        assert_complete_valid(mesh, coloring)
+        got = zlib.crc32(coloring.colors.astype("<i4").tobytes())
+        assert got == want, (seed, hex(got))
 
 
 @pytest.mark.parametrize("build,conflicts,swaps,chains,closures,breaks",
@@ -151,29 +228,31 @@ def test_closed_tri_classes_are_balanced():
 
 def test_same_seed_same_coloring():
     mesh = gen_tri_rect(10, 10)
-    a, _ = color(mesh, ColoringConfig(rng_seed=7))
-    b, _ = color(mesh, ColoringConfig(rng_seed=7))
+    a, _ = color(mesh, 7)
+    b, _ = color(mesh, 7)
     assert (a.colors == b.colors).all()
-    c, _ = color(mesh, ColoringConfig(rng_seed=8))
+    c, _ = color(mesh, 8)
     assert not (a.colors == c.colors).all()
 
 
 def test_swap_budget_raises():
     # shuffled, so sweep ranks differ from the element ids named
     mesh = shuffle_elements(random_diagonal_tri(8, 8, 0), 3)
-    partial = modified_greedy(mesh)
-    with pytest.raises(SwapBudgetExceededError) as info:
-        resolve_conflicts(mesh, partial,
-                          ColoringConfig(max_swaps_per_conflict=1))
-    # the message names the starting surface, its elements and the length
+    conflicts = []
+    with repair_seam(chain_budget=1, conflicts=conflicts), \
+            pytest.raises(RestartsExhaustedError) as info:
+        color(mesh)
+    # the last overrun names its starting surface, the surface's
+    # elements and the chain's length
     found = re.fullmatch(
-        r"conflict chain from surface (\d+) \(elements (\d+) and (\d+)\) "
-        r"reached (\d+) swaps \(\d+ in total\); the budget is 1 per chain "
-        r"and 5 in total",
+        r"no complete coloring after 6 attempts \(last: conflict chain "
+        r"from surface (\d+) \(elements (\d+) and (\d+)\) reached (\d+) "
+        r"swaps \(\d+ in total\); the budget is 1 per chain and 5 in "
+        r"total\)",
         str(info.value))
     assert found, str(info.value)
     s, l, r, n = (int(g) for g in found.groups())
-    assert s in partial.conflict_ids()
+    assert s in conflicts[-1]
     assert (l, r) == tuple(mesh.surf_elems[s])
     assert n > 1
 
@@ -181,17 +260,19 @@ def test_swap_budget_raises():
 def test_restarts_exhausted_on_an_impossible_mesh():
     # odd fully periodic quad grids have no 4-coloring at all
     mesh = gen_quad_rect(5, 5, (True, True))
-    with pytest.raises(RestartsExhaustedError):
-        color(mesh, ColoringConfig(max_swaps_per_conflict=60,
-                                   max_restarts=2))
+    with repair_seam(chain_budget=60), \
+            pytest.raises(RestartsExhaustedError):
+        color(mesh)
 
 
 def test_restarts_exhausted_when_every_attempt_overruns():
     mesh = random_diagonal_tri(8, 8, 0)
-    with pytest.raises(RestartsExhaustedError,
-                       match=r"after 3 attempts \(last: conflict chain"):
-        color(mesh, ColoringConfig(max_swaps_per_conflict=1,
-                                   max_restarts=2))
+    conflicts = []
+    with repair_seam(chain_budget=1, conflicts=conflicts), \
+            pytest.raises(RestartsExhaustedError,
+                          match=r"after 6 attempts \(last: conflict chain"):
+        color(mesh)
+    assert len(conflicts) == 6
 
 
 def test_impossible_mesh_is_diagnosed_by_parity():
@@ -204,8 +285,11 @@ def test_impossible_mesh_is_diagnosed_by_parity():
 
 def test_audit_mode_runs_clean():
     mesh = gen_tri_rect(8, 8, (True, True))
-    coloring, _ = color(mesh, ColoringConfig(audit=True))
+    conflicts = []
+    with repair_seam(audit=True, conflicts=conflicts):
+        coloring, _ = color(mesh)
     assert_complete_valid(mesh, coloring)
+    assert len(conflicts) == 1 and len(conflicts[0]) == 11
 
 
 def test_report_as_dict_round_trips_counts():
@@ -222,7 +306,7 @@ def test_report_as_dict_round_trips_counts():
 def test_report_as_dict_key_order_is_pinned():
     # `color --report` prints these lines in this order; perfbench reads
     # the counters by the same names
-    _, report = color(gen_tet_prism(3, 3, 2), ColoringConfig(rng_seed=3))
+    _, report = color(gen_tet_prism(3, 3, 2), 3)
     d = report.as_dict()
     assert list(d) == [
         "n_elements", "n_surfaces", "n_colors", "vizing_bound",
@@ -272,7 +356,6 @@ def test_surface_coloring_helpers():
     colors = np.array([1, 2, -1, 3], dtype=np.int32)
     c = SurfaceColoring(colors, 3)
     assert not c.is_complete
-    assert c.conflict_ids().tolist() == [2]
     assert c.color_counts() == (1, 1, 1)
     d = c.copy()
     d.colors[2] = 1
@@ -284,8 +367,8 @@ def test_color_zero_is_listed_as_a_conflict():
     coloring, _ = color(mesh)
     coloring.colors[0] = 0
     assert not coloring.is_complete
-    assert coloring.conflict_ids().tolist() == [0]
-    assert "uncolored" in {d.code for d in verify_coloring(mesh, coloring)}
+    assert [d.surface_id for d in verify_coloring(mesh, coloring)
+            if d.code == "uncolored"] == [0]
 
 
 @settings(deadline=None, max_examples=20)
@@ -298,7 +381,7 @@ def test_color_zero_is_listed_as_a_conflict():
 def test_color_always_lands_the_minimum_palette(nx, ny, seed, fam):
     gen = gen_tri_rect if fam == "tri" else gen_quad_rect
     mesh = gen(nx, ny)
-    coloring, _ = color(mesh, ColoringConfig(rng_seed=seed))
+    coloring, _ = color(mesh, seed)
     assert coloring.n_colors == (3 if fam == "tri" else 4)
     assert_complete_valid(mesh, coloring)
 
@@ -307,7 +390,7 @@ def test_color_always_lands_the_minimum_palette(nx, ny, seed, fam):
 @given(seed=st.integers(min_value=0, max_value=999))
 def test_shuffled_meshes_still_color_optimally(seed):
     mesh = shuffle_elements(gen_tri_rect(6, 6, (True, True)), seed)
-    coloring, _ = color(mesh, ColoringConfig(rng_seed=seed))
+    coloring, _ = color(mesh, seed)
     assert coloring.n_colors == 3
     assert_complete_valid(mesh, coloring)
 
@@ -330,7 +413,8 @@ def test_total_seconds_times_the_whole_call(monkeypatch):
 
 def test_odd_cycles_reach_the_swap_walk():
     mesh = random_diagonal_tri(12, 12, 0)
-    coloring, report = color(mesh, ColoringConfig(audit=True))
+    with repair_seam(audit=True):
+        coloring, report = color(mesh)
     assert_complete_valid(mesh, coloring)
     assert report.kempe_closures > 0
     assert report.restarts == 0
@@ -353,8 +437,8 @@ FAMILIES = {
 def test_kempe_repair_completes_every_family(fam, mesh_seed, seed):
     build, bipartite = FAMILIES[fam]
     mesh = build(mesh_seed)
-    coloring, report = color(mesh, ColoringConfig(rng_seed=seed,
-                                                  audit=True))
+    with repair_seam(audit=True):
+        coloring, report = color(mesh, seed)
     assert_complete_valid(mesh, coloring)
     assert coloring.n_colors == color_set_size(mesh)
     assert report.kempe_chains <= report.resolutions
@@ -416,16 +500,6 @@ def test_greedy_pass_matches_the_boundary_testing_loop(fam, mesh_seed,
                        got_rng)
     assert got == want
     assert got_rng.random() == want_rng.random()
-
-
-def test_repeated_input_color_names_the_mesh_element():
-    mesh = shuffle_elements(random_diagonal_tri(6, 6, 1), 5)
-    colors = np.full(mesh.n_surfaces, -1, dtype=np.int32)
-    e = 17
-    colors[mesh.elem_surfs[e, :2]] = 2
-    with pytest.raises(ValueError,
-                       match=f"repeats color 2 on element {e}$"):
-        resolve_conflicts(mesh, SurfaceColoring(colors, 3))
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (7, 5), (12, 12)])
@@ -491,7 +565,7 @@ def test_generated_grids_leave_no_greedy_conflicts(build):
     mesh = build()
     for seed in range(4):
         coloring, report = color(shuffle_elements(mesh, seed),
-                                 ColoringConfig(rng_seed=seed))
+                                 seed)
         assert report.greedy_conflicts == 0
 
 
@@ -508,10 +582,9 @@ def _by_vertices(mesh, coloring):
 def test_coloring_does_not_depend_on_element_numbering(fam, mesh_seed,
                                                        shuffle_seed, seed):
     mesh = FAMILIES[fam][0](mesh_seed)
-    config = ColoringConfig(rng_seed=seed)
-    want, want_report = color(mesh, config)
+    want, want_report = color(mesh, seed)
     shuffled = shuffle_elements(mesh, shuffle_seed)
-    got, got_report = color(shuffled, config)
+    got, got_report = color(shuffled, seed)
     assert _by_vertices(shuffled, got) == _by_vertices(mesh, want)
     assert got_report.greedy_conflicts == want_report.greedy_conflicts
     assert got_report.swaps == want_report.swaps

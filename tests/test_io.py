@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshchroma import (
-    ColoringConfig,
     MalformedSectionError,
     SurfaceColoring,
     UnsupportedVersionError,
@@ -590,7 +589,7 @@ def test_writing_with_source_gives_the_same_bytes(tmp_path, build):
     # it again keeps every row
     re_nm = read_native(tmp_path / "reordered.src")
     assert np.array_equal(re_nm.mesh.elem_verts, new_mesh.elem_verts)
-    recolored, _ = color(re_nm.mesh, ColoringConfig(rng_seed=1))
+    recolored, _ = color(re_nm.mesh, 1)
     written("recolored", re_nm.mesh, recolored, source=re_nm,
             element_perm=re_nm.element_perm, surface_perm=re_nm.surface_perm)
     if mesh.element_kind_profile == {ElementKind.TRIANGLE}:
@@ -868,6 +867,21 @@ def test_read_msh_unknown_node(tmp_path):
     with pytest.raises(MalformedSectionError) as err:
         read_msh(p)
     assert "99" in str(err.value)
+
+
+def test_read_msh_rejects_a_repeated_node_id(tmp_path, capsys):
+    # node 2 listed again with other coordinates, which a later line
+    # must not silently replace
+    p = tmp_path / "t.msh"
+    p.write_text(MSH_TRI.replace("4 0 1 0", "2 5 5 0")
+                 .replace("4 2 2 0 1 1 3 4\n", "").replace("$Elements\n4",
+                                                          "$Elements\n3"))
+    with pytest.raises(MalformedSectionError, match="node 2 is listed twice"):
+        read_msh(p)
+    out = tmp_path / "c.mm"
+    assert main(["color", "-i", str(p), "-o", str(out)]) == 4
+    assert "node 2 is listed twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_write_report_stdout_and_file(tmp_path, capsys):

@@ -213,20 +213,19 @@ def test_vizing_bound_interior_tri():
 
 def test_public_names_are_pinned():
     assert sorted(meshchroma.__all__) == sorted("""
-        AccumulationState CoalescingReport ColoringConfig ColoringReport
+        AccumulationState CoalescingReport ColoringReport
         DanglingVertexError Diagnostic ElementFaultError ElementKind
         FAMILIES GeneratorSpec LevelConstraintError MalformedSectionError
         MemoryEstimate Mesh MeshChromaError MixedKindsError NativeMesh
         NonManifoldError PartialFamilyError PlanMeshMismatchError
         RefinedMesh RefinementMap ReorderingPlan RepeatedVertexError
-        RestartsExhaustedError SurfaceColoring SwapBudgetExceededError
+        RestartsExhaustedError SurfaceColoring
         UnrefinableKindError UnsupportedVersionError WriteConflictError
         apply_plan assert_race_free basis_count build_plan child_color
         coalescing_metric coarsen color color_set_size default_payload
         gen_quad_rect gen_tet_prism gen_tri_rect generate memory_saved
-        modified_greedy naive_greedy read_msh read_native
-        reconstruct_refinement refine
-        resolve_conflicts shuffle_elements surface_buffer sweep_buffered
+        naive_greedy read_msh read_native reconstruct_refinement refine
+        shuffle_elements surface_buffer sweep_buffered
         sweep_colored sweep_sequential verify_coloring vizing_bound
         write_native write_report""".split())
     for name in meshchroma.__all__:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshchroma import (
-    ColoringConfig,
     Diagnostic,
     PlanMeshMismatchError,
     SurfaceColoring,
@@ -207,7 +206,7 @@ def test_reordering_raises_the_coalescing_metric():
 )
 def test_plans_are_always_bijective(nx, ny, seed):
     mesh = gen_tri_rect(nx, ny)
-    coloring, _ = color(mesh, ColoringConfig(rng_seed=seed))
+    coloring, _ = color(mesh, seed)
     plan = build_plan(mesh, coloring)
     assert _is_permutation(plan.element_perm, mesh.n_elements)
     assert _is_permutation(plan.surface_perm, mesh.n_surfaces)
@@ -345,8 +344,7 @@ def _meshes_and_colorings(draw):
     if kind == "naive":
         coloring = naive_greedy(mesh)
     else:
-        coloring, _ = color(
-            mesh, ColoringConfig(rng_seed=draw(st.integers(0, 9))))
+        coloring, _ = color(mesh, draw(st.integers(0, 9)))
     if kind == "refined":
         ids = draw(st.sets(st.integers(0, mesh.n_elements - 1),
                            min_size=1))
