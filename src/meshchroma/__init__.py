@@ -21,7 +21,6 @@ from .coloring import (
     SurfaceColoring,
     color,
     color_set_size,
-    naive_greedy,
     verify_coloring,
 )
 from .errors import (
@@ -128,7 +127,6 @@ __all__ = [
     "gen_tri_rect",
     "generate",
     "memory_saved",
-    "naive_greedy",
     "read_msh",
     "read_native",
     "reconstruct_refinement",

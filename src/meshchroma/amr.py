@@ -1,14 +1,23 @@
 """Color-preserving 1:4 triangle refinement and its inverse.
 
 Refining a triangle adds a midpoint to each edge and connects them,
-producing three corner children plus one interior child.  Each parent
-edge splits into two half edges; the half containing the parent edge's
-lower-numbered endpoint keeps the parent color ``c`` and the other half
-takes ``c + 3``.  Anchoring the rule at the lower global vertex id makes
-the two elements flanking a shared edge agree on the split without any
-communication, so the whole propagation is per-element independent.
-Each of the three interior edges copies the color of the parent edge it
-runs parallel to.
+producing three corner children plus one interior child.  The midpoint
+of split base surface ``s`` is fine vertex ``n_base_vertices + rank(s)``,
+counting split surfaces in id order.  A parent ``(v0, v1, v2)`` with
+midpoints ``(m01, m12, m20)`` has children ``_CHILD_TEMPLATE`` over
+``(v0, v1, v2, m01, m12, m20)``: corner children ``(v0, m01, m20)``,
+``(v1, m12, m01)``, ``(v2, m20, m12)``, then ``(m01, m12, m20)``.
+
+Colors follow one element side at a time.  A side of an unrefined
+element keeps its base color ``c``.  A side of a child is, by the fixed
+tables ``_SIDE_ORIGIN`` and ``_SIDE_PARENT``, either the half of a
+parent side through the child's corner or the interior edge parallel to
+a parent side.  The half containing the parent side's lower-numbered
+endpoint keeps ``c``, the other half takes ``c + 3``, and an interior
+edge keeps ``c``.  Anchoring the rule at the lower global vertex id
+makes the two elements flanking a shared edge agree on the split
+without any communication, so the fine coloring is just the side
+colors written through the fine mesh's side slots.
 
 Three colors in, six colors out, and every element, coarse or fine,
 still sees pairwise distinct colors on its own surfaces: a corner child
@@ -16,22 +25,10 @@ sees two halves of differently colored parent edges (distinct mod 3)
 plus an interior copy of the third color, and the interior child sees
 all three parent colors.
 
-The split is one fixed rule applied to whole arrays.  The midpoint of
-split base surface ``s`` is fine vertex ``n_base_vertices + rank(s)``,
-counting split surfaces in id order.  A parent ``(v0, v1, v2)`` with
-midpoints ``(m01, m12, m20)`` has children ``_CHILD_TEMPLATE`` over
-``(v0, v1, v2, m01, m12, m20)``: corner children ``(v0, m01, m20)``,
-``(v1, m12, m01)``, ``(v2, m20, m12)``, then ``(m01, m12, m20)``.
-Side k of child t is then, by the fixed tables ``_SIDE_ORIGIN`` and
-``_SIDE_PARENT``, either a half of parent side j (the half through the
-child's corner) or the interior edge parallel to parent side j, so
-every fine surface is classified from its element side slots.
-
-Coarsening reads the parent's edge colors back off the fine surfaces
-(the whole edge, or the half containing the lower endpoint) and
-requires every fine color, interior edges included, to follow from
-them, so refine followed by coarsen over the same element set is an
-exact identity on both topology and coloring.
+Coarsening reads each parent edge's color back off the whole edge or
+its half containing the lower endpoint, and requires every fine color
+to follow from them, so refine followed by coarsen over the same
+element set is an exact identity on both topology and coloring.
 
 Only one level of refinement is supported: refining a refinement child
 raises LevelConstraintError.  Interfaces between a refined and an
@@ -62,10 +59,16 @@ _PARALLEL = (2, 0, 1)
 # Child t lists these positions of (v0, v1, v2, m01, m12, m20).
 _CHILD_TEMPLATE = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
 # Side k of child t is a half (1) or the interior edge parallel (2) to
-# parent side _SIDE_PARENT[t, k]; the values are ``surf_origin`` codes.
+# parent side _SIDE_PARENT[t, k].
 _SIDE_ORIGIN = np.array([[1, 2, 1], [1, 2, 1], [1, 2, 1], [2, 2, 2]],
                         dtype=np.int8)
 _SIDE_PARENT = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], _PARALLEL])
+# Both tables over a parent's 16 child side slots, four per child: the
+# fourth slot of a triangle lists no surface.  Child t's corner is
+# parent vertex t; the interior child has no half.
+_SLOT_PARENT = np.pad(_SIDE_PARENT, ((0, 0), (0, 1))).ravel()
+_SLOT_HALF = np.pad(_SIDE_ORIGIN == 1, ((0, 0), (0, 1))).ravel()
+_SLOT_CORNER = np.repeat(np.arange(4), 4)
 
 _TRIANGLE = KIND_TO_CODE[ElementKind.TRIANGLE]
 
@@ -96,22 +99,13 @@ class RefinementMap:
 
 @dataclass(frozen=True, eq=False)
 class RefinedMesh:
-    """A base mesh, its refined counterpart, and the bookkeeping
-    linking the two.
+    """A base mesh and its refinement at ``map.refined``.
 
-    The fine elements are the unrefined base elements in id order, then
-    four children per refined parent in ascending parent order, built
-    from the child template in the module docstring.  ``origin`` maps
-    each fine element to the base element it came from (itself for
-    unrefined copies); ``child_slot`` is -1 for unrefined copies and
-    0..3 for children, interior child last.  ``surf_origin`` classifies
-    each fine surface: 0 = a base edge kept whole, 1 = half of a split
-    base edge, 2 = interior edge of a refined parent.  ``base_surface``
-    names the related base edge in all three cases (the parallel one
-    for interior edges) and ``half_index`` is 1 or 2 for halves, 0
-    otherwise.  All three are read off the side slots: an unrefined
-    copy's sides through ``base.elem_surfs``, a child's through the
-    side tables ``_SIDE_ORIGIN`` and ``_SIDE_PARENT``.
+    The fine elements of ``mesh`` are the unrefined base elements in id
+    order, then four children per refined parent in ascending parent
+    order, built from the child template in the module docstring.  That
+    layout is all that links the two meshes: fine colors follow from
+    base colors through each fine element's side slots.
 
     ``fine_colors`` is the fine coloring that ``refine``, ``coarsen``
     or ``reconstruct_refinement`` derived or proved for this refinement,
@@ -122,37 +116,51 @@ class RefinedMesh:
 
     base: Mesh
     mesh: Mesh
-    origin: np.ndarray
-    child_slot: np.ndarray
     map: RefinementMap
-    surf_origin: np.ndarray
-    base_surface: np.ndarray
-    half_index: np.ndarray
     fine_colors: np.ndarray | None = field(default=None, init=False)
-
-    def __post_init__(self):
-        for arr in (self.origin, self.child_slot, self.surf_origin,
-                    self.base_surface, self.half_index):
-            arr.setflags(write=False)
 
     @property
     def parents(self) -> np.ndarray:
         """Per fine element: parent base id, or -1 for unrefined copies."""
-        return np.where(self.child_slot >= 0, self.origin, -1)
+        return np.concatenate([np.full(self.map.first_child, -1),
+                               np.repeat(_parent_ids(self), 4)])
 
 
-def _derive_fine_colors(refined: RefinedMesh,
-                        base_colors: np.ndarray) -> np.ndarray:
-    colors = base_colors[refined.base_surface].astype(np.int32)
-    halves = refined.surf_origin == 1
-    colors[halves] = child_color(colors[halves], refined.half_index[halves])
-    return colors
+def _parent_ids(refined: RefinedMesh) -> np.ndarray:
+    return np.fromiter(refined.map.refined, dtype=np.int64)
 
 
 def _unrefined(n_elements: int, refined: np.ndarray) -> np.ndarray:
     keep = np.ones(n_elements, dtype=bool)
     keep[refined] = False
     return np.flatnonzero(keep)
+
+
+def _child_sides(base: Mesh, refined: np.ndarray):
+    """Per child side slot of the parents ``refined``, shaped (parent,
+    16): the parent side it halves or runs parallel to, and whether it
+    is the half through the upper endpoint, which takes ``c + 3``."""
+    related = np.take(base.elem_surfs, refined, axis=0)[:, _SLOT_PARENT]
+    corner = np.take(base.elem_verts, refined, axis=0)[:, _SLOT_CORNER]
+    return related, (base.surf_verts[:, 0][related] != corner) & _SLOT_HALF
+
+
+def _derive_fine_colors(refined: RefinedMesh,
+                        base_colors: np.ndarray) -> np.ndarray:
+    """The fine coloring ``base_colors`` gives: every side slot of every
+    fine element takes its color by the per-side rule, and the slots
+    write it to the fine surfaces they list."""
+    base, fine, nu = refined.base, refined.mesh, refined.map.first_child
+    ids = _parent_ids(refined)
+    related, upper = _child_sides(base, ids)
+    slots = np.empty(fine.elem_surfs.shape, dtype=np.int32)
+    slots[:nu] = np.append(base_colors, 0)[np.take(
+        base.elem_surfs, _unrefined(base.n_elements, ids), axis=0)]
+    slots[nu:] = (base_colors[related] + 3 * upper).reshape(-1, 4)
+    # an empty slot (-1) writes to the spare last entry
+    colors = np.empty(fine.n_surfaces + 1, dtype=np.int32)
+    colors[fine.elem_surfs] = slots
+    return colors[:-1]
 
 
 def _fine_elements(base: Mesh, refined: np.ndarray):
@@ -180,49 +188,15 @@ def _fine_elements(base: Mesh, refined: np.ndarray):
     return vertices, kinds, elem_verts
 
 
-def _classify(base: Mesh, refined: np.ndarray, fine: Mesh) -> RefinedMesh:
-    """The refinement of ``base`` at ``refined`` over ``fine``, a mesh
-    with ``_fine_elements``' elements and any surface numbering; each
-    fine surface is classified from the side slots that list it."""
-    unrefined = _unrefined(base.n_elements, refined)
-    nu, nr = len(unrefined), len(refined)
-    psurfs = base.elem_surfs[refined, :3]
-    ns = fine.n_surfaces
-    surf_origin = np.zeros(ns, dtype=np.int8)
-    base_surface = np.empty(ns, dtype=np.int64)
-    half_index = np.zeros(ns, dtype=np.int8)
-    copies = fine.elem_surfs[:nu]
-    sides = copies >= 0
-    base_surface[copies[sides]] = base.elem_surfs[unrefined][sides]
-    kids = fine.elem_surfs[nu:, :3].reshape(nr, 4, 3)
-    related = psurfs[:, _SIDE_PARENT]
-    surf_origin[kids] = _SIDE_ORIGIN
-    base_surface[kids] = related
-    # a corner child's halves pass through its corner, child vertex 0
-    is_half = _SIDE_ORIGIN[:3] == 1
-    corners = base.elem_verts[refined, :3]
-    lower = base.surf_verts[related[:, :3], 0] == corners[:, :, None]
-    half_index[kids[:, :3][:, is_half]] = np.where(lower, 1, 2)[:, is_half]
-
-    return RefinedMesh(
-        base=base,
-        mesh=fine,
-        origin=np.concatenate([unrefined, np.repeat(refined, 4)]),
-        child_slot=np.concatenate([
-            np.full(nu, -1, dtype=np.int8),
-            np.tile(np.arange(4, dtype=np.int8), nr),
-        ]),
-        map=RefinementMap(refined=tuple(refined.tolist()), first_child=nu),
-        surf_origin=surf_origin,
-        base_surface=base_surface,
-        half_index=half_index,
-    )
-
-
-def _materialize(base: Mesh, refined: np.ndarray) -> RefinedMesh:
-    """Build and classify the fine mesh for the sorted, distinct parent
-    ids ``refined``."""
-    return _classify(base, refined, assemble(*_fine_elements(base, refined)))
+def _materialize(base: Mesh, refined: np.ndarray,
+                 fine: Mesh | None = None) -> RefinedMesh:
+    """The refinement of ``base`` at the sorted, distinct parent ids
+    ``refined``, over ``fine`` (``_fine_elements``' elements, surfaces
+    in any order) or else over the mesh assembled from them."""
+    if fine is None:
+        fine = assemble(*_fine_elements(base, refined))
+    return RefinedMesh(base, fine, RefinementMap(
+        tuple(refined.tolist()), base.n_elements - len(refined)))
 
 
 def _proven(refined: RefinedMesh,
@@ -243,8 +217,7 @@ def _proven(refined: RefinedMesh,
 def _with_colors(
     refined: RefinedMesh, base_colors: np.ndarray
 ) -> tuple[RefinedMesh, SurfaceColoring]:
-    """The refinement and the fine coloring it derives from
-    ``base_colors``."""
+    """The refinement and the fine coloring ``base_colors`` gives."""
     return _proven(refined, _derive_fine_colors(refined, base_colors))
 
 
@@ -252,29 +225,41 @@ def _recover_base_colors(refined: RefinedMesh,
                          coloring: SurfaceColoring) -> np.ndarray:
     """Read the base coloring back out of a fine coloring.
 
-    Each base edge reads the fine surface that is the whole edge or
-    its half containing the lower endpoint, which carries the parent
-    color unchanged.  Those colors must lie in the base palette, and
-    every fine color, halves and interior edges included, must follow
-    from them; a ``ValueError`` names the first fine surface that does
-    not, with its left element and that element's parent.  Colors that
-    are ``refined.fine_colors`` itself are known to follow.
+    Each base edge reads its whole edge on an unrefined element, or the
+    interior child's side parallel to it.  Unless the colors are
+    ``refined.fine_colors`` itself, which are known to follow, a split
+    edge then reads its half containing the lower endpoint instead.  The
+    whole edges and those halves must lie in the base palette, and every
+    fine color must be the one they give; a ``ValueError`` names the
+    first fine surface that breaks either rule, in that order, with its
+    left element and that element's parent.
     """
+    base, fine, nu = refined.base, refined.mesh, refined.map.first_child
     fc = np.asarray(coloring.colors)
-    if len(fc) != refined.mesh.n_surfaces:
+    if len(fc) != fine.n_surfaces:
         raise ValueError("coloring does not match the fine mesh")
-    keep = np.flatnonzero((refined.surf_origin == 0)
-                          | (refined.half_index == 1))
-    out = np.full(refined.base.n_surfaces, -1, dtype=np.int32)
-    out[refined.base_surface[keep]] = fc[keep]
+    ids = _parent_ids(refined)
+    copies = fine.elem_surfs[:nu]
+    # an empty slot (-1) writes to the spare last entry
+    out = np.empty(base.n_surfaces + 1, dtype=np.int32)
+    out[np.take(base.elem_surfs, _unrefined(base.n_elements, ids),
+                axis=0)] = fc[copies]
+    out = out[:-1]
+    out[np.take(base.elem_surfs, ids, axis=0)[:, _PARALLEL]] = fc[
+        fine.elem_surfs[nu + 3::4, :3]]
     if fc is refined.fine_colors:
         return out
+    related, upper = _child_sides(base, ids)
+    lower = _SLOT_HALF & ~upper
+    halves = fine.elem_surfs[nu:].reshape(-1, 16)[lower]
+    out[related[lower]] = fc[halves]
+    keep = np.concatenate([copies[copies >= 0], halves])
     bad = keep[(fc[keep] < 1) | (fc[keep] > 3)]
     if not bad.size:
         bad = np.flatnonzero(_derive_fine_colors(refined, out) != fc)
     if bad.size:
-        s = int(bad[0])
-        e = int(refined.mesh.surf_elems[s, 0])
+        s = int(bad.min())
+        e = int(fine.surf_elems[s, 0])
         raise ValueError(
             f"coloring was not produced by this refinement: fine surface "
             f"{s} of element {e} (parent {refined.parents[e]}) has color "
@@ -292,9 +277,21 @@ def _distinct(ids: np.ndarray) -> np.ndarray:
     return ids[first]
 
 
+def _ids(values) -> np.ndarray:
+    """Sorted distinct ids; the first value that is not an integer, a
+    bool included, raises ``ValueError`` naming it."""
+    values = (values.tolist() if isinstance(values, np.ndarray)
+              else list(values))
+    if not {int}.issuperset(map(type, values)):  # else all plain ints
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"id {v!r} is not an integer")
+    return _distinct(np.fromiter(values, dtype=np.int64, count=len(values)))
+
+
 def _element_ids(elements, n_elements: int) -> np.ndarray:
     """Sorted distinct ids, each checked to name an element."""
-    ids = _distinct(np.fromiter(elements, dtype=np.int64))
+    ids = _ids(elements)
     bad = ids[(ids < 0) | (ids >= n_elements)]
     if bad.size:
         raise ValueError(f"no element {bad[0]} in the mesh")
@@ -310,19 +307,21 @@ def refine(source, coloring: SurfaceColoring,
     unrefined elements may be refined further.  Returns the refined
     mesh and a complete, valid coloring over at most six colors.  A
     base coloring that ``verify_coloring`` faults raises ``ValueError``
-    naming its first diagnostic, as does one that uses a fourth color.
+    naming its first diagnostic, as does one that uses a fourth color,
+    and so does an element id that is not an integer.
     """
     if isinstance(source, RefinedMesh):
         ids = _element_ids(elements, source.mesh.n_elements)
-        children = ids[source.child_slot[ids] >= 0]
+        children = ids[ids >= source.map.first_child]
         if children.size:
             raise LevelConstraintError(
                 f"element {children[0]} is already a refinement child; "
                 f"adjacent elements may differ by one level only"
             )
         base_colors = _recover_base_colors(source, coloring)
-        parents = source.origin[source.map.first_child::4]
-        grown = _distinct(np.concatenate([parents, source.origin[ids]]))
+        parents = _parent_ids(source)
+        unrefined = _unrefined(source.base.n_elements, parents)
+        grown = _distinct(np.concatenate([parents, unrefined[ids]]))
         return _with_colors(_materialize(source.base, grown), base_colors)
 
     mesh: Mesh = source
@@ -344,10 +343,11 @@ def coarsen(refined: RefinedMesh, coloring: SurfaceColoring,
     Parent edge colors are read back off the fine coloring, which must
     be the one this refinement derives from them.  Returns the base
     mesh and its 3-coloring when nothing stays refined, else a
-    RefinedMesh over the remaining set with its 6-coloring.
+    RefinedMesh over the remaining set with its 6-coloring.  A parent
+    id that is not an integer raises ``ValueError``.
     """
-    ps = _distinct(np.fromiter(parents, dtype=np.int64))
-    current = refined.origin[refined.map.first_child::4]
+    ps = _ids(parents)
+    current = _parent_ids(refined)
     missing = ps[~np.isin(ps, current)]
     if missing.size:
         raise PartialFamilyError(
@@ -409,25 +409,23 @@ def reconstruct_refinement(
     accepted.  The base corners are vertex 0 of each parent's children
     0-2, and the base mesh is assembled from them and the unrefined
     elements.  Re-refining that base must give ``fine``'s vertices,
-    element kinds and element vertex rows exactly; the surfaces are not
-    compared, since a ``Mesh``'s surfaces follow from its elements, and
-    ``fine``'s own are classified.  The colors must then be the ones
-    this refinement derives from a base 3-coloring; they are returned as
-    checked, not derived again.  Anything else
-    raises ``MalformedSectionError`` (or ``PartialFamilyError`` for a
-    family of the wrong size), naming the first fine element or surface
-    at fault and its parent.
+    element kinds and element vertex rows exactly; the surfaces follow
+    from the elements and are not compared.  The colors, read through
+    ``fine``'s own side slots, must then be the ones this refinement
+    derives from a base 3-coloring; they are returned as checked, not
+    derived again.  Anything else raises ``MalformedSectionError`` (or
+    ``PartialFamilyError`` for a family of the wrong size), naming the
+    first fine element or surface at fault and its parent.
     """
     parents = np.asarray(parents, dtype=np.int64)
     refined = check_parent_layout(parents, fine.n_elements)
 
     nu = fine.n_elements - 4 * len(refined)
-    is_refined = np.zeros(nu + len(refined), dtype=bool)
-    is_refined[refined] = True
-    kinds = np.full(len(is_refined), _TRIANGLE, dtype=np.int8)
-    kinds[~is_refined] = fine.elem_kind[:nu]
-    verts = np.full((len(is_refined), MAX_ELEM_VERTS), -1, dtype=np.int64)
-    verts[~is_refined] = fine.elem_verts[:nu]
+    unrefined = _unrefined(nu + len(refined), refined)
+    kinds = np.full(nu + len(refined), _TRIANGLE, dtype=np.int8)
+    kinds[unrefined] = fine.elem_kind[:nu]
+    verts = np.full((len(kinds), MAX_ELEM_VERTS), -1, dtype=np.int64)
+    verts[unrefined] = fine.elem_verts[:nu]
     verts[refined, :3] = fine.elem_verts[nu:, 0].reshape(-1, 4)[:, :3]
     # the base ends at the first midpoint; its last vertices may be unused
     first_mid = fine.elem_verts[nu + 3::4, :3].min(initial=fine.n_vertices)
@@ -462,7 +460,7 @@ def reconstruct_refinement(
         raise MalformedSectionError(
             f"mesh is not a canonical single-level refinement: {where}"
         )
-    rebuilt = _classify(base, refined, fine)
+    rebuilt = _materialize(base, refined, fine)
     try:
         _recover_base_colors(rebuilt, coloring)
     except ValueError as exc:

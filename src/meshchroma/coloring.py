@@ -608,36 +608,6 @@ def color(mesh: Mesh, seed: int = 0
     )
 
 
-def naive_greedy(mesh: Mesh) -> SurfaceColoring:
-    """First-fit greedy with an unbounded palette.
-
-    Baseline only: it needs up to 5 colors on triangles and 7 on quads
-    or tets, which is what the fixed-palette pipeline exists to avoid.
-    """
-    if mesh.n_surfaces == 0:
-        raise ValueError("mesh has no surfaces")
-    left = mesh.surf_elems[:, 0].tolist()
-    right = mesh.surf_elems[:, 1].tolist()
-    used = [0] * mesh.n_elements
-    colors = [0] * mesh.n_surfaces
-    top = 0
-    for k in range(mesh.n_surfaces):
-        l = left[k]
-        r = right[k]
-        m = used[l] | (used[r] if r >= 0 else 0)
-        c = 1
-        while (m >> c) & 1:
-            c += 1
-        colors[k] = c
-        if c > top:
-            top = c
-        b = 1 << c
-        used[l] |= b
-        if r >= 0:
-            used[r] |= b
-    return SurfaceColoring(np.asarray(colors, dtype=np.int32), top)
-
-
 def _side_repeats(mesh: Mesh, colors: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Each element's side colors (-2 on an absent side) and the mask of

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from meshchroma import SurfaceColoring
 from meshchroma.mesh import assemble, stored_surface_ids
 
 _SIDES = {
@@ -136,6 +137,55 @@ def random_diagonal_tri(nx, ny, seed):
     ev[..., 1, :3] = np.stack([np.where(flip, a, b), c, d], axis=-1)
     ev = ev.reshape(-1, 4)
     return assemble(verts, np.zeros(len(ev), dtype=np.int8), ev)
+
+
+def naive_greedy(mesh):
+    """First-fit greedy with an unbounded palette.
+
+    Baseline only: it needs up to 5 colors on triangles and 7 on quads
+    or tets, which is what the fixed-palette pipeline exists to avoid.
+    """
+    if mesh.n_surfaces == 0:
+        raise ValueError("mesh has no surfaces")
+    left = mesh.surf_elems[:, 0].tolist()
+    right = mesh.surf_elems[:, 1].tolist()
+    used = [0] * mesh.n_elements
+    colors = [0] * mesh.n_surfaces
+    top = 0
+    for k in range(mesh.n_surfaces):
+        l = left[k]
+        r = right[k]
+        m = used[l] | (used[r] if r >= 0 else 0)
+        c = 1
+        while (m >> c) & 1:
+            c += 1
+        colors[k] = c
+        if c > top:
+            top = c
+        b = 1 << c
+        used[l] |= b
+        if r >= 0:
+            used[r] |= b
+    return SurfaceColoring(np.asarray(colors, dtype=np.int32), top)
+
+
+def fine_edge(ref, s):
+    """Base surface ``s`` of the refinement ``ref`` as fine surfaces,
+    found from vertex pairs alone: ``(whole, lower, upper, mid)``.
+
+    ``whole`` joins the edge's two ends; ``lower`` and ``upper`` are
+    its halves through the lower and the upper endpoint, and ``mid`` is
+    the fine vertex they share.  Each is None where the refinement has
+    no such surface or vertex.
+    """
+    u, w = ref.base.surf_verts[s].tolist()
+    ids = {tuple(v): i for i, v in enumerate(ref.mesh.surf_verts.tolist())}
+    # a midpoint is a new vertex joined to both ends
+    mids = [m for m in range(ref.base.n_vertices, ref.mesh.n_vertices)
+            if (u, m) in ids and (w, m) in ids]
+    assert len(mids) <= 1
+    mid = mids[0] if mids else None
+    return (ids.get((u, w)), ids.get((u, mid)), ids.get((w, mid)), mid)
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from meshchroma import (
     write_native,
 )
 from meshchroma.mesh import assemble
+from conftest import fine_edge
 
 # the half that contains the lower endpoint keeps the parent color,
 # the other half moves up three
@@ -64,9 +65,7 @@ def test_single_triangle_worked_example():
     sides = mesh.elem_surfs[0, :3]
     assert coloring.colors[sides].tolist() == [2, 1, 3]
     # each parent side's halves, the one through the lower endpoint first
-    halves = [sorted(np.flatnonzero((ref.surf_origin == 1)
-                                    & (ref.base_surface == s)),
-                     key=lambda h: ref.half_index[h]) for s in sides]
+    halves = [fine_edge(ref, s)[1:3] for s in sides]
     assert fine.colors[halves].tolist() == [[2, 5], [1, 4], [3, 6]]
     # interior child edge k runs parallel to parent edge (k+2)%3 and
     # keeps its color
@@ -151,7 +150,7 @@ def test_growing_the_refined_set():
     coloring, _ = color(mesh)
     ref1, fine1 = refine(mesh, coloring, [0])
     target = next(i for i in range(ref1.mesh.n_elements)
-                  if ref1.child_slot[i] < 0)
+                  if ref1.parents[i] < 0)
     ref2, fine2 = refine(ref1, fine1, [target])
     assert len(ref2.map.refined) == 2
     assert verify_coloring(ref2.mesh, fine2) == []
@@ -164,7 +163,7 @@ def test_refining_a_child_is_a_level_violation():
     mesh = gen_tri_rect(3, 3)
     coloring, _ = color(mesh)
     ref, fine = refine(mesh, coloring, [4])
-    child = int(np.flatnonzero(ref.child_slot >= 0)[0])
+    child = int(np.flatnonzero(ref.parents >= 0)[0])
     with pytest.raises(LevelConstraintError):
         refine(ref, fine, [child])
 
@@ -185,6 +184,21 @@ def test_refine_bounds_and_bad_coloring():
     holes.colors[0] = -1
     with pytest.raises(ValueError):
         refine(mesh, holes, [0])
+
+
+def test_ids_that_are_not_integers_are_refused():
+    mesh = gen_tri_rect(3, 3)
+    coloring, _ = color(mesh)
+    for ids, named in (([1.5], "1.5"), ([0, True], "True")):
+        with pytest.raises(ValueError, match=f"id {named} is not"):
+            refine(mesh, coloring, ids)
+    ref, fine = refine(mesh, coloring, [4])
+    with pytest.raises(ValueError, match="id 4.9 is not"):
+        coarsen(ref, fine, [4.9])
+    # integers of any kind still pass
+    grown, _ = refine(ref, fine, np.array([0], dtype=np.int32))
+    assert grown.map.refined == (0, 4)
+    assert coarsen(ref, fine, [np.int64(4)])[0].n_elements == 18
 
 
 def test_coarsen_requires_whole_families():
@@ -242,7 +256,7 @@ def test_reconstruct_rejects_tampered_colors():
     coloring, _ = color(mesh)
     ref, fine = refine(mesh, coloring, [0])
     bad = fine.copy()
-    k = int(np.flatnonzero(ref.surf_origin == 1)[0])
+    k = fine_edge(ref, ref.base.elem_surfs[0, 0])[1]  # a half
     bad.colors[k] = (int(bad.colors[k]) % 6) + 1
     with pytest.raises((MalformedSectionError, ValueError)):
         reconstruct_refinement(ref.mesh, ref.parents, bad)
@@ -264,15 +278,11 @@ def test_random_sets_round_trip(targets, seed):
 
 
 def _hanging_by_loop(ref):
-    halves = {}
-    for s in np.nonzero(ref.surf_origin == 1)[0]:
-        halves.setdefault(int(ref.base_surface[s]), []).append(int(s))
     out = []
-    for s in np.nonzero(ref.surf_origin == 0)[0]:
-        pair = halves.get(int(ref.base_surface[s]))
-        if pair is not None:
-            first, second = sorted(pair, key=lambda h: ref.half_index[h])
-            out.append((int(s), first, second))
+    for s in range(ref.base.n_surfaces):
+        whole, lower, upper, _ = fine_edge(ref, s)
+        if whole is not None and lower is not None:
+            out.append((whole, lower, upper))
     return tuple(sorted(out))
 
 
@@ -298,6 +308,50 @@ def test_interface_counts_hold_for_random_sets(closed, targets):
                 for left, right in mesh.surf_elems.tolist() if right >= 0)
     assert len(_hanging_by_loop(ref)) == mixed
     assert _max_refined_neighbors_by_loop(ref) <= 6
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.booleans(), st.integers(3, 6), st.integers(3, 6), st.data())
+def test_fine_colors_follow_the_rule_from_vertex_ids(periodic, nx, ny,
+                                                     data):
+    # an oracle on coordinates and vertex ids alone: each whole edge,
+    # half and interior edge has the color the per-side rule gives
+    mesh = gen_tri_rect(nx, ny, periodic)
+    coloring, _ = color(mesh, data.draw(st.integers(0, 9)))
+    targets = data.draw(st.sets(st.integers(0, mesh.n_elements - 1)))
+    ref, fine = refine(mesh, coloring, targets)
+    got = dict(zip(map(tuple, ref.mesh.surf_verts.tolist()),
+                   fine.colors.tolist()))
+    joined = {}
+    for u, w in got:
+        joined.setdefault(u, set()).add(w)
+        joined.setdefault(w, set()).add(u)
+    fv = ref.mesh.vertices
+    want, mid = {}, {}
+    for s, (u, w) in enumerate(mesh.surf_verts.tolist()):
+        c = int(coloring.colors[s])
+        sides = [e for e in mesh.surf_elems[s].tolist() if e >= 0]
+        if any(e not in targets for e in sides):
+            want[u, w] = c
+        if any(e in targets for e in sides):
+            (m,) = [m for m in joined[u] & joined[w]
+                    if m >= mesh.n_vertices]
+            assert np.array_equal(fv[m], (fv[u] + fv[w]) / 2)
+            want[u, m], want[w, m] = c, c + 3  # u < w
+            mid[u, w] = m
+    color_of = dict(zip(map(tuple, mesh.surf_verts.tolist()),
+                        coloring.colors.tolist()))
+
+    def key(p, q):
+        return min(p, q), max(p, q)
+
+    for e in targets:
+        v0, v1, v2 = mesh.elem_verts[e, :3].tolist()
+        for p, q, r in ((v0, v1, v2), (v1, v2, v0), (v2, v0, v1)):
+            # joining the midpoints of pq and qr runs parallel to rp
+            inner = key(mid[key(p, q)], mid[key(q, r)])
+            want[inner] = color_of[key(r, p)]
+    assert want == got
 
 
 def _refined_family():
@@ -333,10 +387,7 @@ def _unshared_midpoint(ref, fine, k0):
 
 def _half_outside_palette(ref, fine, k0):
     # swap the halves of parent side 0: the lower half then reads c + 3
-    side = ref.base.elem_surfs[4, 0]
-    halves = np.flatnonzero((ref.surf_origin == 1)
-                            & (ref.base_surface == side))
-    lower, upper = sorted(halves, key=lambda s: ref.half_index[s])
+    _, lower, upper, _ = fine_edge(ref, ref.base.elem_surfs[4, 0])
     colors = fine.colors.copy()
     colors[[lower, upper]] = colors[[upper, lower]]
     return ref.mesh, SurfaceColoring(colors, 6), int(
@@ -377,7 +428,7 @@ def test_amr_runs_without_the_element_tuple_path():
     coloring, _ = color(mesh)
     ref, fine = refine(mesh, coloring, [0, 4])
     rec, rec_col = reconstruct_refinement(ref.mesh, ref.parents, fine)
-    unrefined = int(np.flatnonzero(rec.child_slot < 0)[0])
+    unrefined = int(np.flatnonzero(rec.parents < 0)[0])
     grown, grown_col = refine(rec, rec_col, [unrefined])
     part, part_col = coarsen(grown, grown_col, [0])
     back, back_col = coarsen(part, part_col, part.map.refined)
@@ -461,11 +512,9 @@ def test_proved_fine_colors_cannot_be_rewritten_or_passed_in():
     coarse, back = coarsen(refined, fine.copy(), [1, 5])
     assert np.array_equal(back.colors, coloring.colors)
     edited = fine.copy()
-    edited.colors[np.flatnonzero(refined.surf_origin == 0)[0]] = 9
+    edited.colors[fine_edge(refined, refined.base.elem_surfs[0, 0])[0]] = 9
     with pytest.raises(ValueError):
         coarsen(refined, edited, [1])
     with pytest.raises(TypeError):
-        type(refined)(refined.base, refined.mesh, refined.origin,
-                      refined.child_slot, refined.map, refined.surf_origin,
-                      refined.base_surface, refined.half_index,
+        type(refined)(refined.base, refined.mesh, refined.map,
                       fine_colors=fine.colors)

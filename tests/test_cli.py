@@ -15,6 +15,7 @@ from meshchroma import (
 )
 from meshchroma.cli import _loglog_slope, main
 from meshchroma.mesh import assemble
+from conftest import fine_edge
 
 MSH_TRI = """$MeshFormat
 2.2 0 8
@@ -522,8 +523,7 @@ def test_verify_rejects_parent_tables_coarsen_rejects(tmp_path, capsys,
         # a valid 6-coloring, but not the one refining element 4 derives:
         # the two halves of its side 0 trade colors
         ref, fine = refine(mesh, coloring, [4])
-        halves = np.flatnonzero((ref.surf_origin == 1) & (
-            ref.base_surface == ref.base.elem_surfs[4, 0]))
+        halves = list(fine_edge(ref, ref.base.elem_surfs[4, 0])[1:3])
         colors = fine.colors.copy()
         colors[halves] = colors[halves[::-1]]
         write_native(path, ref.mesh, SurfaceColoring(colors, 6),

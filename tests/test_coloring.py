@@ -20,13 +20,13 @@ from meshchroma import (
     gen_quad_rect,
     gen_tet_prism,
     gen_tri_rect,
-    naive_greedy,
     shuffle_elements,
     verify_coloring,
 )
 from meshchroma.coloring import _MASK_CHOICES, _greedy_pass, _repair, _sweep
 from meshchroma.mesh import assemble
-from conftest import colorable_with, hybrid_patch, random_diagonal_tri
+from conftest import (colorable_with, hybrid_patch, naive_greedy,
+                      random_diagonal_tri)
 
 
 def test_color_set_size_by_profile(two_tri, single_quad, single_tet):

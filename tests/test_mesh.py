@@ -224,7 +224,7 @@ def test_public_names_are_pinned():
         apply_plan assert_race_free basis_count build_plan child_color
         coalescing_metric coarsen color color_set_size default_payload
         gen_quad_rect gen_tet_prism gen_tri_rect generate memory_saved
-        naive_greedy read_msh read_native reconstruct_refinement refine
+        read_msh read_native reconstruct_refinement refine
         shuffle_elements surface_buffer sweep_buffered
         sweep_colored sweep_sequential verify_coloring vizing_bound
         write_native write_report""".split())

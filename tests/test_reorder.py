@@ -18,13 +18,12 @@ from meshchroma import (
     gen_quad_rect,
     gen_tet_prism,
     gen_tri_rect,
-    naive_greedy,
     refine,
     shuffle_elements,
     verify_coloring,
 )
 from meshchroma.mesh import inverse_permutation
-from conftest import assert_matches_assembly
+from conftest import assert_matches_assembly, naive_greedy
 
 
 def _is_permutation(perm, n):
