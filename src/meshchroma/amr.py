@@ -145,18 +145,19 @@ def _child_sides(base: Mesh, refined: np.ndarray):
     return related, (base.surf_verts[:, 0][related] != corner) & _SLOT_HALF
 
 
-def _derive_fine_colors(refined: RefinedMesh,
-                        base_colors: np.ndarray) -> np.ndarray:
+def _derive_fine_colors(refined: RefinedMesh, base_colors: np.ndarray,
+                        sides=None) -> np.ndarray:
     """The fine coloring ``base_colors`` gives: every side slot of every
     fine element takes its color by the per-side rule, and the slots
-    write it to the fine surfaces they list."""
+    write it to the fine surfaces they list.  ``sides`` is
+    ``_child_sides`` of the refined parents, if already at hand."""
     base, fine, nu = refined.base, refined.mesh, refined.map.first_child
     ids = _parent_ids(refined)
-    related, upper = _child_sides(base, ids)
+    related, upper = _child_sides(base, ids) if sides is None else sides
     slots = np.empty(fine.elem_surfs.shape, dtype=np.int32)
     slots[:nu] = np.append(base_colors, 0)[np.take(
         base.elem_surfs, _unrefined(base.n_elements, ids), axis=0)]
-    slots[nu:] = (base_colors[related] + 3 * upper).reshape(-1, 4)
+    slots[nu:] = child_color(base_colors[related], 1 + upper).reshape(-1, 4)
     # an empty slot (-1) writes to the spare last entry
     colors = np.empty(fine.n_surfaces + 1, dtype=np.int32)
     colors[fine.elem_surfs] = slots
@@ -225,38 +226,37 @@ def _recover_base_colors(refined: RefinedMesh,
                          coloring: SurfaceColoring) -> np.ndarray:
     """Read the base coloring back out of a fine coloring.
 
-    Each base edge reads its whole edge on an unrefined element, or the
-    interior child's side parallel to it.  Unless the colors are
-    ``refined.fine_colors`` itself, which are known to follow, a split
-    edge then reads its half containing the lower endpoint instead.  The
-    whole edges and those halves must lie in the base palette, and every
-    fine color must be the one they give; a ``ValueError`` names the
-    first fine surface that breaks either rule, in that order, with its
-    left element and that element's parent.
+    Each base edge reads its whole edge on an unrefined element, or its
+    half containing the lower endpoint, which wins where both exist;
+    either carries the base color unchanged.  Colors that are
+    ``refined.fine_colors`` itself are known to follow.  Otherwise those
+    whole edges and halves must lie in the base palette, and every fine
+    color must be the one they give; a ``ValueError`` names the first
+    fine surface that breaks either rule, in that order, with its left
+    element and that element's parent.
     """
     base, fine, nu = refined.base, refined.mesh, refined.map.first_child
     fc = np.asarray(coloring.colors)
     if len(fc) != fine.n_surfaces:
         raise ValueError("coloring does not match the fine mesh")
     ids = _parent_ids(refined)
+    related, upper = _child_sides(base, ids)
+    lower = _SLOT_HALF & ~upper
     copies = fine.elem_surfs[:nu]
+    halves = fine.elem_surfs[nu:].reshape(-1, 16)[lower]
     # an empty slot (-1) writes to the spare last entry
     out = np.empty(base.n_surfaces + 1, dtype=np.int32)
     out[np.take(base.elem_surfs, _unrefined(base.n_elements, ids),
                 axis=0)] = fc[copies]
     out = out[:-1]
-    out[np.take(base.elem_surfs, ids, axis=0)[:, _PARALLEL]] = fc[
-        fine.elem_surfs[nu + 3::4, :3]]
+    out[related[lower]] = fc[halves]
     if fc is refined.fine_colors:
         return out
-    related, upper = _child_sides(base, ids)
-    lower = _SLOT_HALF & ~upper
-    halves = fine.elem_surfs[nu:].reshape(-1, 16)[lower]
-    out[related[lower]] = fc[halves]
     keep = np.concatenate([copies[copies >= 0], halves])
     bad = keep[(fc[keep] < 1) | (fc[keep] > 3)]
     if not bad.size:
-        bad = np.flatnonzero(_derive_fine_colors(refined, out) != fc)
+        bad = np.flatnonzero(
+            _derive_fine_colors(refined, out, (related, upper)) != fc)
     if bad.size:
         s = int(bad.min())
         e = int(fine.surf_elems[s, 0])
@@ -282,10 +282,9 @@ def _ids(values) -> np.ndarray:
     bool included, raises ``ValueError`` naming it."""
     values = (values.tolist() if isinstance(values, np.ndarray)
               else list(values))
-    if not {int}.issuperset(map(type, values)):  # else all plain ints
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"id {v!r} is not an integer")
+    for v in values:
+        if type(v) is bool or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"id {v!r} is not an integer")
     return _distinct(np.fromiter(values, dtype=np.int64, count=len(values)))
 
 
