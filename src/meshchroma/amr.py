@@ -3,7 +3,11 @@
 Refining a triangle adds a midpoint to each edge and connects them,
 producing three corner children plus one interior child.  The midpoint
 of split base surface ``s`` is fine vertex ``n_base_vertices + rank(s)``,
-counting split surfaces in id order.  A parent ``(v0, v1, v2)`` with
+counting split surfaces in the order they are first met over the base's
+element sides, element by element in id order: a surface is first met
+in the smaller of its elements.  For a mesh ``assemble`` built that is
+surface id order; a renumbered mesh numbers its midpoints as the mesh
+assembled from its elements would.  A parent ``(v0, v1, v2)`` with
 midpoints ``(m01, m12, m20)`` has children ``_CHILD_TEMPLATE`` over
 ``(v0, v1, v2, m01, m12, m20)``: corner children ``(v0, m01, m20)``,
 ``(v1, m12, m01)``, ``(v2, m20, m12)``, then ``(m01, m12, m20)``.
@@ -51,7 +55,14 @@ from .errors import (
     PartialFamilyError,
     UnrefinableKindError,
 )
-from .mesh import KIND_TO_CODE, MAX_ELEM_VERTS, ElementKind, Mesh, assemble
+from .mesh import (
+    KIND_TO_CODE,
+    MAX_ELEM_VERTS,
+    MAX_SIDES,
+    ElementKind,
+    Mesh,
+    assemble,
+)
 
 # Interior child side k runs parallel to parent side _PARALLEL[k].
 _PARALLEL = (2, 0, 1)
@@ -175,8 +186,20 @@ def _fine_elements(base: Mesh, refined: np.ndarray):
     psurfs = base.elem_surfs[refined, :3]
     split = np.zeros(base.n_surfaces, dtype=bool)
     split[psurfs] = True
-    mid = base.n_vertices - 1 + np.cumsum(split)
-    ends = base.surf_verts[split]
+    # each split surface's first slot is its side in the smaller of its
+    # elements (a boundary's -1 is the largest id read unsigned).  The
+    # slots are distinct, so marking them and reading the marked slots
+    # back in order lists the surfaces as they are met.
+    sids = np.flatnonzero(split)
+    left, right = np.take(base.surf_elems, sids, axis=0).view(np.uint64).T
+    first = np.minimum(left, right).view(np.int64)
+    sides = np.take(base.elem_surfs, first, axis=0) == sids[:, None]
+    met = np.zeros(base.elem_surfs.size, dtype=bool)
+    met[first * MAX_SIDES + np.flatnonzero(sides) % MAX_SIDES] = True
+    met = base.elem_surfs.ravel()[met]
+    mid = np.empty(base.n_surfaces, dtype=np.int64)
+    mid[met] = base.n_vertices + np.arange(len(met))
+    ends = base.surf_verts[met]
     vertices = np.vstack([base.vertices, 0.5 * (base.vertices[ends[:, 0]]
                                                 + base.vertices[ends[:, 1]])])
 

@@ -46,13 +46,7 @@ from .errors import (
     WriteConflictError,
 )
 from .generators import FAMILIES, GeneratorSpec, generate
-from .mesh import (
-    Mesh,
-    assemble,
-    inverse_permutation,
-    relabel,
-    stored_surface_ids,
-)
+from .mesh import inverse_permutation, relabel
 from .meshio import (
     NativeMesh,
     read_msh,
@@ -237,28 +231,16 @@ def _recorded_refinement(nm: NativeMesh):
     the element and surface order before any renumbering the file
     records; raises as ``reconstruct_refinement`` does.  A file without
     colors has only its parent table checked, and gives None."""
-    parents = (nm.parents if nm.element_perm is None
-               else nm.parents[nm.element_perm])
-    if nm.coloring is None:
-        check_parent_layout(parents, nm.mesh.n_elements)
-        return None
     mesh, coloring = nm.mesh, nm.coloring
-    if nm.element_perm is not None:
-        sp = nm.surface_perm
-        mesh = relabel(mesh, inverse_permutation(nm.element_perm),
-                       inverse_permutation(sp))
+    ep, sp = mesh.element_perm, mesh.surface_perm
+    parents = nm.parents if ep is None else nm.parents[ep]
+    if coloring is None:
+        check_parent_layout(parents, mesh.n_elements)
+        return None
+    if ep is not None:
+        mesh = relabel(mesh, inverse_permutation(ep), inverse_permutation(sp))
         coloring = SurfaceColoring(coloring.colors[sp], coloring.n_colors)
     return reconstruct_refinement(mesh, parents, coloring)
-
-
-def _reassemble(mesh: Mesh, coloring: SurfaceColoring):
-    """Rebuild the surfaces of a renumbered mesh on its current element
-    order, as a file without PERMUTATIONS reloads them; colors follow
-    their surfaces.  A refinement file records only elements and
-    parents, so its base must be numbered this way to be rebuilt."""
-    canon = assemble(mesh.vertices, mesh.elem_kind, mesh.elem_verts)
-    colors = coloring.colors[stored_surface_ids(mesh, canon)]
-    return canon, SurfaceColoring(colors, coloring.n_colors)
 
 
 def _cmd_generate(args) -> int:
@@ -278,8 +260,7 @@ def _cmd_color(args) -> int:
             "input is refined; coarsen it before coloring")
     coloring, report = color(nm.mesh, _resolve_seed(args))
     write_native(args.output, nm.mesh, coloring=coloring,
-                 parents=nm.parents, element_perm=nm.element_perm,
-                 surface_perm=nm.surface_perm, source=nm)
+                 parents=nm.parents, source=nm)
     write_report(report, args.report)
     return EXIT_OK
 
@@ -311,11 +292,8 @@ def _cmd_refine(args) -> int:
         raise LevelConstraintError(
             "input is already refined; one level is the maximum"
         )
-    mesh = nm.mesh
-    if nm.element_perm is not None:
-        mesh, coloring = _reassemble(mesh, coloring)
-    ids = (range(mesh.n_elements) if args.all else args.elements)
-    refined, fine_coloring = refine(mesh, coloring, ids)
+    ids = (range(nm.mesh.n_elements) if args.all else args.elements)
+    refined, fine_coloring = refine(nm.mesh, coloring, ids)
     write_native(args.output, refined.mesh, coloring=fine_coloring,
                  parents=refined.parents, source=nm)
     print(f"refined {len(refined.map.refined)} elements; "
@@ -351,14 +329,8 @@ def _cmd_reorder(args) -> int:
     if nm.parents is not None:
         parents = np.empty_like(nm.parents)
         parents[plan.element_perm] = nm.parents
-    element_perm, surface_perm = plan.element_perm, plan.surface_perm
-    if nm.element_perm is not None:
-        # the file keeps one map from the ids before any renumbering
-        element_perm = element_perm[nm.element_perm]
-        surface_perm = surface_perm[nm.surface_perm]
     write_native(args.output, new_mesh, coloring=new_coloring,
-                 parents=parents, element_perm=element_perm,
-                 surface_perm=surface_perm, source=nm)
+                 parents=parents, source=nm)
     if args.metric:
         before = coalescing_metric(nm.mesh, coloring)
         after = coalescing_metric(new_mesh, new_coloring)

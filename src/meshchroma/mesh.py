@@ -4,6 +4,8 @@ A mesh stores flat numpy arrays so that million-surface inputs stay cheap
 to build and traverse.  ``assemble`` is the one public way to build a
 ``Mesh``: it derives the surfaces from the elements, so every mesh holds
 exactly the surfaces its elements imply, and ``relabel`` renumbers one.
+A renumbered mesh records its renumbering, so it can always be rebuilt
+from its elements: ``assemble`` them in their old order and relabel.
 
 Conventions:
 
@@ -11,7 +13,8 @@ Conventions:
   first-encounter order while sweeping elements in id order and each
   element's sides in local order,
 * the *left* element of a surface is the incident element with the
-  smaller original id; boundary surfaces have no right element,
+  smaller original id: the old id a renumbered mesh records, the id
+  itself otherwise; boundary surfaces have no right element,
 * local sides follow the vertex list: a triangle ``(v0, v1, v2)`` has
   sides ``(v0,v1), (v1,v2), (v2,v0)``, a quad adds ``(v3,v0)``, and a
   tetrahedron has faces ``(012), (013), (023), (123)``.
@@ -89,6 +92,10 @@ class Mesh:
     Arrays are padded with -1 where an element has fewer than four
     vertices or sides, and in ``surf_elems`` a right entry of -1 marks
     a boundary surface.
+
+    ``element_perm`` and ``surface_perm`` map the ids of the mesh
+    ``assemble`` built to the ids here (old id -> new id): None for that
+    mesh itself, set by ``relabel`` alone.
     """
 
     vertices: np.ndarray  # (nv, 2|3) float64
@@ -98,6 +105,8 @@ class Mesh:
     surf_verts: np.ndarray  # (ns, 2|3) int64, each row sorted
     surf_elems: np.ndarray  # (ns, 2) int64, right = -1 on the boundary
     _: KW_ONLY
+    element_perm: np.ndarray | None = None  # (ne,) int64
+    surface_perm: np.ndarray | None = None  # (ns,) int64
     builder: InitVar[object] = None
 
     def __post_init__(self, builder):
@@ -106,8 +115,10 @@ class Mesh:
                             "meshchroma.mesh.assemble(vertices, kinds, "
                             "elem_verts)")
         for a in (self.vertices, self.elem_kind, self.elem_verts,
-                  self.elem_surfs, self.surf_verts, self.surf_elems):
-            a.setflags(write=False)
+                  self.elem_surfs, self.surf_verts, self.surf_elems,
+                  self.element_perm, self.surface_perm):
+            if a is not None:
+                a.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
@@ -384,22 +395,29 @@ def relabel(mesh: Mesh, element_perm: np.ndarray,
     Pure relabeling: left/right roles and local side order are kept, so
     the result describes the same topology.  New row i is old row
     ``inverse[i]``, gathered with ``np.take``.  Vertices keep their ids,
-    so the result shares ``mesh``'s read-only vertex array.  The caller
-    checks that both maps are bijections of the right length.
+    so the result shares ``mesh``'s read-only vertex array.  The result
+    records the maps, composed with those ``mesh`` records, in arrays
+    of its own: the caller's stay as they were.  The caller checks that
+    both maps are bijections of the right length.
     """
-    ep = np.asarray(element_perm, dtype=np.int64)
-    sp = np.asarray(surface_perm, dtype=np.int64)
     # -1 (an empty side slot, or no right element) indexes the -1
     # appended to each map
-    old = inverse_permutation(ep)
+    ep = np.append(np.asarray(element_perm, dtype=np.int64), -1)
+    sp = np.append(np.asarray(surface_perm, dtype=np.int64), -1)
+    old = inverse_permutation(ep[:-1])
     elem_kind = np.take(mesh.elem_kind, old)
     elem_verts = np.take(mesh.elem_verts, old, axis=0)
-    elem_surfs = np.append(sp, -1)[np.take(mesh.elem_surfs, old, axis=0)]
-    old = inverse_permutation(sp)
+    elem_surfs = sp[np.take(mesh.elem_surfs, old, axis=0)]
+    old = inverse_permutation(sp[:-1])
     surf_verts = np.take(mesh.surf_verts, old, axis=0)
-    surf_elems = np.append(ep, -1)[np.take(mesh.surf_elems, old, axis=0)]
+    surf_elems = ep[np.take(mesh.surf_elems, old, axis=0)]
+    if mesh.element_perm is None:
+        ep, sp = ep[:-1], sp[:-1]
+    else:
+        ep, sp = ep[mesh.element_perm], sp[mesh.surface_perm]
     return Mesh(mesh.vertices, elem_kind, elem_verts, elem_surfs,
-                surf_verts, surf_elems, builder=_BUILDER)
+                surf_verts, surf_elems, element_perm=ep, surface_perm=sp,
+                builder=_BUILDER)
 
 
 def vizing_bound(mesh: Mesh) -> int:
@@ -409,18 +427,3 @@ def vizing_bound(mesh: Mesh) -> int:
     interior = mesh.surf_elems[mesh.surf_elems[:, 1] >= 0]
     return int(np.bincount(interior.ravel(),
                            minlength=mesh.n_elements).max()) + 1
-
-
-def stored_surface_ids(mesh: Mesh, canon: Mesh) -> np.ndarray:
-    """Stored id of each of ``canon``'s surfaces, read off the side slots.
-
-    ``canon`` is ``assemble`` of ``mesh``'s own elements, so both list
-    each element's sides in the same slots: the slot that holds
-    canonical id k in ``canon`` holds k's stored id in ``mesh``.  Both
-    meshes come from ``assemble`` or ``relabel``, so the slots of one
-    surface agree and the result is a bijection onto ``mesh``'s ids.
-    """
-    sides = canon.elem_surfs >= 0
-    stored = np.full(canon.n_surfaces, -1, dtype=np.int64)
-    stored[canon.elem_surfs[sides]] = mesh.elem_surfs[sides]
-    return stored

@@ -15,16 +15,17 @@ Surfaces are never serialized; they are rebuilt from the element list,
 which is deterministic, so colors and surface permutations stay aligned
 across a round trip.
 
-``PERMUTATIONS`` records a renumbering (see ``reorder.apply_plan``):
-entry i of each list is the new id of old element (surface) i.  The
-ELEMENTS, PARENTS and COLORS sections are already in new order.  The
-reader maps the elements back to their old order (old element i is
-file element ``element_perm[i]``), assembles the surfaces once there,
-and relabels elements and surfaces with the stored maps.  That
-reproduces the renumbered mesh array for array, left/right roles
-included, so the COLORS rows land on the surfaces they were written
-for.  The writer therefore refuses a pair of maps under which its mesh
-would not reload that way.
+``PERMUTATIONS`` records the renumbering a mesh carries
+(``Mesh.element_perm`` and ``surface_perm``, set by ``relabel``, as
+``reorder.apply_plan`` does): entry i of each list is the new id of old
+element (surface) i.  The ELEMENTS, PARENTS and COLORS sections are
+already in new order.  The reader maps the elements back to their old
+order (old element i is file element ``element_perm[i]``), assembles
+the surfaces once there, and relabels elements and surfaces with the
+stored maps.  A mesh is built only by ``assemble`` or ``relabel``, so
+that reproduces it array for array, maps and left/right roles
+included, and the COLORS rows land on the surfaces they were written
+for.
 
 ``read_native`` reads the file once as bytes.  When the file is in
 the form the writer produces (only letters, digits, ``.+-``, single
@@ -105,7 +106,6 @@ from .mesh import (
     ElementKind,
     Mesh,
     assemble,
-    inverse_permutation,
     is_bijection,
     relabel,
 )
@@ -153,13 +153,12 @@ _POW10F = _POW10.astype(np.float64)
 
 @dataclass(frozen=True)
 class NativeMesh:
-    """Everything a native file can hold."""
+    """Everything a native file can hold; PERMUTATIONS is the
+    renumbering ``mesh`` records."""
 
     mesh: Mesh
     coloring: SurfaceColoring | None = None
     parents: np.ndarray | None = None
-    element_perm: np.ndarray | None = None
-    surface_perm: np.ndarray | None = None
     # the VERTICES and ELEMENTS body bytes the bulk reader decoded
     # ``mesh.vertices`` and the element rows from; None from the line
     # parser and the MSH reader
@@ -184,41 +183,6 @@ def _atomic_write(path, chunks) -> None:
         except OSError:
             pass
         raise
-
-
-def _check_permutations(mesh: Mesh, element_perm, surface_perm) -> None:
-    """Raise ``ValueError`` unless ``mesh`` reloads from a file that
-    carries these maps.
-
-    The reader assembles the elements in their old order and relabels
-    the result with the maps.  ``mesh`` itself came from ``assemble``
-    or ``relabel``, so this gives it back exactly when, in the old
-    numbering, the surface ids follow their first encounter over the
-    element sides (element by element, side by side) and each interior
-    surface's left element is the smaller id, which is how ``assemble``
-    numbers them.
-    """
-    ep, sp = np.asarray(element_perm), np.asarray(surface_perm)
-    if not (is_bijection(ep, mesh.n_elements)
-            and is_bijection(sp, mesh.n_surfaces)):
-        raise ValueError("permutations must be bijections")
-    old_element = inverse_permutation(ep)
-    old_surface = inverse_permutation(sp)
-    slots = np.take(mesh.elem_surfs, ep, axis=0)  # old element order
-    # old ids come in first-encounter order iff each slot's id is at most
-    # one above the largest id before it, starting from 0
-    seq = old_surface[slots[slots >= 0]]
-    top = np.maximum.accumulate(seq)
-    left, right = np.take(mesh.surf_elems, sp, axis=0).T  # old surface order
-    left = old_element[left]
-    right = np.where(right >= 0, old_element[right], -1)
-    if not (seq[0] == 0 and np.all(seq[1:] <= top[:-1] + 1)
-            and top[-1] == mesh.n_surfaces - 1
-            and np.all((right < 0) | (left < right))):
-        raise ValueError(
-            "element and surface permutations do not describe this mesh: "
-            "it would reload with other surface numbering"
-        )
 
 
 def _int_lines(tokens, kinds: np.ndarray | None = None) -> np.ndarray:
@@ -452,12 +416,10 @@ def _element_rows(mesh: Mesh, source: NativeMesh | None):
 
 def write_native(path, mesh: Mesh,
                  coloring: SurfaceColoring | None = None,
-                 parents: np.ndarray | None = None,
-                 element_perm: np.ndarray | None = None,
-                 surface_perm: np.ndarray | None = None, *,
+                 parents: np.ndarray | None = None, *,
                  source: NativeMesh | None = None) -> None:
-    """Serialize a mesh and its optional coloring, parent table, and
-    reordering permutations.
+    """Serialize a mesh, the renumbering it records, and its optional
+    coloring and parent table.
 
     Coordinates are written as their ``%r`` text, from digit columns
     when every formatted one is short fixed notation, and integers as
@@ -468,21 +430,12 @@ def write_native(path, mesh: Mesh,
     as the bytes it held, not formatted again, and so is its ELEMENTS
     body when the mesh has exactly its element kinds and rows.
 
-    Raises ``ValueError`` when an extra does not fit the mesh, including
-    permutations under which the mesh would reload with other surface
-    numbering.
+    Raises ``ValueError`` when an extra does not fit the mesh.
     """
     if parents is not None and len(parents) != mesh.n_elements:
         raise ValueError("parents must list one entry per element")
     if coloring is not None and len(coloring.colors) != mesh.n_surfaces:
         raise ValueError("coloring must list one entry per surface")
-    if (element_perm is None) != (surface_perm is None):
-        raise ValueError("element and surface permutations come together")
-    if element_perm is not None:
-        if (len(element_perm) != mesh.n_elements
-                or len(surface_perm) != mesh.n_surfaces):
-            raise ValueError("permutation lengths do not match the mesh")
-        _check_permutations(mesh, element_perm, surface_perm)
     out = [f"{FORMAT_NAME} {FORMAT_VERSION}\nVERTICES {mesh.n_vertices}\n"
            .encode(),
            *_vertex_rows(mesh, source),
@@ -493,9 +446,10 @@ def write_native(path, mesh: Mesh,
     if coloring is not None:
         out += [f"COLORS {mesh.n_surfaces}\n".encode(),
                 _int_lines(coloring.colors)]
-    if element_perm is not None:
+    if mesh.element_perm is not None:
         out += [f"PERMUTATIONS {mesh.n_elements} {mesh.n_surfaces}\n"
-                .encode(), _int_lines(element_perm), _int_lines(surface_perm)]
+                .encode(), _int_lines(mesh.element_perm),
+                _int_lines(mesh.surface_perm)]
     _atomic_write(path, out)
 
 
@@ -974,7 +928,6 @@ def _finish(path, coords: np.ndarray, kinds: np.ndarray, verts: np.ndarray,
     parents = tail.get("PARENTS")
     colors = tail.get("COLORS")
     perms = tail.get("PERMUTATIONS")
-    element_perm = surface_perm = None
     if perms is None:
         mesh = assemble(coords, kinds, verts)
     else:
@@ -1020,8 +973,7 @@ def _finish(path, coords: np.ndarray, kinds: np.ndarray, verts: np.ndarray,
                 f"palette of {base} colors"
             )
         coloring = SurfaceColoring(colors.astype(np.int32), base)
-    return NativeMesh(mesh, coloring, parents, element_perm, surface_perm,
-                      vertex_text, element_text)
+    return NativeMesh(mesh, coloring, parents, vertex_text, element_text)
 
 
 def read_msh(path) -> Mesh:

@@ -132,7 +132,9 @@ def apply_plan(mesh: Mesh, coloring: SurfaceColoring,
     Left/right roles are preserved, not recomputed, so the color-1
     block keeps its (k, N1+k) shape.  Topology and coloring are
     otherwise untouched; verifying the result gives the same answer as
-    verifying the input.
+    verifying the input.  The result records the plan's maps, composed
+    with any renumbering ``mesh`` records (``relabel``), and
+    ``write_native`` writes them as its PERMUTATIONS.
     """
     ep = plan.element_perm
     sp = plan.surface_perm

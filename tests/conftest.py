@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from meshchroma import SurfaceColoring
-from meshchroma.mesh import assemble, stored_surface_ids
+from meshchroma.mesh import assemble
 
 _SIDES = {
     "tri": ((0, 1), (1, 2), (2, 0)),
@@ -48,12 +48,22 @@ def mesh_elements(mesh):
                                mesh.elem_verts.tolist())]
 
 
+def stored_ids(mesh, canon):
+    """Each of ``canon``'s surfaces' id in ``mesh``, read off the side
+    slots: ``canon`` is ``assemble`` of ``mesh``'s own elements, so the
+    slot that holds id k in ``canon`` holds k's id in ``mesh``."""
+    sides = canon.elem_surfs >= 0
+    stored = np.full(canon.n_surfaces, -1, dtype=np.int64)
+    stored[canon.elem_surfs[sides]] = mesh.elem_surfs[sides]
+    return stored
+
+
 def assert_matches_assembly(mesh):
     """``mesh`` holds exactly the surfaces its elements imply: it equals
     ``assemble`` of its own elements up to a renumbering of surfaces,
     with each element pair possibly swapped left/right."""
     canon = assemble(mesh.vertices, mesh.elem_kind, mesh.elem_verts)
-    stored = stored_surface_ids(mesh, canon)
+    stored = stored_ids(mesh, canon)
     assert sorted(stored.tolist()) == list(range(mesh.n_surfaces))
     assert np.array_equal(mesh.surf_verts[stored], canon.surf_verts)
     pairs, want = mesh.surf_elems[stored], canon.surf_elems

@@ -11,6 +11,8 @@ from meshchroma import (
     PartialFamilyError,
     SurfaceColoring,
     UnrefinableKindError,
+    apply_plan,
+    build_plan,
     child_color,
     coarsen,
     color,
@@ -19,11 +21,13 @@ from meshchroma import (
     read_native,
     reconstruct_refinement,
     refine,
+    shuffle_elements,
     verify_coloring,
     write_native,
 )
+from meshchroma.cli import main
 from meshchroma.mesh import assemble
-from conftest import fine_edge
+from conftest import fine_edge, stored_ids
 
 # the half that contains the lower endpoint keeps the parent color,
 # the other half moves up three
@@ -239,6 +243,31 @@ def test_reconstruct_from_native_file(tmp_path):
     back, back_col = coarsen(rec, rec_col, [2, 11])
     assert (back.elem_verts == mesh.elem_verts).all()
     assert (back_col.colors == coloring.colors).all()
+
+
+@pytest.mark.parametrize("elements", [[0, 5], range(0, 24, 3)],
+                         ids=["two", "every_third"])
+def test_refining_a_renumbered_mesh(tmp_path, capsys, elements):
+    # midpoints are numbered as the split surfaces are first met over
+    # the element sides, so a renumbered base refines to the bytes of
+    # its elements assembled afresh, colors following their surfaces
+    mesh = shuffle_elements(gen_tri_rect(4, 3), 1)
+    coloring, _ = color(mesh, 0)
+    moved, moved_coloring = apply_plan(mesh, coloring,
+                                       build_plan(mesh, coloring))
+    canon = assemble(moved.vertices, moved.elem_kind, moved.elem_verts)
+    canon_coloring = SurfaceColoring(
+        moved_coloring.colors[stored_ids(moved, canon)], 3)
+    written = []
+    for name, base, base_coloring in (("moved", moved, moved_coloring),
+                                      ("canon", canon, canon_coloring)):
+        ref, fine = refine(base, base_coloring, elements)
+        path = tmp_path / f"{name}.mesh"
+        write_native(path, ref.mesh, fine, parents=ref.parents)
+        assert main(["verify", "-i", str(path)]) == 0, name
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    capsys.readouterr()
 
 
 def test_reconstruct_rejects_orphan_children():

@@ -233,8 +233,8 @@ def test_reorder_and_metric(tmp_path, capsys):
     assert "aggregate_after" in out
     assert "used_fallback" in out
     data = read_native(re)
-    assert data.element_perm is not None
-    assert data.surface_perm is not None
+    assert data.mesh.element_perm is not None
+    assert data.mesh.surface_perm is not None
     assert main(["verify", "-i", str(re)]) == 0
 
 
@@ -532,7 +532,7 @@ def test_verify_rejects_parent_tables_coarsen_rejects(tmp_path, capsys,
             shuffled = tmp_path / "r.mesh"
             assert main(["reorder", "-i", str(path), "-o",
                          str(shuffled)]) == 0
-            assert read_native(shuffled).element_perm is not None
+            assert read_native(shuffled).mesh.element_perm is not None
             path = shuffled
     else:
         parents = np.full(mesh.n_elements, -1)

@@ -27,8 +27,7 @@ from meshchroma import (
     write_report,
 )
 from meshchroma.cli import main
-from meshchroma.mesh import (CODE_TO_KIND, KIND_TO_CODE, ElementKind,
-                             assemble, relabel)
+from meshchroma.mesh import CODE_TO_KIND, KIND_TO_CODE, ElementKind, assemble
 from meshchroma.meshio import _CHUNK_LINES, _N_IDS, _int_lines
 from conftest import assert_matches_assembly, hybrid_patch
 
@@ -65,37 +64,12 @@ def test_parents_and_permutations_round_trip(tmp_path):
     new_mesh, _ = apply_plan(mesh, coloring, plan)
     parents = np.full(mesh.n_elements, -1, dtype=np.int64)
     parents[0] = 2
-    eperm, sperm = plan.element_perm, plan.surface_perm
     path = tmp_path / "p.mesh"
-    write_native(path, new_mesh, parents=parents,
-                 element_perm=eperm, surface_perm=sperm)
+    write_native(path, new_mesh, parents=parents)
     back = read_native(path)
     assert (back.parents == parents).all()
-    assert (back.element_perm == eperm).all()
-    assert (back.surface_perm == sperm).all()
-
-
-def test_write_rejects_permutations_that_do_not_describe_the_mesh(tmp_path):
-    # a file with these maps would reload with other surface numbering
-    mesh = gen_tri_rect(2, 2)
-    eperm = np.arange(mesh.n_elements)[::-1].copy()
-    sperm = np.roll(np.arange(mesh.n_surfaces), 3)
-    path = tmp_path / "p.mesh"
-    with pytest.raises(ValueError, match="do not describe"):
-        write_native(path, mesh, element_perm=eperm, surface_perm=sperm)
-    with pytest.raises(ValueError, match="bijections"):
-        write_native(path, mesh, element_perm=np.zeros_like(eperm),
-                     surface_perm=sperm)
-    # a negative id, an id equal to n and a repeated id, in either map
-    for perm in (eperm, sperm):
-        for bad_id in (-1, len(perm), perm[1]):
-            bad = perm.copy()
-            bad[0] = bad_id
-            maps = ((bad, sperm) if perm is eperm else (eperm, bad))
-            with pytest.raises(ValueError, match="bijections"):
-                write_native(path, mesh, element_perm=maps[0],
-                             surface_perm=maps[1])
-    assert not list(tmp_path.iterdir())
+    assert (back.mesh.element_perm == plan.element_perm).all()
+    assert (back.mesh.surface_perm == plan.surface_perm).all()
 
 
 @pytest.mark.parametrize("make", [
@@ -110,9 +84,7 @@ def test_reordered_mesh_round_trip(tmp_path, make):
     plan = build_plan(mesh, coloring)
     new_mesh, new_coloring = apply_plan(mesh, coloring, plan)
     path = tmp_path / "r.mesh"
-    write_native(path, new_mesh, new_coloring,
-                 element_perm=plan.element_perm,
-                 surface_perm=plan.surface_perm)
+    write_native(path, new_mesh, new_coloring)
     back = read_native(path)
     for name in ("elem_kind", "elem_verts", "elem_surfs",
                  "surf_verts", "surf_elems"):
@@ -121,40 +93,6 @@ def test_reordered_mesh_round_trip(tmp_path, make):
     assert np.array_equal(back.coloring.colors, new_coloring.colors)
     assert back.coloring.n_colors == new_coloring.n_colors
     assert verify_coloring(back.mesh, back.coloring) == []
-
-
-def test_write_accepts_exactly_the_permutations_that_reload(tmp_path):
-    # the writer's check against the reader's own rebuild: assemble in
-    # old order, then relabel with the maps
-    mesh = shuffle_elements(gen_tri_rect(3, 3), seed=5)
-    coloring, _ = color(mesh)
-    plan = build_plan(mesh, coloring)
-    new_mesh, _ = apply_plan(mesh, coloring, plan)
-    rng = np.random.default_rng(0)
-    pairs = [(plan.element_perm, plan.surface_perm),
-             (np.arange(mesh.n_elements), np.arange(mesh.n_surfaces))]
-    for _ in range(40):
-        ep, sp = plan.element_perm.copy(), plan.surface_perm.copy()
-        perm = ep if rng.random() < 0.5 else sp
-        i, j = rng.choice(len(perm), 2, replace=False)
-        perm[[i, j]] = perm[[j, i]]
-        pairs.append((ep, sp))
-    verdicts = set()
-    for ep, sp in pairs:
-        old = assemble(new_mesh.vertices, new_mesh.elem_kind[ep],
-                       new_mesh.elem_verts[ep])
-        back = relabel(old, ep, sp)
-        reloads = all(np.array_equal(getattr(back, f), getattr(new_mesh, f))
-                      for f in MESH_FIELDS)
-        try:
-            write_native(tmp_path / "p.mesh", new_mesh,
-                         element_perm=ep, surface_perm=sp)
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == reloads
-        verdicts.add(accepted)
-    assert verdicts == {True, False}
 
 
 _FAMILIES = {
@@ -169,9 +107,11 @@ _FAMILIES = {
 @given(family=st.sampled_from(sorted(_FAMILIES)),
        n=st.integers(min_value=1, max_value=3),
        seed=st.integers(min_value=0, max_value=2**16),
-       refine_some=st.booleans(), reorder=st.booleans())
+       refine_some=st.booleans(), reorders=st.integers(0, 2))
 def test_native_round_trip_is_exact(tmp_path_factory, family, n, seed,
-                                    refine_some, reorder):
+                                    refine_some, reorders):
+    # a renumbered mesh carries its maps, so the writer is passed none;
+    # a second reorder composes them with the first
     mesh = shuffle_elements(_FAMILIES[family](n), seed=seed)
     coloring, _ = color(mesh)
     parents = None
@@ -179,33 +119,28 @@ def test_native_round_trip_is_exact(tmp_path_factory, family, n, seed,
         refined, coloring = refine(mesh, coloring,
                                    range(0, mesh.n_elements, 3))
         mesh, parents = refined.mesh, refined.parents
-    perms = {}
-    if reorder:
+    for _ in range(reorders):
         plan = build_plan(mesh, coloring)
         mesh, coloring = apply_plan(mesh, coloring, plan)
         if parents is not None:
             moved = np.empty_like(parents)
             moved[plan.element_perm] = parents
             parents = moved
-        perms = {"element_perm": plan.element_perm,
-                 "surface_perm": plan.surface_perm}
     tmp = tmp_path_factory.mktemp("rt")
     first, second = tmp / "a.mesh", tmp / "b.mesh"
-    write_native(first, mesh, coloring, parents=parents, **perms)
+    write_native(first, mesh, coloring, parents=parents)
     back = read_native(first)
-    for name in MESH_FIELDS:
+    for name in MESH_FIELDS + ("element_perm", "surface_perm"):
         got, want = getattr(back.mesh, name), getattr(mesh, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        if want is None:
+            assert got is None and not reorders, name
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert np.array_equal(back.coloring.colors, coloring.colors)
     assert back.coloring.n_colors == coloring.n_colors
-    for name, want in (("parents", parents),
-                       ("element_perm", perms.get("element_perm")),
-                       ("surface_perm", perms.get("surface_perm"))):
-        got = getattr(back, name)
-        assert (got is None) if want is None else np.array_equal(got, want)
-    write_native(second, back.mesh, back.coloring, parents=back.parents,
-                 element_perm=back.element_perm,
-                 surface_perm=back.surface_perm)
+    assert ((back.parents is None) if parents is None
+            else np.array_equal(back.parents, parents))
+    write_native(second, back.mesh, back.coloring, parents=back.parents)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -215,9 +150,9 @@ def test_native_round_trip_is_exact(tmp_path_factory, family, n, seed,
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_any_bijective_permutations_read_back_valid(tmp_path_factory,
                                                     family, n, seed):
-    # whatever bijections a PERMUTATIONS section holds, even ones the
-    # writer refuses, the reader assembles the elements and relabels, so
-    # the mesh keeps the surfaces they imply
+    # whatever bijections a PERMUTATIONS section holds, the reader
+    # assembles the elements and relabels, so the mesh keeps the
+    # surfaces they imply and is written back as it was read
     mesh = _FAMILIES[family](n)
     rng = np.random.default_rng(seed)
     ep = rng.permutation(mesh.n_elements)
@@ -228,9 +163,12 @@ def test_any_bijective_permutations_read_back_valid(tmp_path_factory,
         fh.write(f"PERMUTATIONS {mesh.n_elements} {mesh.n_surfaces}\n")
         fh.write("".join(f"{i}\n" for i in np.concatenate([ep, sp])))
     back = read_native(path)
-    assert np.array_equal(back.element_perm, ep)
-    assert np.array_equal(back.surface_perm, sp)
+    assert np.array_equal(back.mesh.element_perm, ep)
+    assert np.array_equal(back.mesh.surface_perm, sp)
     assert_matches_assembly(back.mesh)
+    again = path.with_suffix(".again")
+    write_native(again, back.mesh)
+    assert again.read_bytes() == path.read_bytes()
 
 
 # written by the line-per-call writer this one replaced; re-frozen when
@@ -259,9 +197,7 @@ def test_writer_bytes_are_pinned(tmp_path):
     parents = np.empty_like(refined.parents)
     parents[plan.element_perm] = refined.parents
     path = tmp_path / "g.mesh"
-    write_native(path, new_mesh, new_coloring, parents=parents,
-                 element_perm=plan.element_perm,
-                 surface_perm=plan.surface_perm)
+    write_native(path, new_mesh, new_coloring, parents=parents)
     assert path.read_text() == GOLDEN
 
 
@@ -384,9 +320,7 @@ def test_mixed_file_matches_percent_formatting(tmp_path):
         # -1, single digits and wider values, as refined files hold
         parents = np.arange(new_mesh.n_elements) * 37 % 1201 - 1
         path = tmp_path / f"{name}.mesh"
-        write_native(path, new_mesh, new_coloring, parents=parents,
-                     element_perm=plan.element_perm,
-                     surface_perm=plan.surface_perm)
+        write_native(path, new_mesh, new_coloring, parents=parents)
         assert path.read_text() == _percent_file(
             new_mesh, parents.tolist(), new_coloring.colors.tolist(),
             plan.element_perm.tolist(), plan.surface_perm.tolist()), name
@@ -399,9 +333,7 @@ def test_sections_longer_than_one_chunk(tmp_path):
     new_mesh, new_coloring = apply_plan(mesh, coloring, plan)
     path = tmp_path / "big.mesh"
     write_native(path, new_mesh, new_coloring,
-                 parents=np.full(mesh.n_elements, -1),
-                 element_perm=plan.element_perm,
-                 surface_perm=plan.surface_perm)
+                 parents=np.full(mesh.n_elements, -1))
     want = read_native(path)
     lines = path.read_text().split("\n")
     # section name -> (first body line, body length); kinds are lowercase
@@ -425,7 +357,7 @@ def test_sections_longer_than_one_chunk(tmp_path):
                               getattr(want.mesh, name)), name
     assert np.array_equal(back.coloring.colors, want.coloring.colors)
     assert np.array_equal(back.parents, want.parents)
-    assert np.array_equal(back.surface_perm, want.surface_perm)
+    assert np.array_equal(back.mesh.surface_perm, want.mesh.surface_perm)
 
     # a bad token on a section's last line
     for name, (start, n) in sections.items():
@@ -464,14 +396,12 @@ def reordered_60():
 
 def test_read_native_memory_peak(tmp_path, reordered_60):
     # tracemalloc peak of one read, in MiB: the reader that parsed one
-    # token per call peaked at 5.19 on this file and this one at 2.37
+    # token per call peaked at 5.19 on this file and this one at 2.62
     # (CPython 3.11, numpy 2.4).  The bound is the old peak; a change
     # that spends memory for speed crosses it.
-    new_mesh, new_coloring, plan = reordered_60
+    new_mesh, new_coloring, _ = reordered_60
     path = tmp_path / "m.mesh"
-    write_native(path, new_mesh, new_coloring,
-                 element_perm=plan.element_perm,
-                 surface_perm=plan.surface_perm)
+    write_native(path, new_mesh, new_coloring)
     assert _traced_peak(lambda: read_native(path)) <= 5.19
 
 
@@ -487,12 +417,11 @@ def test_assemble_memory_peak(reordered_60):
 def test_write_native_memory_peak(tmp_path, reordered_60):
     # in MiB: the bound is the peak of the writer that formatted each
     # section with one ``%`` and then checked the permutations; the
-    # digit-column writer, which checks them first, peaks at 1.12
-    new_mesh, new_coloring, plan = reordered_60
+    # digit-column writer peaked at 1.12 while it checked them first,
+    # and at 0.80 once the mesh carried its own
+    new_mesh, new_coloring, _ = reordered_60
     path = tmp_path / "m.mesh"
-    peak = _traced_peak(lambda: write_native(
-        path, new_mesh, new_coloring, element_perm=plan.element_perm,
-        surface_perm=plan.surface_perm))
+    peak = _traced_peak(lambda: write_native(path, new_mesh, new_coloring))
     assert peak <= 1.30
 
 
@@ -583,15 +512,13 @@ def test_writing_with_source_gives_the_same_bytes(tmp_path, build):
     assert written("same", nm.mesh, nm.coloring) == path.read_bytes()
     plan = build_plan(nm.mesh, nm.coloring)
     new_mesh, new_coloring = apply_plan(nm.mesh, nm.coloring, plan)
-    written("reordered", new_mesh, new_coloring,
-            element_perm=plan.element_perm, surface_perm=plan.surface_perm)
+    written("reordered", new_mesh, new_coloring)
     # a file with PERMUTATIONS holds its rows in file order, so coloring
     # it again keeps every row
     re_nm = read_native(tmp_path / "reordered.src")
     assert np.array_equal(re_nm.mesh.elem_verts, new_mesh.elem_verts)
     recolored, _ = color(re_nm.mesh, 1)
-    written("recolored", re_nm.mesh, recolored, source=re_nm,
-            element_perm=re_nm.element_perm, surface_perm=re_nm.surface_perm)
+    written("recolored", re_nm.mesh, recolored, source=re_nm)
     if mesh.element_kind_profile == {ElementKind.TRIANGLE}:
         refined, fine = refine(nm.mesh, nm.coloring, [0, 3])
         assert refined.mesh.n_vertices > mesh.n_vertices
@@ -689,13 +616,6 @@ def test_hand_written_coordinates_pass_through(tmp_path, capsys, rows):
     for name in (colored, reordered):
         assert main(["verify", "-i", name]) == 0
     capsys.readouterr()
-
-
-def test_perms_must_come_together(tmp_path):
-    mesh = gen_tri_rect(2, 2)
-    with pytest.raises(ValueError):
-        write_native(tmp_path / "x.mesh", mesh,
-                     element_perm=np.arange(mesh.n_elements))
 
 
 def test_wrong_length_coloring_rejected(tmp_path):

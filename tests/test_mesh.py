@@ -131,6 +131,30 @@ def test_a_mesh_is_built_only_by_assemble_or_relabel(two_tri):
     assert moved.surf_elems[2].tolist() == [1, 0]  # roles kept
 
 
+def test_relabel_records_maps_of_its_own(two_tri):
+    # the maps the result records are its own arrays: the caller's stay
+    # writable, and writing to them reaches no mesh
+    ep, sp = np.array([1, 0]), np.array([4, 3, 2, 1, 0])
+    moved = relabel(two_tri, ep, sp)
+    again = relabel(moved, ep, sp)
+    kept = {name: getattr(moved, name).copy()
+            for name in _FIELDS + ("element_perm", "surface_perm")}
+    assert two_tri.element_perm is None and two_tri.surface_perm is None
+    assert ep.flags.writeable and sp.flags.writeable
+    ep[:], sp[:] = 0, 0
+    for name, want in kept.items():
+        assert np.array_equal(getattr(moved, name), want), name
+    assert kept["element_perm"].tolist() == [1, 0]
+    assert kept["surface_perm"].tolist() == [4, 3, 2, 1, 0]
+    # relabeling twice composes the maps, here back to the identity
+    assert again.element_perm.tolist() == [0, 1]
+    assert again.surface_perm.tolist() == [0, 1, 2, 3, 4]
+    for name in _FIELDS:
+        assert np.array_equal(getattr(again, name), getattr(two_tri, name))
+    with pytest.raises(ValueError, match="read-only"):
+        moved.element_perm[0] = 0
+
+
 def test_validate_reports_tampered_incidence(two_tri):
     # two rows of surf_elems swapped: a mesh its elements do not imply
     swapped = two_tri.surf_elems[[0, 1, 3, 2, 4]]

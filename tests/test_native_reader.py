@@ -9,6 +9,7 @@ the decoder that reads its text back.
 """
 
 import re
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from meshchroma.meshio import (_MAX_INT_CHARS, _bulk_sections,
 
 MESH_FIELDS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
                "surf_verts", "surf_elems")
-EXTRAS = ("parents", "element_perm", "surface_perm")
+EXTRAS = ("parents", "mesh.element_perm", "mesh.surface_perm")
 
 
 def _written(tmp_path, kind, parents, colors, perms):
@@ -51,18 +52,15 @@ def _written(tmp_path, kind, parents, colors, perms):
     if kind == "tri" and parents:  # a refined palette needs PARENTS
         refined, coloring = refine(mesh, coloring, [0, 3])
         mesh, table = refined.mesh, refined.parents
-    extra = {}
     if perms:
         plan = build_plan(mesh, coloring)
         mesh, coloring = apply_plan(mesh, coloring, plan)
         moved = np.empty_like(table)
         moved[plan.element_perm] = table
         table = moved
-        extra = {"element_perm": plan.element_perm,
-                 "surface_perm": plan.surface_perm}
     path = tmp_path / f"{kind}{int(parents)}{int(colors)}{int(perms)}.mesh"
     write_native(path, mesh, coloring if colors else None,
-                 parents=table if parents else None, **extra)
+                 parents=table if parents else None)
     return path.read_text()
 
 
@@ -102,7 +100,7 @@ def assert_same(got, want):
         assert got.coloring.colors.dtype == want.coloring.colors.dtype
         assert np.array_equal(got.coloring.colors, want.coloring.colors)
     for name in EXTRAS:
-        a, b = getattr(got, name), getattr(want, name)
+        a, b = attrgetter(name)(got), attrgetter(name)(want)
         assert (a is None) == (b is None), name
         if b is not None:
             assert a.dtype == b.dtype and np.array_equal(a, b), name
