@@ -95,7 +95,8 @@ class Mesh:
 
     ``element_perm`` and ``surface_perm`` map the ids of the mesh
     ``assemble`` built to the ids here (old id -> new id): None for that
-    mesh itself, set by ``relabel`` alone.
+    mesh itself and for a mesh ``relabel`` renumbers back to it, set by
+    ``relabel`` alone.
     """
 
     vertices: np.ndarray  # (nv, 2|3) float64
@@ -397,8 +398,10 @@ def relabel(mesh: Mesh, element_perm: np.ndarray,
     ``inverse[i]``, gathered with ``np.take``.  Vertices keep their ids,
     so the result shares ``mesh``'s read-only vertex array.  The result
     records the maps, composed with those ``mesh`` records, in arrays
-    of its own: the caller's stay as they were.  The caller checks that
-    both maps are bijections of the right length.
+    of its own: the caller's stay as they were.  Maps composed to the
+    identity are recorded as None, so a mesh relabeled back to its
+    assembled order is, array for array, the mesh ``assemble`` builds.
+    The caller checks that both maps are bijections of the right length.
     """
     # -1 (an empty side slot, or no right element) indexes the -1
     # appended to each map
@@ -415,6 +418,9 @@ def relabel(mesh: Mesh, element_perm: np.ndarray,
         ep, sp = ep[:-1], sp[:-1]
     else:
         ep, sp = ep[mesh.element_perm], sp[mesh.surface_perm]
+        if ((ep == np.arange(len(ep))).all()
+                and (sp == np.arange(len(sp))).all()):
+            ep = sp = None
     return Mesh(mesh.vertices, elem_kind, elem_verts, elem_surfs,
                 surf_verts, surf_elems, element_perm=ep, surface_perm=sp,
                 builder=_BUILDER)

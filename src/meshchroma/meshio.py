@@ -113,15 +113,10 @@ from .mesh import (
 FORMAT_NAME = "MESHCHROMA"
 FORMAT_VERSION = 1
 
-_KIND_TOKEN = {
-    ElementKind.TRIANGLE: "tri",
-    ElementKind.QUAD: "quad",
-    ElementKind.TET: "tet",
-}
-_TOKEN_KIND = {v: k for k, v in _KIND_TOKEN.items()}
+_TOKEN_KIND = {k.value: k for k in ElementKind}
 # per kind code: the head of its element lines, its vertex ids per line
 # and the vertex slots those use
-_HEADS = tuple(_KIND_TOKEN[k].encode() + b" " for k in CODE_TO_KIND)
+_HEADS = tuple(k.value.encode() + b" " for k in CODE_TO_KIND)
 _HEAD_BYTES = np.array([len(h) for h in _HEADS], dtype=np.uint8)
 _N_IDS = np.array([k.n_vertices for k in CODE_TO_KIND])
 _USED_SLOTS = np.arange(MAX_ELEM_VERTS)[None, :] < _N_IDS[:, None]

@@ -12,14 +12,9 @@ so those ids are distinct inside a group: scattering the group's
 surfaces into an element-sized slot array at their new left ids and
 reading the slots back in order sorts the group exactly, in linear time.
 
-This covers every element exactly once when each element has a color-1
-surface, which minimal colorings of single-kind meshes guarantee.  When
-some element lacks one (hybrid meshes, oversized baseline palettes) the
-plan falls back to a first-occurrence sweep across all color groups and
-says so in ``used_fallback``; color 1 is then ordered by the slot scatter
-too.  The first occurrence of each element is one ``np.minimum.at``
-reduction over the positions of the surface ends, so the smallest
-position wins whatever order numpy applies the writes in.
+Every element that no color-1 surface touches (hybrid and refined
+meshes, oversized palettes) follows the block in id order, so planning
+a reordered mesh gives the identity plan.
 """
 
 from __future__ import annotations
@@ -40,7 +35,9 @@ class ReorderingPlan:
     ``group_bounds[c]`` is the first new surface id after color c's
     block, so color c occupies ``[group_bounds[c-1], group_bounds[c])``.
     ``n_interior_first`` is the number I1 of interior color-1 surfaces,
-    placed at the head of the color-1 block.
+    placed at the head of the color-1 block.  ``used_fallback`` says
+    whether some element follows the block, touched by no color-1
+    surface.
     """
 
     element_perm: np.ndarray
@@ -57,26 +54,13 @@ class ReorderingPlan:
         return self.group_bounds[color - 1], self.group_bounds[color]
 
 
-def _first_occurrence(mesh: Mesh, classes: list[np.ndarray]) -> np.ndarray:
-    """Number elements by first occurrence over the surfaces in color
-    order, id order within a color, left end first."""
-    ends = np.take(mesh.surf_elems, np.concatenate(classes), axis=0).ravel()
-    positions = np.flatnonzero(ends >= 0)
-    first = np.full(mesh.n_elements, len(ends), dtype=np.int64)
-    np.minimum.at(first, ends[positions], positions)
-    if (first == len(ends)).any():
-        raise AssertionError("element not reachable from any surface")
-    is_first = np.zeros(len(ends), dtype=bool)
-    is_first[first] = True
-    element_perm = np.empty(mesh.n_elements, dtype=np.int64)
-    element_perm[ends[is_first]] = np.arange(mesh.n_elements)
-    return element_perm
-
-
 def build_plan(mesh: Mesh, coloring: SurfaceColoring) -> ReorderingPlan:
-    """Plan the renumbering induced by a complete valid coloring; any
-    other coloring raises ``ValueError`` naming the first diagnostic
-    ``verify_coloring`` reports."""
+    """Plan the renumbering induced by a complete valid coloring: the
+    color-1 block's left ends take 0..N1-1, its interior right ends N1
+    onwards, every other element follows in id order, and each later
+    color group is sorted by its new left ids.  Any other coloring
+    raises ``ValueError`` naming the first diagnostic ``verify_coloring``
+    reports."""
     _require_valid(mesh, coloring, "reordering")
     colors = coloring.colors
     left = mesh.surf_elems[:, 0]
@@ -85,27 +69,20 @@ def build_plan(mesh: Mesh, coloring: SurfaceColoring) -> ReorderingPlan:
                for c in range(1, coloring.n_colors + 1)]
 
     ones = classes[0]
-    covered = np.zeros(mesh.n_elements, dtype=bool)
-    covered[left[ones]] = True
     interior_ones = ones[right[ones] >= 0]
-    covered[right[interior_ones]] = True
-    fallback = not covered.all()
-
-    if fallback:
-        element_perm = _first_occurrence(mesh, classes)
-    else:
-        classes[0] = np.concatenate([interior_ones, ones[right[ones] < 0]])
-        element_perm = np.empty(mesh.n_elements, dtype=np.int64)
-        element_perm[left[classes[0]]] = np.arange(len(ones))
-        element_perm[right[interior_ones]] = (
-            len(ones) + np.arange(len(interior_ones))
-        )
+    classes[0] = np.concatenate([interior_ones, ones[right[ones] < 0]])
+    n_block = len(ones) + len(interior_ones)
+    element_perm = np.full(mesh.n_elements, -1, dtype=np.int64)
+    element_perm[left[classes[0]]] = np.arange(len(ones))
+    element_perm[right[interior_ones]] = np.arange(len(ones), n_block)
+    tail = np.flatnonzero(element_perm < 0)
+    element_perm[tail] = np.arange(n_block, mesh.n_elements)
 
     slot = np.full(mesh.n_elements, -1, dtype=np.int64)
     surface_perm = np.empty(mesh.n_surfaces, dtype=np.int64)
     nxt = 0
     for c, sids in enumerate(classes, 1):
-        if c > 1 or fallback:
+        if c > 1:
             # the new left ids are distinct within a class, so reading
             # the slots back in order sorts the class by them
             new_left = element_perm[left[sids]]
@@ -121,7 +98,7 @@ def build_plan(mesh: Mesh, coloring: SurfaceColoring) -> ReorderingPlan:
         group_bounds=tuple(
             np.cumsum([0] + [len(sids) for sids in classes]).tolist()),
         n_interior_first=len(interior_ones),
-        used_fallback=fallback,
+        used_fallback=len(tail) > 0,
     )
 
 

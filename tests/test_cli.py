@@ -13,7 +13,7 @@ from meshchroma import (
     shuffle_elements,
     write_native,
 )
-from meshchroma.cli import _loglog_slope, main
+from meshchroma.cli import _loglog_slope, _recorded_refinement, main
 from meshchroma.mesh import assemble
 from conftest import fine_edge
 
@@ -271,6 +271,23 @@ def test_reorder_keeps_parents_and_coarsen_undoes_it(tmp_path):
     assert main(["coarsen", "-i", str(re), "-o", str(back),
                  "--parents", "0,3,7"]) == 0
     assert back.read_bytes() == colored.read_bytes()
+
+
+def test_recorded_refinement_of_a_reordered_file_has_no_maps(tmp_path):
+    # relabeled back to the order refine wrote, the fine mesh records no
+    # renumbering, so it writes the refined file's bytes again
+    path = gen(tmp_path, nx=8, ny=8)
+    colored, fine = tmp_path / "c.mesh", tmp_path / "f.mesh"
+    re, again = tmp_path / "r.mesh", tmp_path / "again.mesh"
+    assert main(["color", "-i", str(path), "-o", str(colored),
+                 "--seed", "0"]) == 0
+    assert main(["refine", "-i", str(colored), "-o", str(fine),
+                 "--elements", "0,5,9,40"]) == 0
+    assert main(["reorder", "-i", str(fine), "-o", str(re)]) == 0
+    rec, fine_coloring = _recorded_refinement(read_native(re))
+    assert rec.mesh.element_perm is None and rec.mesh.surface_perm is None
+    write_native(again, rec.mesh, fine_coloring, parents=rec.parents)
+    assert again.read_bytes() == fine.read_bytes()
 
 
 def test_reordered_file_refines_and_coarsens_back(tmp_path):

@@ -173,18 +173,19 @@ def test_any_bijective_permutations_read_back_valid(tmp_path_factory,
 
 # written by the line-per-call writer this one replaced; re-frozen when
 # coloring moved to the sweep order, with bytes equal to those of the
-# one-format-per-section writer on the same coloring
+# one-format-per-section writer on the same coloring, and again when
+# the plan put the color-1 block first on every mesh
 GOLDEN = (
     "MESHCHROMA 1\nVERTICES 9\n0.0 0.0\n1.0 0.0\n2.0 0.0\n0.0 1.0\n"
     "1.0 1.0\n2.0 1.0\n0.5 0.0\n1.0 0.5\n0.5 0.5\nELEMENTS 7\n"
-    "tri 2 5 4\ntri 0 4 3\ntri 1 2 4\ntri 0 6 8\ntri 1 7 6\ntri 6 7 8\n"
-    "tri 4 8 7\nPARENTS 7\n-1\n-1\n-1\n1\n1\n1\n1\nCOLORS 17\n"
+    "tri 1 7 6\ntri 2 5 4\ntri 0 4 3\ntri 1 2 4\ntri 0 6 8\ntri 6 7 8\n"
+    "tri 4 8 7\nPARENTS 7\n1\n-1\n-1\n-1\n1\n1\n1\nCOLORS 17\n"
     + "".join(f"{c}\n" for c in (1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3,
                                   4, 5, 6))
     + "PERMUTATIONS 7 17\n"
-    + "".join(f"{p}\n" for p in (0, 1, 2, 3, 4, 6, 5,
-                                  5, 0, 10, 1, 6, 11, 2, 7, 12, 8, 3, 9,
-                                  4, 16, 14, 13, 15))
+    + "".join(f"{p}\n" for p in (1, 2, 3, 4, 0, 6, 5,
+                                  6, 1, 10, 2, 7, 11, 3, 8, 12, 9, 4, 5,
+                                  0, 16, 14, 13, 15))
 )
 
 

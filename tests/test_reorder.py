@@ -23,11 +23,19 @@ from meshchroma import (
     verify_coloring,
 )
 from meshchroma.mesh import inverse_permutation
-from conftest import assert_matches_assembly, naive_greedy
+from conftest import assert_matches_assembly, hybrid_patch, naive_greedy
 
 
 def _is_permutation(perm, n):
     return len(perm) == n and sorted(perm.tolist()) == list(range(n))
+
+
+def _refined_8x8():
+    # the refined file of the console-script pipeline
+    mesh = gen_tri_rect(8, 8)
+    coloring, _ = color(mesh, 0)
+    refined, fine = refine(mesh, coloring, [0, 5, 9, 40])
+    return refined.mesh, fine
 
 
 def test_plan_perms_are_bijections():
@@ -65,19 +73,21 @@ def test_closed_mesh_color_one_block():
 
 
 def test_interior_edges_lead_the_color_one_block():
-    mesh = gen_tri_rect(5, 4)  # open: color 1 has boundary edges too
-    coloring, _ = color(mesh)
-    plan = build_plan(mesh, coloring)
-    if plan.used_fallback:
-        pytest.skip("fallback plan; block contract does not apply")
-    re_mesh, _ = apply_plan(mesh, coloring, plan)
-    lo, hi = plan.group_range(1)
-    interior = re_mesh.surf_elems[lo:hi, 1] >= 0
-    assert plan.n_interior_first == int(interior.sum())
-    assert interior[: plan.n_interior_first].all()
-    assert not interior[plan.n_interior_first:].any()
-    for k in range(hi):
-        assert re_mesh.surf_elems[k, 0] == k
+    # open meshes: color 1 has boundary edges too; the refined one has
+    # elements no color-1 edge touches, which follow the block
+    mesh = gen_tri_rect(5, 4)
+    for mesh, coloring in ((mesh, color(mesh)[0]), _refined_8x8()):
+        plan = build_plan(mesh, coloring)
+        re_mesh, _ = apply_plan(mesh, coloring, plan)
+        lo, hi = plan.group_range(1)
+        interior = re_mesh.surf_elems[lo:hi, 1] >= 0
+        assert plan.n_interior_first == int(interior.sum())
+        assert interior[: plan.n_interior_first].all()
+        assert not interior[plan.n_interior_first:].any()
+        for k in range(hi):
+            assert re_mesh.surf_elems[k, 0] == k
+        for k in range(plan.n_interior_first):
+            assert re_mesh.surf_elems[k, 1] == hi + k
 
 
 def test_later_groups_have_ascending_lefts():
@@ -131,21 +141,23 @@ def test_missing_color_one_edge_falls_back():
     assert (np.diff(re_col.colors) >= 0).all()
 
 
-def _first_occurrence_loop(mesh, coloring):
-    # the fallback numbering as a plain loop: surfaces by color, then by
-    # id, each surface's left end before its right one
+def _block_and_tail_loop(mesh, coloring):
+    # the element numbering as a plain loop: the left ends of the
+    # color-1 surfaces, interior ones first, then the right ends of the
+    # interior ones, then every element left over in id order
+    ones = np.flatnonzero(coloring.colors == 1).tolist()
+    interior = [s for s in ones if mesh.surf_elems[s, 1] >= 0]
+    boundary = [s for s in ones if mesh.surf_elems[s, 1] < 0]
+    order = ([mesh.surf_elems[s, 0] for s in interior + boundary]
+             + [mesh.surf_elems[s, 1] for s in interior])
+    order += [e for e in range(mesh.n_elements) if e not in order]
     perm = np.full(mesh.n_elements, -1, dtype=np.int64)
-    nxt = 0
-    for c in range(1, coloring.n_colors + 1):
-        for s in np.flatnonzero(coloring.colors == c):
-            for e in mesh.surf_elems[s].tolist():
-                if e >= 0 and perm[e] < 0:
-                    perm[e] = nxt
-                    nxt += 1
+    for new, e in enumerate(order):
+        perm[e] = new
     return perm
 
 
-def test_fallback_plan_matches_the_first_occurrence_loop():
+def test_fallback_plan_matches_the_block_and_tail_loop():
     mesh = shuffle_elements(gen_tri_rect(8, 8), 0)
     coarse, _ = color(mesh)
     refined, fine = refine(mesh, coarse, range(0, mesh.n_elements, 3))
@@ -153,7 +165,7 @@ def test_fallback_plan_matches_the_first_occurrence_loop():
         plan = build_plan(m, coloring)
         assert plan.used_fallback
         assert np.array_equal(plan.element_perm,
-                              _first_occurrence_loop(m, coloring))
+                              _block_and_tail_loop(m, coloring))
 
 
 def test_plan_mesh_mismatch():
@@ -185,16 +197,23 @@ def test_build_plan_requires_complete_coloring():
 
 
 def test_reordering_raises_the_coalescing_metric():
-    mesh = gen_tri_rect(6, 6, (True, True))
-    coloring, _ = color(mesh)
-    before = coalescing_metric(mesh, coloring).aggregate
-    plan = build_plan(mesh, coloring)
-    re_mesh, re_col = apply_plan(mesh, coloring, plan)
-    after = coalescing_metric(re_mesh, re_col)
-    assert after.aggregate > before
-    # the color-1 block is perfectly coalesced on both sides
-    c1 = dict((c, (l, r)) for c, l, r in after.per_color)
-    assert c1[1] == (1.0, 1.0)
+    closed = gen_tri_rect(6, 6, (True, True))
+    hybrid = hybrid_patch(4, 4)
+    shuffled = shuffle_elements(gen_tri_rect(8, 8), 0)
+    cases = [(closed, color(closed)[0]), _refined_8x8(),
+             (hybrid, color(hybrid)[0]), (shuffled, naive_greedy(shuffled))]
+    for mesh, coloring in cases:
+        before = coalescing_metric(mesh, coloring).aggregate
+        plan = build_plan(mesh, coloring)
+        re_mesh, re_col = apply_plan(mesh, coloring, plan)
+        after = coalescing_metric(re_mesh, re_col)
+        assert after.aggregate > before
+        # the color-1 block's left ends are consecutive
+        c1 = dict((c, (l, r)) for c, l, r in after.per_color)
+        assert c1[1][0] == 1.0
+        if mesh is closed:
+            # and so are its right ends, with no boundary edge between
+            assert c1[1] == (1.0, 1.0)
 
 
 @settings(deadline=None, max_examples=15)
@@ -237,8 +256,9 @@ def test_build_plan_rejects_colors_above_the_palette():
 
 
 def _sorting_build_plan(mesh, coloring):
-    # the sort-based build_plan, kept as the reference: np.unique and
-    # argsort for the fallback numbering, a stable argsort per class
+    # the sort-based build_plan, kept as the reference: an argsort of
+    # block positions and element ids for the fallback numbering, a
+    # stable argsort per class
     colors = coloring.colors
     n_colors = coloring.n_colors
     left = mesh.surf_elems[:, 0]
@@ -253,12 +273,14 @@ def _sorting_build_plan(mesh, coloring):
 
     element_perm = np.full(mesh.n_elements, -1, dtype=np.int64)
     if fallback:
-        sids = np.flatnonzero(colors <= n_colors)
-        sids = sids[np.argsort(colors[sids], kind="stable")]
-        ends = mesh.surf_elems[sids].ravel()
-        seen, first = np.unique(ends[ends >= 0], return_index=True)
-        assert len(seen) == mesh.n_elements
-        element_perm[seen[np.argsort(first)]] = np.arange(len(seen))
+        # each element's block position, or its id past the block; the
+        # ranks of those keys number it
+        key = mesh.n_elements + np.arange(mesh.n_elements)
+        order1 = np.concatenate([interior_ones, ones[right[ones] < 0]])
+        key[left[order1]] = np.arange(len(order1))
+        key[right[interior_ones]] = len(order1) + np.arange(
+            len(interior_ones))
+        element_perm[np.argsort(key)] = np.arange(mesh.n_elements)
     else:
         boundary_ones = ones[right[ones] < 0]
         order1 = np.concatenate([interior_ones, boundary_ones])
@@ -322,7 +344,7 @@ def _row_sort_verify_coloring(mesh, coloring):
 
 
 @st.composite
-def _meshes_and_colorings(draw):
+def _meshes_and_colorings(draw, faults=True):
     family = draw(st.sampled_from(["tri", "quad", "tet"]))
     if family == "tet":
         mesh = gen_tet_prism(*draw(st.tuples(*[st.integers(1, 3)] * 3)))
@@ -349,6 +371,8 @@ def _meshes_and_colorings(draw):
                            min_size=1))
         refined, coloring = refine(mesh, coloring, sorted(ids))
         mesh = refined.mesh
+    if not faults:
+        return mesh, coloring
     # planted faults: a conflict, an uncolored surface or a color above
     # the palette, depending on the value drawn
     colors = coloring.colors.copy()
@@ -376,3 +400,16 @@ def test_plans_and_diagnostics_match_the_sorting_references(case):
         assert type(got) is type(want)
         assert np.asarray(got).dtype == np.asarray(want).dtype
         assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_meshes_and_colorings(faults=False))
+def test_planning_a_reordered_mesh_gives_the_identity_plan(case):
+    mesh, coloring = case
+    plan = build_plan(mesh, coloring)
+    again = build_plan(*apply_plan(mesh, coloring, plan))
+    assert np.array_equal(again.element_perm, np.arange(mesh.n_elements))
+    assert np.array_equal(again.surface_perm, np.arange(mesh.n_surfaces))
+    assert again.group_bounds == plan.group_bounds
+    assert again.n_interior_first == plan.n_interior_first
+    assert again.used_fallback == plan.used_fallback
