@@ -75,8 +75,9 @@ def test_closed_mesh_color_one_block():
 def test_interior_edges_lead_the_color_one_block():
     # open meshes: color 1 has boundary edges too; the refined one has
     # elements no color-1 edge touches, which follow the block
-    mesh = gen_tri_rect(5, 4)
-    for mesh, coloring in ((mesh, color(mesh)[0]), _refined_8x8()):
+    open_mesh = gen_tri_rect(5, 4)
+    for mesh, coloring in ((open_mesh, color(open_mesh)[0]),
+                           _refined_8x8()):
         plan = build_plan(mesh, coloring)
         re_mesh, _ = apply_plan(mesh, coloring, plan)
         lo, hi = plan.group_range(1)
