@@ -32,7 +32,15 @@ all three parent colors.
 Coarsening reads each parent edge's color back off the whole edge or
 its half containing the lower endpoint, and requires every fine color
 to follow from them, so refine followed by coarsen over the same
-element set is an exact identity on both topology and coloring.
+element set is an exact identity on both topology and coloring.  The
+colors are derived in int32 from base colors already known to lie in
+1..3: a half through its parent edge's upper endpoint takes ``c + 3``
+and every other side takes ``c``.
+
+A serialized refinement is checked by ``reconstruct_refinement``.  The
+unrefined elements and the base vertices are read straight into the
+base mesh, so only what refining adds is rebuilt and compared: the
+midpoint numbering and coordinates, and the children's rows.
 
 Only one level of refinement is supported: refining a refinement child
 raises LevelConstraintError.  Interfaces between a refined and an
@@ -76,10 +84,16 @@ _SIDE_ORIGIN = np.array([[1, 2, 1], [1, 2, 1], [1, 2, 1], [2, 2, 2]],
 _SIDE_PARENT = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], _PARALLEL])
 # Both tables over a parent's 16 child side slots, four per child: the
 # fourth slot of a triangle lists no surface.  Child t's corner is
-# parent vertex t; the interior child has no half.
+# parent vertex t, the interior child has no half, and parent side p
+# runs from vertex p to vertex p + 1, so a half is the one through its
+# side's first vertex exactly where the side is numbered as the corner.
 _SLOT_PARENT = np.pad(_SIDE_PARENT, ((0, 0), (0, 1))).ravel()
 _SLOT_HALF = np.pad(_SIDE_ORIGIN == 1, ((0, 0), (0, 1))).ravel()
-_SLOT_CORNER = np.repeat(np.arange(4), 4)
+_SLOT_FIRST = _SLOT_HALF & (_SLOT_PARENT == np.repeat(np.arange(4), 4))
+# The slot of parent side p's half through its first vertex (row 0) and
+# through its second (row 1): side 0 of child p, and side 2 of child
+# p + 1.
+_HALF_SLOT = np.array([[0, 4, 8], [6, 10, 2]])
 
 _TRIANGLE = KIND_TO_CODE[ElementKind.TRIANGLE]
 
@@ -147,43 +161,53 @@ def _unrefined(n_elements: int, refined: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _child_sides(base: Mesh, refined: np.ndarray):
-    """Per child side slot of the parents ``refined``, shaped (parent,
-    16): the parent side it halves or runs parallel to, and whether it
-    is the half through the upper endpoint, which takes ``c + 3``."""
-    related = np.take(base.elem_surfs, refined, axis=0)[:, _SLOT_PARENT]
-    corner = np.take(base.elem_verts, refined, axis=0)[:, _SLOT_CORNER]
-    return related, (base.surf_verts[:, 0][related] != corner) & _SLOT_HALF
+def _base_sides(base: Mesh, refined: np.ndarray):
+    """The base surfaces the fine side slots stand for, given the sorted
+    parent ids ``refined``: the side rows of the unrefined elements in
+    id order, the three sides of each parent, shaped (parent, 3), and
+    whether each parent side's first vertex is its lower one (side p
+    runs from parent vertex p to vertex p + 1)."""
+    rows = np.take(base.elem_verts, refined, axis=0)
+    return (np.take(base.elem_surfs, _unrefined(base.n_elements, refined),
+                    axis=0),
+            np.take(base.elem_surfs, refined, axis=0)[:, :3],
+            rows[:, :3] < np.take(rows, (1, 2, 0), axis=1))
 
 
 def _derive_fine_colors(refined: RefinedMesh, base_colors: np.ndarray,
                         sides=None) -> np.ndarray:
     """The fine coloring ``base_colors`` gives: every side slot of every
     fine element takes its color by the per-side rule, and the slots
-    write it to the fine surfaces they list.  ``sides`` is
-    ``_child_sides`` of the refined parents, if already at hand."""
-    base, fine, nu = refined.base, refined.mesh, refined.map.first_child
-    ids = _parent_ids(refined)
-    related, upper = _child_sides(base, ids) if sides is None else sides
-    slots = np.empty(fine.elem_surfs.shape, dtype=np.int32)
-    slots[:nu] = np.append(base_colors, 0)[np.take(
-        base.elem_surfs, _unrefined(base.n_elements, ids), axis=0)]
-    slots[nu:] = child_color(base_colors[related], 1 + upper).reshape(-1, 4)
+    write it to the fine surfaces they list, in element order.
+
+    Every caller passes base colors in 1..3, so the rule is worked in
+    int32 as: a child's half through its parent side's upper endpoint
+    takes ``c + 3``, and every other slot takes ``c``, which is what
+    ``child_color`` gives there.  ``sides`` is ``_base_sides`` of the
+    refined parents, if already at hand.
+    """
+    fine, nu = refined.mesh, refined.map.first_child
+    copied, psurfs, rising = (_base_sides(refined.base, _parent_ids(refined))
+                              if sides is None else sides)
+    base_colors = np.asarray(base_colors, dtype=np.int32)
     # an empty slot (-1) writes to the spare last entry
     colors = np.empty(fine.n_surfaces + 1, dtype=np.int32)
-    colors[fine.elem_surfs] = slots
+    colors[fine.elem_surfs[:nu]] = np.append(base_colors, 0)[copied]
+    slots = base_colors[psurfs][:, _SLOT_PARENT]
+    upper = rising[:, _SLOT_PARENT]
+    upper ^= _SLOT_FIRST
+    upper &= _SLOT_HALF
+    np.add(slots, 3, out=slots, where=upper)
+    colors[fine.elem_surfs[nu:].reshape(-1, 16)] = slots
     return colors[:-1]
 
 
-def _fine_elements(base: Mesh, refined: np.ndarray):
-    """Fine vertices, kind codes and vertex rows of the refinement of
-    ``base`` at the sorted, distinct parent ids ``refined``: the
-    unrefined elements in id order, then ``_CHILD_TEMPLATE``'s four
-    children per parent."""
-    unrefined = _unrefined(base.n_elements, refined)
-    nu, nr = len(unrefined), len(refined)
-
-    psurfs = base.elem_surfs[refined, :3]
+def _midpoints(base: Mesh, refined: np.ndarray):
+    """The midpoints that refining ``base`` at the sorted, distinct
+    parent ids ``refined`` adds: per parent, the fine vertex ids of its
+    side midpoints ``(m01, m12, m20)``, and the coordinates of the new
+    vertices ``base.n_vertices`` onwards."""
+    psurfs = np.take(base.elem_surfs, refined, axis=0)[:, :3]
     split = np.zeros(base.n_surfaces, dtype=bool)
     split[psurfs] = True
     # each split surface's first slot is its side in the smaller of its
@@ -199,17 +223,34 @@ def _fine_elements(base: Mesh, refined: np.ndarray):
     met = base.elem_surfs.ravel()[met]
     mid = np.empty(base.n_surfaces, dtype=np.int64)
     mid[met] = base.n_vertices + np.arange(len(met))
-    ends = base.surf_verts[met]
-    vertices = np.vstack([base.vertices, 0.5 * (base.vertices[ends[:, 0]]
-                                                + base.vertices[ends[:, 1]])])
+    ends = np.take(base.vertices, np.take(base.surf_verts, met, axis=0),
+                   axis=0)
+    return mid[psurfs], 0.5 * (ends[:, 0] + ends[:, 1])
 
-    six = np.hstack([base.elem_verts[refined, :3], mid[psurfs]])
-    elem_verts = np.full((nu + 4 * nr, MAX_ELEM_VERTS), -1, dtype=np.int64)
-    elem_verts[:nu] = base.elem_verts[unrefined]
-    elem_verts[nu:, :3] = six[:, _CHILD_TEMPLATE].reshape(-1, 3)
+
+def _child_rows(base: Mesh, refined: np.ndarray, mids: np.ndarray):
+    """The vertex rows, -1 padded, of the children of the parents
+    ``refined``, four per parent, over their corners and ``_midpoints``'
+    ids ``mids``."""
+    six = np.hstack([np.take(base.elem_verts, refined, axis=0)[:, :3], mids])
+    rows = np.full((4 * len(refined), MAX_ELEM_VERTS), -1, dtype=np.int64)
+    rows[:, :3] = six[:, _CHILD_TEMPLATE].reshape(-1, 3)
+    return rows
+
+
+def _fine_elements(base: Mesh, refined: np.ndarray):
+    """Fine vertices, kind codes and vertex rows of the refinement of
+    ``base`` at the sorted, distinct parent ids ``refined``: the
+    unrefined elements in id order, then ``_CHILD_TEMPLATE``'s four
+    children per parent."""
+    unrefined = _unrefined(base.n_elements, refined)
+    mids, coords = _midpoints(base, refined)
+    elem_verts = np.concatenate([np.take(base.elem_verts, unrefined, axis=0),
+                                 _child_rows(base, refined, mids)])
     kinds = np.concatenate([base.elem_kind[unrefined],
-                            np.full(4 * nr, _TRIANGLE, dtype=np.int8)])
-    return vertices, kinds, elem_verts
+                            np.full(4 * len(refined), _TRIANGLE,
+                                    dtype=np.int8)])
+    return np.vstack([base.vertices, coords]), kinds, elem_verts
 
 
 def _materialize(base: Mesh, refined: np.ndarray,
@@ -262,24 +303,24 @@ def _recover_base_colors(refined: RefinedMesh,
     fc = np.asarray(coloring.colors)
     if len(fc) != fine.n_surfaces:
         raise ValueError("coloring does not match the fine mesh")
-    ids = _parent_ids(refined)
-    related, upper = _child_sides(base, ids)
-    lower = _SLOT_HALF & ~upper
+    sides = copied, psurfs, rising = _base_sides(base, _parent_ids(refined))
     copies = fine.elem_surfs[:nu]
-    halves = fine.elem_surfs[nu:].reshape(-1, 16)[lower]
+    # each parent side's half through its lower endpoint, the first
+    # vertex where the side rises
+    halves = np.take_along_axis(
+        fine.elem_surfs[nu:].reshape(-1, 16),
+        np.where(rising, _HALF_SLOT[0], _HALF_SLOT[1]), axis=1)
     # an empty slot (-1) writes to the spare last entry
     out = np.empty(base.n_surfaces + 1, dtype=np.int32)
-    out[np.take(base.elem_surfs, _unrefined(base.n_elements, ids),
-                axis=0)] = fc[copies]
+    out[copied] = fc[copies]
     out = out[:-1]
-    out[related[lower]] = fc[halves]
+    out[psurfs] = fc[halves]
     if fc is refined.fine_colors:
         return out
-    keep = np.concatenate([copies[copies >= 0], halves])
+    keep = np.concatenate([copies[copies >= 0], halves.ravel()])
     bad = keep[(fc[keep] < 1) | (fc[keep] > 3)]
     if not bad.size:
-        bad = np.flatnonzero(
-            _derive_fine_colors(refined, out, (related, upper)) != fc)
+        bad = np.flatnonzero(_derive_fine_colors(refined, out, sides) != fc)
     if bad.size:
         s = int(bad.min())
         e = int(fine.surf_elems[s, 0])
@@ -302,12 +343,18 @@ def _distinct(ids: np.ndarray) -> np.ndarray:
 
 def _ids(values) -> np.ndarray:
     """Sorted distinct ids; the first value that is not an integer, a
-    bool included, raises ``ValueError`` naming it."""
+    bool included, raises ``ValueError`` naming it.  A 1-D integer array
+    and a list of plain ints are each taken in one conversion."""
+    if (isinstance(values, np.ndarray) and values.ndim == 1
+            and values.dtype.kind in "iu"
+            and np.can_cast(values.dtype, np.int64)):
+        return _distinct(values.astype(np.int64, copy=False))
     values = (values.tolist() if isinstance(values, np.ndarray)
               else list(values))
-    for v in values:
-        if type(v) is bool or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"id {v!r} is not an integer")
+    if not set(map(type, values)) <= {int}:
+        for v in values:
+            if type(v) is bool or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"id {v!r} is not an integer")
     return _distinct(np.fromiter(values, dtype=np.int64, count=len(values)))
 
 
@@ -422,26 +469,10 @@ def check_parent_layout(parents, n_elements: int) -> np.ndarray:
     return ids
 
 
-def reconstruct_refinement(
-    fine: Mesh, parents, coloring: SurfaceColoring
-) -> tuple[RefinedMesh, SurfaceColoring]:
-    """Rebuild a RefinedMesh from serialized (mesh, parents, colors).
-
-    Only the canonical layout ``check_parent_layout`` describes is
-    accepted.  The base corners are vertex 0 of each parent's children
-    0-2, and the base mesh is assembled from them and the unrefined
-    elements.  Re-refining that base must give ``fine``'s vertices,
-    element kinds and element vertex rows exactly; the surfaces follow
-    from the elements and are not compared.  The colors, read through
-    ``fine``'s own side slots, must then be the ones this refinement
-    derives from a base 3-coloring; they are returned as checked, not
-    derived again.  Anything else raises ``MalformedSectionError`` (or
-    ``PartialFamilyError`` for a family of the wrong size), naming the
-    first fine element or surface at fault and its parent.
-    """
-    parents = np.asarray(parents, dtype=np.int64)
-    refined = check_parent_layout(parents, fine.n_elements)
-
+def _base_of(fine: Mesh, refined: np.ndarray) -> Mesh:
+    """The base mesh of ``fine`` refined at ``refined``: the unrefined
+    elements, each parent over vertex 0 of its children 0-2, and
+    ``fine``'s vertices up to the first midpoint."""
     nu = fine.n_elements - 4 * len(refined)
     unrefined = _unrefined(nu + len(refined), refined)
     kinds = np.full(nu + len(refined), _TRIANGLE, dtype=np.int8)
@@ -453,35 +484,74 @@ def reconstruct_refinement(
     first_mid = fine.elem_verts[nu + 3::4, :3].min(initial=fine.n_vertices)
     n_base = max(verts.max() + 1, first_mid)
     try:
-        base = assemble(fine.vertices[:n_base], kinds, verts)
+        return assemble(fine.vertices[:n_base], kinds, verts)
     except (ElementFaultError, ValueError) as exc:
         raise MalformedSectionError(
             f"could not reassemble the base mesh: {exc}"
         ) from None
 
-    vertices, kinds, elem_verts = _fine_elements(base, refined)
-    # a vertex the rebuilt mesh lacks counts as moved; the extra last
-    # slot is where the -1 padding looks
-    moved = np.ones(fine.n_vertices + 1, dtype=bool)
-    n = min(len(vertices), fine.n_vertices)
-    moved[:n] = (vertices[:n] != fine.vertices[:n]).any(axis=1)
-    moved[-1] = False
-    bad = np.flatnonzero((kinds != fine.elem_kind)
-                         | (elem_verts != fine.elem_verts).any(axis=1)
-                         | moved[fine.elem_verts].any(axis=1))
-    if bad.size or moved.any() or len(vertices) != fine.n_vertices:
-        if bad.size:
-            where = (f"fine element {bad[0]} (parent {parents[bad[0]]}) "
-                     f"differs from its rebuilt counterpart")
-        else:
-            # past the shorter list, the first vertex one side lacks
-            first = np.flatnonzero(moved[:n])
-            where = (f"it has {fine.n_vertices} vertices where the rebuilt "
-                     f"refinement has {len(vertices)}; the first at fault "
-                     f"is vertex {first[0] if first.size else n}")
-        raise MalformedSectionError(
-            f"mesh is not a canonical single-level refinement: {where}"
-        )
+
+def _check_children(fine: Mesh, base: Mesh, refined: np.ndarray,
+                    parents: np.ndarray) -> None:
+    """Check what refining ``base`` at ``refined`` adds to it against
+    ``fine``: the midpoint coordinates, the vertex count and each
+    child's vertex row.  The unrefined elements and the base vertices
+    are ``fine``'s own, so they cannot differ."""
+    nu = fine.n_elements - 4 * len(refined)
+    mids, coords = _midpoints(base, refined)
+    nb, n_rebuilt = base.n_vertices, base.n_vertices + len(coords)
+    n = min(n_rebuilt, fine.n_vertices)
+    # the extra last slot is where the -1 padding looks
+    moved = np.zeros(fine.n_vertices + 1, dtype=bool)
+    off = np.flatnonzero(coords[:n - nb] != fine.vertices[nb:n])
+    moved[nb + off // fine.vertices.shape[1]] = True
+    # a child of another kind has a fourth vertex, so its row differs
+    kids = fine.elem_verts[nu:]
+    differs = kids != _child_rows(base, refined, mids)
+    differs |= moved[kids]
+    bad = np.flatnonzero(differs)
+    if bad.size:
+        e = nu + bad[0] // MAX_ELEM_VERTS
+        where = (f"fine element {e} (parent {parents[e]}) differs from its "
+                 f"rebuilt counterpart")
+    elif n_rebuilt != fine.n_vertices:
+        # each midpoint is in a child row, and all of them match, so
+        # the first vertex at fault is the first one a side lacks
+        where = (f"it has {fine.n_vertices} vertices where the rebuilt "
+                 f"refinement has {n_rebuilt}; the first at fault is "
+                 f"vertex {n}")
+    else:
+        return
+    raise MalformedSectionError(
+        f"mesh is not a canonical single-level refinement: {where}")
+
+
+def reconstruct_refinement(
+    fine: Mesh, parents, coloring: SurfaceColoring
+) -> tuple[RefinedMesh, SurfaceColoring]:
+    """Rebuild a RefinedMesh from serialized (mesh, parents, colors).
+
+    Only the canonical layout ``check_parent_layout`` describes is
+    accepted.  The base corners are vertex 0 of each parent's children
+    0-2, and the base mesh is assembled from them, the unrefined
+    elements and ``fine``'s vertices up to the first midpoint.  Only
+    what refining that base adds is rebuilt and compared with ``fine``:
+    the midpoint coordinates, the vertex count and the vertex rows of
+    the four children of each parent.  The unrefined elements and
+    the base vertices are copied from ``fine``, and the surfaces follow
+    from the elements, so neither is compared.  The colors, read
+    through ``fine``'s own side slots, must then be the ones this
+    refinement derives from a base 3-coloring; they are returned as
+    checked, not derived again.  Anything else raises
+    ``MalformedSectionError`` (or ``PartialFamilyError`` for a family
+    of the wrong size), naming the first fine element or surface at
+    fault and its parent.
+    """
+    parents = np.asarray(parents, dtype=np.int64)
+    refined = check_parent_layout(parents, fine.n_elements)
+
+    base = _base_of(fine, refined)
+    _check_children(fine, base, refined, parents)
     rebuilt = _materialize(base, refined, fine)
     try:
         _recover_base_colors(rebuilt, coloring)

@@ -7,11 +7,19 @@ to.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from meshchroma import SurfaceColoring
-from meshchroma.mesh import assemble
+from meshchroma import (
+    ElementFaultError,
+    MalformedSectionError,
+    SurfaceColoring,
+    child_color,
+)
+from meshchroma.amr import check_parent_layout
+from meshchroma.mesh import MAX_ELEM_VERTS, assemble
 
 _SIDES = {
     "tri": ((0, 1), (1, 2), (2, 0)),
@@ -196,6 +204,125 @@ def fine_edge(ref, s):
     assert len(mids) <= 1
     mid = mids[0] if mids else None
     return (ids.get((u, w)), ids.get((u, mid)), ids.get((w, mid)), mid)
+
+
+def traced_peak(call) -> float:
+    """tracemalloc peak of ``call()`` in MiB, after one untraced call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# The fixed refinement tables, restated from ``amr``.
+_CHILD_TEMPLATE = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
+_SLOT_PARENT = np.pad([[0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 0, 1]],
+                      ((0, 0), (0, 1))).ravel()
+_SLOT_HALF = np.pad([[True, False, True]] * 3 + [[False] * 3],
+                    ((0, 0), (0, 1))).ravel()
+_SLOT_CORNER = np.repeat(np.arange(4), 4)
+
+
+def reference_reconstruct(fine, parents, coloring):
+    """``reconstruct_refinement`` by a full rebuild: refine the base
+    again, compare every fine vertex, kind and element row with the
+    rebuilt ones, and read the base colors back out of the fine ones.
+
+    Returns the base mesh and the refined parent ids, or raises what
+    ``reconstruct_refinement`` raises, with the same message.  Only the
+    parent table check is shared with it.
+    """
+    parents = np.asarray(parents, dtype=np.int64)
+    refined = check_parent_layout(parents, fine.n_elements)
+    nu, nr = fine.n_elements - 4 * len(refined), len(refined)
+    keep = np.ones(nu + nr, dtype=bool)
+    keep[refined] = False
+    unrefined = np.flatnonzero(keep)
+    kinds = np.zeros(nu + nr, dtype=np.int8)
+    kinds[unrefined] = fine.elem_kind[:nu]
+    verts = np.full((nu + nr, MAX_ELEM_VERTS), -1, dtype=np.int64)
+    verts[unrefined] = fine.elem_verts[:nu]
+    verts[refined, :3] = fine.elem_verts[nu:, 0].reshape(-1, 4)[:, :3]
+    first_mid = fine.elem_verts[nu + 3::4, :3].min(initial=fine.n_vertices)
+    n_base = max(verts.max() + 1, first_mid)
+    try:
+        base = assemble(fine.vertices[:n_base], kinds, verts)
+    except (ElementFaultError, ValueError) as exc:
+        raise MalformedSectionError(
+            f"could not reassemble the base mesh: {exc}") from None
+
+    # the full refinement of the base, midpoints numbered as they are
+    # first met over the element sides
+    psurfs = base.elem_surfs[refined, :3]
+    split = np.zeros(base.n_surfaces, dtype=bool)
+    split[psurfs] = True
+    met = [s for s in base.elem_surfs.ravel().tolist() if s >= 0 and split[s]]
+    met = list(dict.fromkeys(met))
+    mid = np.empty(base.n_surfaces, dtype=np.int64)
+    mid[met] = base.n_vertices + np.arange(len(met))
+    ends = base.surf_verts[met]
+    vertices = np.vstack([base.vertices, 0.5 * (base.vertices[ends[:, 0]]
+                                                + base.vertices[ends[:, 1]])])
+    six = np.hstack([base.elem_verts[refined, :3], mid[psurfs]])
+    elem_verts = np.full((nu + 4 * nr, MAX_ELEM_VERTS), -1, dtype=np.int64)
+    elem_verts[:nu] = base.elem_verts[unrefined]
+    elem_verts[nu:, :3] = six[:, _CHILD_TEMPLATE].reshape(-1, 3)
+    kinds = np.concatenate([base.elem_kind[unrefined],
+                            np.zeros(4 * nr, dtype=np.int8)])
+
+    moved = np.ones(fine.n_vertices + 1, dtype=bool)
+    n = min(len(vertices), fine.n_vertices)
+    moved[:n] = (vertices[:n] != fine.vertices[:n]).any(axis=1)
+    moved[-1] = False
+    bad = np.flatnonzero((kinds != fine.elem_kind)
+                         | (elem_verts != fine.elem_verts).any(axis=1)
+                         | moved[fine.elem_verts].any(axis=1))
+    if bad.size or moved.any() or len(vertices) != fine.n_vertices:
+        if bad.size:
+            where = (f"fine element {bad[0]} (parent {parents[bad[0]]}) "
+                     f"differs from its rebuilt counterpart")
+        else:
+            first = np.flatnonzero(moved[:n])
+            where = (f"it has {fine.n_vertices} vertices where the rebuilt "
+                     f"refinement has {len(vertices)}; the first at fault "
+                     f"is vertex {first[0] if first.size else n}")
+        raise MalformedSectionError(
+            f"mesh is not a canonical single-level refinement: {where}")
+
+    fc = np.asarray(coloring.colors)
+    if len(fc) != fine.n_surfaces:
+        raise MalformedSectionError("coloring does not match the fine mesh")
+    related = base.elem_surfs[refined][:, _SLOT_PARENT]
+    corner = base.elem_verts[refined][:, _SLOT_CORNER]
+    upper = (base.surf_verts[:, 0][related] != corner) & _SLOT_HALF
+    lower = _SLOT_HALF & ~upper
+    copies = fine.elem_surfs[:nu]
+    halves = fine.elem_surfs[nu:].reshape(-1, 16)[lower]
+    # each base edge reads its whole edge, or its half through the lower
+    # endpoint where there is one
+    out = np.empty(base.n_surfaces + 1, dtype=np.int32)
+    out[base.elem_surfs[unrefined]] = fc[copies]
+    out = out[:-1]
+    out[related[lower]] = fc[halves]
+    keep = np.concatenate([copies[copies >= 0], halves])
+    bad = keep[(fc[keep] < 1) | (fc[keep] > 3)]
+    if not bad.size:
+        slots = np.empty(fine.elem_surfs.shape, dtype=np.int32)
+        slots[:nu] = np.append(out, 0)[base.elem_surfs[unrefined]]
+        slots[nu:] = child_color(out[related], 1 + upper).reshape(-1, 4)
+        derived = np.empty(fine.n_surfaces + 1, dtype=np.int32)
+        derived[fine.elem_surfs] = slots
+        bad = np.flatnonzero(derived[:-1] != fc)
+    if bad.size:
+        s = int(bad.min())
+        e = int(fine.surf_elems[s, 0])
+        raise MalformedSectionError(
+            f"coloring was not produced by this refinement: fine surface "
+            f"{s} of element {e} (parent {parents[e]}) has color {fc[s]}")
+    return base, refined
 
 
 @pytest.fixture

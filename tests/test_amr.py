@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshchroma import (
+    ElementFaultError,
     LevelConstraintError,
     MalformedSectionError,
     PartialFamilyError,
@@ -27,7 +28,8 @@ from meshchroma import (
 )
 from meshchroma.cli import main
 from meshchroma.mesh import assemble
-from conftest import fine_edge, stored_ids
+from conftest import (fine_edge, reference_reconstruct, stored_ids,
+                      traced_peak)
 
 # the half that contains the lower endpoint keeps the parent color,
 # the other half moves up three
@@ -448,6 +450,97 @@ def test_reconstruct_assembles_the_base_only(monkeypatch):
     assert calls == [ref.base.n_elements]
     assert rec.mesh is ref.mesh
     assert np.array_equal(rec_col.colors, fine.colors)
+
+
+def _edited_refinement(periodic, nx, ny, data):
+    """A refinement of ``gen_tri_rect(nx, ny, periodic)`` at a drawn set,
+    with up to three drawn edits: a fine color, a vertex coordinate, a
+    vertex id in a child row, a PARENTS entry or an appended vertex.
+    Returns the fine mesh, parents and coloring, or None where the
+    edited elements do not assemble."""
+    mesh = gen_tri_rect(nx, ny, periodic)
+    coloring, _ = color(mesh, data.draw(st.integers(0, 9)))
+    ref, fine = refine(mesh, coloring,
+                       data.draw(st.sets(st.integers(0, mesh.n_elements - 1))))
+    verts, rows = ref.mesh.vertices.copy(), ref.mesh.elem_verts.copy()
+    parents = ref.parents.copy()
+    by_row = dict(zip(map(tuple, ref.mesh.surf_verts.tolist()),
+                      fine.colors.tolist()))
+    nu = ref.map.first_child
+    for _ in range(data.draw(st.integers(0, 3))):
+        edit = data.draw(st.sampled_from(
+            ["color", "coordinate", "row", "parent", "vertex"]))
+        if edit == "color":
+            key = data.draw(st.sampled_from(sorted(by_row)))
+            by_row[key] = data.draw(st.integers(-1, 7))
+        elif edit == "coordinate":
+            v = data.draw(st.integers(0, len(verts) - 1))
+            verts[v, data.draw(st.integers(0, 1))] += data.draw(
+                st.sampled_from([0.5, -0.25, 1e-9]))
+        elif edit == "row" and nu < len(rows):
+            e = data.draw(st.integers(nu, len(rows) - 1))
+            others = sorted(set(range(len(verts))) - set(rows[e].tolist()))
+            rows[e, data.draw(st.integers(0, 2))] = data.draw(
+                st.sampled_from(others))
+        elif edit == "parent":
+            parents[data.draw(st.integers(0, len(parents) - 1))] = data.draw(
+                st.integers(-1, mesh.n_elements))
+        elif edit == "vertex":
+            at = data.draw(st.integers(0, len(verts) - 1))
+            verts = np.vstack([verts, verts[at] + data.draw(
+                st.sampled_from([0.0, 0.5]))])
+    try:
+        edited = assemble(verts, ref.mesh.elem_kind, rows)
+    except (ElementFaultError, ValueError):
+        return None
+    colors = [by_row.get(row, 1) for row in map(tuple, edited.surf_verts.tolist())]
+    return edited, parents, SurfaceColoring(np.array(colors, dtype=np.int32), 6)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the class and message are the outcome
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.booleans(), st.integers(3, 6), st.integers(3, 6), st.data())
+def test_reconstruct_agrees_with_the_full_rebuild(periodic, nx, ny, data):
+    # rebuilding only what refinement adds accepts and refuses exactly
+    # what a full rebuild and compare does, naming the same element or
+    # surface
+    case = _edited_refinement(periodic, nx, ny, data)
+    if case is None:
+        return
+    got = _outcome(lambda: reconstruct_refinement(*case))
+    want = _outcome(lambda: reference_reconstruct(*case))
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (rec, rec_col), (base, refined) = got, want
+    for name in ("vertices", "elem_kind", "elem_verts", "elem_surfs",
+                 "surf_verts", "surf_elems"):
+        assert np.array_equal(getattr(rec.base, name), getattr(base, name))
+    assert rec.map.refined == tuple(refined.tolist())
+    assert rec.mesh is case[0]
+    assert np.array_equal(rec_col.colors, case[2].colors)
+
+
+def test_reconstruct_memory_peak():
+    # tracemalloc peak of one check at the benchmark's adaptive size, in
+    # MiB: a full rebuild and compare, with int64 color temporaries,
+    # peaked at 1.51; rebuilding only the midpoints and children and
+    # proving the colors in int32 brings it under 0.8
+    mesh = shuffle_elements(gen_tri_rect(40, 40), 1)
+    coloring, _ = color(mesh, 0)
+    chosen = np.random.default_rng(1).choice(
+        mesh.n_elements, round(0.3 * mesh.n_elements), replace=False)
+    ref, fine = refine(mesh, coloring, chosen)
+    parents = ref.parents
+    peak = traced_peak(
+        lambda: reconstruct_refinement(ref.mesh, parents, fine))
+    assert peak <= 1.2
 
 
 def test_amr_runs_without_the_element_tuple_path():

@@ -1,7 +1,5 @@
 """Native format round trips and the MSH 2.2 reader."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +27,7 @@ from meshchroma import (
 from meshchroma.cli import main
 from meshchroma.mesh import CODE_TO_KIND, KIND_TO_CODE, ElementKind, assemble
 from meshchroma.meshio import _CHUNK_LINES, _N_IDS, _int_lines
-from conftest import assert_matches_assembly, hybrid_patch
+from conftest import assert_matches_assembly, hybrid_patch, traced_peak
 
 MESH_FIELDS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
                "surf_verts", "surf_elems")
@@ -375,17 +373,6 @@ def test_sections_longer_than_one_chunk(tmp_path):
         assert str(err.value) == f"{path}: {expected}", name
 
 
-def _traced_peak(call) -> float:
-    """tracemalloc peak of ``call()`` in MiB, after one untraced call."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture
 def reordered_60():
     """A reordered shuffled 60x60 tri_rect mesh, its coloring and plan."""
@@ -403,14 +390,14 @@ def test_read_native_memory_peak(tmp_path, reordered_60):
     new_mesh, new_coloring, _ = reordered_60
     path = tmp_path / "m.mesh"
     write_native(path, new_mesh, new_coloring)
-    assert _traced_peak(lambda: read_native(path)) <= 5.19
+    assert traced_peak(lambda: read_native(path)) <= 5.19
 
 
 def test_assemble_memory_peak(reordered_60):
     # in MiB: the bound is the peak while every slot-sized array lived
     # to the end of assemble; deleting each once used brought it to 0.99
     mesh = reordered_60[0]
-    peak = _traced_peak(
+    peak = traced_peak(
         lambda: assemble(mesh.vertices, mesh.elem_kind, mesh.elem_verts))
     assert peak <= 1.82
 
@@ -422,7 +409,7 @@ def test_write_native_memory_peak(tmp_path, reordered_60):
     # and at 0.80 once the mesh carried its own
     new_mesh, new_coloring, _ = reordered_60
     path = tmp_path / "m.mesh"
-    peak = _traced_peak(lambda: write_native(path, new_mesh, new_coloring))
+    peak = traced_peak(lambda: write_native(path, new_mesh, new_coloring))
     assert peak <= 1.30
 
 
