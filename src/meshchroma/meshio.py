@@ -27,34 +27,39 @@ that reproduces it array for array, maps and left/right roles
 included, and the COLORS rows land on the surfaces they were written
 for.
 
-``read_native`` reads the file once as bytes.  When the file is in
-the form the writer produces (only letters, digits, ``.+-``, single
-spaces and newlines, one element kind, one integer per line in the
-trailing sections, integers short enough not to overflow), numpy finds
-the newline and space positions once, which give every token's end and
-length and every line's token count.  The integers of ELEMENTS and of
-the trailing sections are then summed from digit columns of the byte
-buffer at those token ends (``_token_values``).  A VERTICES body in
-fixed notation, every token ``-?[0-9]+.[0-9]+`` with at most 15
-digits, is decoded from the same digit columns on each side of the
+``read_native`` reads the file once, as bytes, and has one parser,
+``_sections``.  A file in the form the writer produces (only letters,
+digits, ``.+-``, single spaces and newlines, a final newline) is parsed
+as it is.  Any other is first normalized into that form
+(``_normalized``): ``_content_lines`` reads it as UTF-8 text with
+universal newlines, in blocks of about 64k characters, cuts each line
+at ``#``, strips it and drops blank lines, and each line's tokens are
+joined by single spaces.  A file that is not UTF-8 is refused with the
+offset of its first bad byte.
+
+numpy finds the newline and space positions once, which give every
+token's end and length and every line's token count.  The integers of
+ELEMENTS and of the trailing sections are summed from digit columns of
+the byte buffer at those token ends (``_token_values``).  A VERTICES
+body in fixed notation, every token ``-?[0-9]+.[0-9]+`` with at most
+15 digits, is decoded from the same digit columns on each side of the
 point and divided by the power of ten of each token's fraction digits
 (``_fixed_values``), which rounds once, as ``np.fromstring`` does; any
 other body, exponents and longer tokens included, goes to one
-``np.fromstring`` call.  The bulk path keeps the VERTICES and ELEMENTS
-body bytes as ``NativeMesh.vertex_text`` and ``element_text``.  Any
-other file, so every file with a malformed line, goes to the line
-parser ``_read_native``: the reference the bulk path is tested
-against, the path for hand-edited files with comments or other
-spacing, and the one that names the first bad line.  It takes its
-lines from ``_Lines``, which reads the file in blocks of about 64k
-characters, cuts each line at ``#``, strips it and drops blank lines,
-and it parses each section in chunks of up to 4096 lines, so neither
-the file nor a section is held as one list of lines.  Both paths apply
-the same value checks (finite coordinates, PARENTS and COLORS ranges)
-and end in ``_finish``, which assembles the mesh from kind codes and a
-padded vertex array (``mesh.assemble``) and checks the trailing
-sections against it.  The MSH reader shares ``_Lines`` and builds the
-same two arrays for ``assemble``.
+``np.fromstring`` call.  A section those refuse, one holding a ``+3``,
+a 19-digit id or a malformed token for instance, is decoded from its
+lines as the file holds them by Python's ``int`` and ``float``
+(``_decode_vertices``, ``_decode_elements``, ``_decode_ints``), which
+name its first bad line.  Each section is checked as it is read
+(finite coordinates, PARENTS and COLORS ranges) before the next one is
+looked at, so the fault named is the first one in the file.  A file
+that needed neither normalizing nor a token decode keeps its VERTICES
+and ELEMENTS body bytes as ``NativeMesh.vertex_text`` and
+``element_text``.  ``_finish`` assembles the mesh from kind codes and
+a padded vertex array (``mesh.assemble``) and checks the trailing
+sections against it.  The MSH reader takes its lines from
+``_content_lines`` too and builds the same two arrays for
+``assemble``.
 
 The writer formats every integer section with ``_int_lines``, the
 reverse of ``_token_values``: it counts each token's bytes, places the
@@ -88,10 +93,12 @@ and lines skipped) and a key/value report writer.
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -128,9 +135,9 @@ _MSH_SKIP = {1, 15}  # lines and points carry no surface work
 _TAIL_SECTIONS = ("PARENTS", "COLORS", "PERMUTATIONS")
 
 _BLOCK_CHARS = 1 << 16
-_CHUNK_LINES = 4096
 _INT64 = np.iinfo(np.int64)
-# the bytes a written file holds; any other sends a file to the line parser
+# the bytes a written file holds; a file of any other is normalized
+# before it is read
 _FORM_BYTES = (b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
                b"0123456789.+- \n")
 # an integer of at most 18 characters is below 10**18 < 2**63 in
@@ -154,9 +161,9 @@ class NativeMesh:
     mesh: Mesh
     coloring: SurfaceColoring | None = None
     parents: np.ndarray | None = None
-    # the VERTICES and ELEMENTS body bytes the bulk reader decoded
-    # ``mesh.vertices`` and the element rows from; None from the line
-    # parser and the MSH reader
+    # the VERTICES and ELEMENTS body bytes ``mesh.vertices`` and the
+    # element rows were decoded from; None for a file that was
+    # normalized or needed the token decoder, and from the MSH reader
     vertex_text: bytes | None = field(default=None, repr=False)
     element_text: bytes | None = field(default=None, repr=False)
 
@@ -448,71 +455,41 @@ def write_native(path, mesh: Mesh,
     _atomic_write(path, out)
 
 
-class _Lines:
-    """The content lines of an open text file, read in blocks: each line
-    is cut at ``#`` and stripped, and blank lines are dropped."""
-
-    def __init__(self, fh, path):
-        self._fh = fh
-        self.path = path
-        self._buf: list[str] = []
-        self._pos = 0
-
-    def _fill(self) -> bool:
-        text = self._fh.read(_BLOCK_CHARS)
-        if not text:
-            return False
-        text += self._fh.readline()
-        lines = text.split("\n")
-        if "#" in text:
-            lines = [line.split("#", 1)[0] for line in lines]
-        self._buf = list(filter(None, map(str.strip, lines)))
-        self._pos = 0
-        return True
-
-    def take(self, n: int) -> list[str]:
-        """The next ``n`` lines, or fewer where the file ends first."""
-        out = self._buf[self._pos:self._pos + n]
-        self._pos += len(out)
-        while len(out) < n and self._fill():
-            more = self._buf[:n - len(out)]
-            self._pos = len(more)
-            out += more
-        return out
-
-    def maybe_next(self) -> str | None:
-        line = self.take(1)
-        return line[0] if line else None
-
-    def next(self, what: str) -> str:
-        line = self.maybe_next()
-        if line is None:
+def _content_lines(data: bytes, path) -> Iterator[list[str]]:
+    """The content lines of ``data`` read as UTF-8 text with universal
+    newlines, in blocks of about ``_BLOCK_CHARS`` characters that end at
+    a line's end: each line is cut at ``#`` and stripped, and blank
+    lines are dropped."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    try:
+        while block := text.read(_BLOCK_CHARS):
+            block += text.readline()
+            lines = block.split("\n")
+            if "#" in block:
+                lines = [line.split("#", 1)[0] for line in lines]
+            yield list(filter(None, map(str.strip, lines)))
+    except UnicodeDecodeError:
+        try:  # decoded whole, the error gives the offset in the file
+            data.decode()
+        except UnicodeDecodeError as exc:
             raise MalformedSectionError(
-                f"{self.path}: file ends before {what}"
-            )
-        return line
-
-    def chunks(self, n: int, what: str) -> Iterator[list[str]]:
-        """The next ``n`` lines in lists of at most ``_CHUNK_LINES``.
-        Where the file ends first, raises after yielding what it holds,
-        so a bad line is reported before the missing ones."""
-        while n > 0:
-            want = min(n, _CHUNK_LINES)
-            chunk = self.take(want)
-            if chunk:
-                yield chunk
-            if len(chunk) < want:
-                raise MalformedSectionError(
-                    f"{self.path}: file ends before {what}"
-                )
-            n -= want
+                f"{path}: byte {exc.start} is not UTF-8 text") from None
+        raise
 
 
-def _vertex_chunk(lines: list[str], width: int | None,
-                  path) -> np.ndarray:
-    """Coordinates of a chunk of vertex lines; ``width`` is the one set
-    by the section's first line, or None for the first chunk."""
+def _normalized(data: bytes, path) -> bytes:
+    """``data`` spaced as the writer spaces it: the lines of
+    ``_content_lines``, each with its tokens joined by single spaces
+    and a newline after it."""
+    return b"".join(
+        "".join(" ".join(line.split()) + "\n" for line in block).encode()
+        for block in _content_lines(data, path))
+
+
+def _decode_vertices(lines: list[str], path) -> np.ndarray:
+    """Coordinates of vertex lines; the first line sets the width."""
     rows = []
+    width = None
     for line in lines:
         parts = line.split()
         if width is None:
@@ -534,8 +511,8 @@ def _vertex_chunk(lines: list[str], width: int | None,
     return np.array(rows, dtype=np.float64)
 
 
-def _element_chunk(lines: list[str], path) -> tuple[np.ndarray, np.ndarray]:
-    """Kind codes and -1 padded vertex ids of a chunk of element lines."""
+def _decode_elements(lines: list[str], path) -> tuple[np.ndarray, np.ndarray]:
+    """Kind codes and -1 padded vertex ids of element lines."""
     n = len(lines)
     verts = np.full((n, MAX_ELEM_VERTS), -1, dtype=np.int64)
     codes = np.empty(n, dtype=np.int8)
@@ -562,7 +539,8 @@ def _element_chunk(lines: list[str], path) -> tuple[np.ndarray, np.ndarray]:
     return codes, verts
 
 
-def _int_chunk(lines: list[str], what: str, path) -> np.ndarray:
+def _decode_ints(lines: list[str], what: str, path) -> np.ndarray:
+    """The integers of lines holding one each, in section ``what``."""
     values = []
     for tok in lines:
         try:
@@ -575,18 +553,6 @@ def _int_chunk(lines: list[str], what: str, path) -> np.ndarray:
             )
         values.append(value)
     return np.array(values, dtype=np.int64)
-
-
-def _section_header(line: str, path) -> tuple[str, list[int]]:
-    parts = line.split()
-    name = parts[0]
-    try:
-        counts = [int(p) for p in parts[1:]]
-    except ValueError:
-        raise MalformedSectionError(
-            f"{path}: bad section header {line!r}"
-        ) from None
-    return name, counts
 
 
 def _finite(coords: np.ndarray, path) -> np.ndarray:
@@ -603,30 +569,14 @@ def _finite(coords: np.ndarray, path) -> np.ndarray:
 def read_native(path) -> NativeMesh:
     """Parse a native file back into a mesh plus its optional extras.
 
-    A file in the writer's form is converted with array operations over
-    its bytes (``_bulk_sections``).  Any other file, one with a malformed
-    line included, is read by the line parser, which names the fault.
+    The file is read once, as bytes, and its sections are converted with
+    array operations over them (``_sections``).  A malformed file raises
+    ``MalformedSectionError`` or ``UnsupportedVersionError``, naming its
+    first fault.
     """
     with open(path, "rb") as fh:
-        sections = _bulk_sections(fh.read())
-    if sections is None:
-        with open(path) as fh:
-            return _read_native(_Lines(fh, path), path)
-    coords, vertex_text, kinds, verts, element_text, tail = sections
-    _finite(coords, path)
-    for name, values in tail.items():
-        _check_tail(name, values, path)
-    return _finish(path, coords, kinds, verts, tail, vertex_text,
-                   element_text)
-
-
-class _OtherForm(Exception):
-    """A file that ``_bulk_sections`` leaves to the line parser."""
-
-
-def _need(ok) -> None:
-    if not ok:
-        raise _OtherForm
+        sections = _sections(fh.read(), path)
+    return _finish(path, *sections)
 
 
 def _body_length(name: str, counts: list[int], ne: int, path) -> int:
@@ -658,17 +608,18 @@ def _body_length(name: str, counts: list[int], ne: int, path) -> int:
 
 
 def _token_values(buf: np.ndarray, ends: np.ndarray, seps: np.ndarray,
-                  signed: bool) -> np.ndarray:
+                  signed: bool) -> np.ndarray | None:
     """The integers of the tokens of ``buf`` that lie between the
     separators at ``seps`` and ``ends``.  Column k holds the byte k
     places before every token's end; the columns are summed by Horner's
     rule from the longest token's first digit, with 0 where a token has
     fewer digits.  A ``-`` first gives the sign where ``signed``; any
     other byte that is not a digit, or a token longer than
-    ``_MAX_INT_CHARS``, raises ``_OtherForm``.  A sign is never a whole
-    token (``_bulk_sections`` checks that no token ends in one)."""
+    ``_MAX_INT_CHARS``, gives None.  A sign is never a whole token
+    (``_sections`` decodes no token that ends in one)."""
     at = ends - seps  # each token's length plus one
-    _need(at.max(initial=0) <= _MAX_INT_CHARS + 1)
+    if at.max(initial=0) > _MAX_INT_CHARS + 1:
+        return None
     digits = at.astype(np.uint8)
     digits -= 1
     if signed:
@@ -682,7 +633,8 @@ def _token_values(buf: np.ndarray, ends: np.ndarray, seps: np.ndarray,
         at += 1
         d -= 48
         d *= digits >= k  # 0 where a token has fewer digits
-        _need(d.max() <= 9)
+        if d.max() > 9:
+            return None
         values *= 10
         values += d
     if signed:
@@ -725,45 +677,57 @@ def _fixed_values(buf: np.ndarray, ends: np.ndarray,
     k = ends - 1 - points
     if not ((points > before + 1) & (k > 0)).all():
         return None
-    try:
-        mantissa = _token_values(buf, points, before, signed=False)
-        mantissa *= _POW10[k]
-        mantissa += _token_values(buf, ends, points, signed=False)
-    except _OtherForm:  # a sign or a point where a digit should be
-        return None
+    mantissa = _token_values(buf, points, before, signed=False)
+    fraction = _token_values(buf, ends, points, signed=False)
+    if mantissa is None or fraction is None:  # a sign or a point where
+        return None                           # a digit should be
+    mantissa *= _POW10[k]
+    mantissa += fraction
     values = mantissa / _POW10[k]
     np.negative(values, out=values, where=neg)
     return values
 
 
-def _bulk_sections(data: bytes):
-    """The sections of a file in the writer's form, or None.
+def _sections(data: bytes, path):
+    """The sections of the native file whose bytes are ``data``, each
+    checked as it is read, before the next one is looked at.
 
-    Returns the coordinates, the VERTICES body bytes, kind codes, padded
-    vertex ids, the ELEMENTS body bytes and a dict of the trailing
-    sections in file order.  The form: only bytes of ``_FORM_BYTES``,
-    single spaces, no space at either end of a line, no blank line, a
-    final newline, headers the line parser accepts, one vertex width of
-    2 or 3, one element kind whose token starts every element line, and
-    one integer per line in the trailing sections.  Integer tokens are
-    ``-?[0-9]+`` (unsigned in ELEMENTS) and at most ``_MAX_INT_CHARS``
-    long; they are decoded from the token table by ``_token_values``.  A
-    VERTICES body in fixed notation is decoded from the same table by
-    ``_fixed_values``; any other body goes through ``np.fromstring``,
-    which must give one value per token.  Any other file gives None.
+    Returns the coordinates, kind codes, padded vertex ids, a dict of
+    the trailing sections in file order, and the VERTICES and ELEMENTS
+    body bytes.  A file in the writer's form (only bytes of
+    ``_FORM_BYTES``, single spaces, no space at either end of a line,
+    no blank line, a final newline) is read as it is; any other is
+    first rewritten in that form by ``_normalized``.  Section bodies
+    are decoded from the token table: integers by ``_token_values``,
+    VERTICES in fixed notation by ``_fixed_values`` and in any other
+    notation by ``np.fromstring``, which must give one value per token.
+    A body those refuse, a hand-written ``+3`` or 19-digit id for
+    instance, is decoded by ``_decode_vertices``, ``_decode_elements``
+    or ``_decode_ints`` from its lines as the file holds them, which
+    name its first bad line.  The body bytes are None for a normalized
+    file and for one with a token-decoded section, so the writer formats
+    every row of those again rather than pass a hand-edited token
+    through.
     """
-    if not data.endswith(b"\n") or data.translate(None, _FORM_BYTES):
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf <= 32)  # the space or newline after a token
-    # an empty token is a doubled space, a space at a line's end or start
-    # or a blank line, so the byte before its end is one too; no token
-    # of any section ends in a sign
-    last = np.take(buf, ends - 1)
-    if ends[0] == 0 or ((last <= 32) | (last == 43) | (last == 45)).any():
-        return None
+    plain = data.endswith(b"\n") and not data.translate(None, _FORM_BYTES)
+    if plain:
+        buf = np.frombuffer(data, dtype=np.uint8)
+        ends = np.flatnonzero(buf <= 32)  # the space or newline after a token
+        # an empty token is a doubled space, a space at a line's end or
+        # start or a blank line, so the byte before its end is one too
+        last = np.take(buf, ends - 1)
+        plain = ends[0] != 0 and not (last <= 32).any()
+    if not plain:
+        source, data = data, _normalized(data, path)
+        buf = np.frombuffer(data, dtype=np.uint8)
+        # a control byte that is not white space stays in its token
+        ends = np.flatnonzero((buf == 32) | (buf == 10))
+        last = np.take(buf, ends - 1)
+    signs = (last == 43) | (last == 45)  # the tokens that end in a sign
     del last
     line_end = np.flatnonzero(buf[ends] == 10)  # the tokens ending lines
+    n_lines = len(line_end)
+    exact = plain  # and every body decoded from the token table
 
     def nl(i):  # the newline of line i
         return int(ends[line_end[i]])
@@ -780,63 +744,149 @@ def _bulk_sections(data: bytes):
     def tokens(a, b):  # the tokens of lines a..b-1
         return slice(line_end[a - 1] + 1, line_end[b - 1] + 1)
 
-    def section(at, names, ne):
-        _need(at < len(line_end))
-        name, counts = _section_header(line(at), None)
-        _need(name in names)
-        n = _body_length(name, counts, ne, None)
-        _need(at + 1 + n <= len(line_end))
-        return name, at + 1, at + 1 + n
+    def signless(t):  # no token of ``t`` ends in a sign
+        return not signs[t].any()
+
+    def text_lines(a, b):  # lines a..b-1 as the file holds them
+        if plain:
+            return body(a, b).decode().split("\n")[:-1]
+        return list(islice(chain.from_iterable(_content_lines(source, path)),
+                           a, b))
+
+    def header(i, what):
+        if i >= n_lines:
+            raise MalformedSectionError(f"{path}: file ends before {what}")
+        name, *counts = line(i).split()
+        try:
+            return name, [int(c) for c in counts]
+        except ValueError:
+            raise MalformedSectionError(
+                f"{path}: bad section header {text_lines(i, i + 1)[0]!r}"
+            ) from None
+
+    def read(a, b, what, bulk, decode):
+        """Lines a..b-1 decoded by ``bulk``, or where it refuses them or
+        the file ends first, by ``decode``; a bad line is reported
+        before the missing ones."""
+        nonlocal exact
+        got = bulk(a, b) if b <= n_lines else None
+        if got is None:
+            exact = False
+            got = decode(text_lines(a, min(b, n_lines)))
+            if b > n_lines:
+                raise MalformedSectionError(
+                    f"{path}: file ends before {what}")
+        return got
 
     def vertices(a, b):
-        text, w, t = body(a, b), widths(a, b), tokens(a, b)
-        _need(w[0] in (2, 3) and (w == w[0]).all())
+        w, t = widths(a, b), tokens(a, b)
+        if not (w[0] in (2, 3) and (w == w[0]).all() and signless(t)):
+            return None
         values = _fixed_values(buf, ends[t], ends[t.start - 1:t.stop - 1])
         if values is None:
+            text = body(a, b)
             # digits, signs, points, exponents, inf and nan
-            _need(not text.translate(None, b"0123456789.+-eEinfa \n"))
-            values = np.fromstring(text, sep=" ")
-            _need(values.size == w.sum())
-        return values.reshape(-1, w[0]), text
+            if text.translate(None, b"0123456789.+-eEinfa \n"):
+                return None
+            try:
+                values = np.fromstring(text, sep=" ")
+            except ValueError:  # a token np.fromstring cannot read
+                return None
+            if values.size != w.sum():
+                return None
+        return values.reshape(-1, w[0])
 
     def elements(a, b):
-        token = line(a).split(" ", 1)[0]
-        kind = _TOKEN_KIND.get(token)
-        _need(kind is not None and (widths(a, b) == 1 + kind.n_vertices).all())
-        nv = kind.n_vertices
-        # each line's token ends; the vertex ids follow the kind
-        table = ends[tokens(a, b)].reshape(b - a, 1 + nv)
-        starts = table[:, 0] - len(token)  # and where the kind starts
-        _need(all((buf[starts + j] == c).all()
-                  for j, c in enumerate(b"\n" + token.encode(), -1)))
+        starts = ends[line_end[a - 1:b - 1]] + 1  # each line's first byte
+        codes = np.full(b - a, -1, dtype=np.int8)
+        # the first line's kind first, so a file of one kind takes one pass
+        first = int(starts[0])
+        for code in sorted(range(len(_HEADS)),
+                           key=lambda c: not data.startswith(_HEADS[c], first)):
+            hit = np.take(buf, starts, mode="clip") == _HEADS[code][0]
+            for j, byte in enumerate(_HEADS[code][1:], 1):
+                hit &= np.take(buf, starts + j, mode="clip") == byte
+            codes[hit] = code
+            if (codes >= 0).all():
+                break
+        else:
+            return None
+        one_kind = (codes == codes[0]).all()
+        nv = _N_IDS[codes[0]] if one_kind else _N_IDS[codes]
+        if (widths(a, b) != 1 + nv).any():
+            return None
+        t = tokens(a, b)
         verts = np.full((b - a, MAX_ELEM_VERTS), -1, dtype=np.int64)
-        verts[:, :nv] = _token_values(buf, table[:, 1:], table[:, :-1],
-                                      signed=False)
-        return (np.full(b - a, KIND_TO_CODE[kind], dtype=np.int8), verts,
-                body(a, b))
+        if one_kind:  # a table of 1 + nv tokens per line
+            table = ends[t].reshape(b - a, 1 + nv)
+            ids = _token_values(buf, table[:, 1:], table[:, :-1],
+                                signed=False)
+            if ids is None:
+                return None
+            verts[:, :nv] = ids
+        else:  # every token but each line's first
+            at = np.ones(t.stop - t.start, dtype=bool)
+            at[line_end[a - 1:b - 1] + 1 - t.start] = False
+            at = np.flatnonzero(at) + t.start
+            ids = _token_values(buf, ends[at], ends[at - 1], signed=False)
+            if ids is None:
+                return None
+            verts[_USED_SLOTS[codes]] = ids
+        return codes, verts
 
     def integers(a, b):
         t = tokens(a, b)
-        _need(t.stop - t.start == b - a)  # one token per line
+        if t.stop - t.start != b - a or not signless(t):  # one per line
+            return None
         return _token_values(buf, ends[t], ends[t.start - 1:t.stop - 1],
                              signed=True)
 
-    try:
-        _need(line(0) == f"{FORMAT_NAME} {FORMAT_VERSION}")
-        _, a, b = section(1, ("VERTICES",), 0)
-        coords, vertex_text = vertices(a, b)
-        _, a, b = section(b, ("ELEMENTS",), 0)
-        kinds, verts, element_text = elements(a, b)
-        tail: dict[str, np.ndarray] = {}
-        while b < len(line_end):
-            name, a, b = section(
-                b, [s for s in _TAIL_SECTIONS if s not in tail], len(kinds))
-            tail[name] = integers(a, b)
-    # ValueError: a vertex token np.fromstring cannot read.  A bad header
-    # is reported again, with the file's path, by the line parser.
-    except (_OtherForm, MalformedSectionError, ValueError):
-        return None
-    return coords, vertex_text, kinds, verts, element_text, tail
+    if not n_lines:
+        raise MalformedSectionError(
+            f"{path}: file ends before the format header")
+    magic = line(0).split()
+    if len(magic) != 2 or magic[0] != FORMAT_NAME:
+        raise UnsupportedVersionError(f"{path}: not a {FORMAT_NAME} file")
+    if magic[1] != str(FORMAT_VERSION):
+        raise UnsupportedVersionError(
+            f"{path}: unsupported version {magic[1]}")
+
+    name, counts = header(1, "VERTICES")
+    if name != "VERTICES":
+        raise MalformedSectionError(f"{path}: expected VERTICES <n>")
+    ve = 2 + _body_length(name, counts, 0, path)  # VERTICES ends
+    coords = _finite(read(2, ve, "a vertex line", vertices,
+                          lambda lines: _decode_vertices(lines, path)), path)
+
+    name, counts = header(ve, "ELEMENTS")
+    if name != "ELEMENTS":
+        raise MalformedSectionError(f"{path}: expected ELEMENTS <n>")
+    b = ee = ve + 1 + _body_length(name, counts, 0, path)  # ELEMENTS ends
+    kinds, verts = read(ve + 1, ee, "an element line", elements,
+                        lambda lines: _decode_elements(lines, path))
+
+    # Counts that involve n_surfaces can only be checked once the
+    # surfaces exist, and the surfaces can only be built once
+    # PERMUTATIONS is known, so the trailing sections are read first.
+    tail: dict[str, np.ndarray] = {}
+    while b < n_lines:
+        name, counts = header(b, None)
+        if tail and name.lstrip("-").isdigit():
+            raise MalformedSectionError(
+                f"{path}: {list(tail)[-1]} has more values than its "
+                f"header count"
+            )
+        if name not in _TAIL_SECTIONS or name in tail:
+            raise MalformedSectionError(
+                f"{path}: unexpected section {name!r}"
+            )
+        a, b = b + 1, b + 1 + _body_length(name, counts, len(kinds), path)
+        tail[name] = read(a, b, name, integers,
+                          lambda lines: _decode_ints(lines, name, path))
+        _check_tail(name, tail[name], path)
+    if not exact:
+        return coords, kinds, verts, tail, None, None
+    return coords, kinds, verts, tail, body(2, ve), body(ve + 1, ee)
 
 
 def _check_tail(name: str, values: np.ndarray, path) -> None:
@@ -853,71 +903,11 @@ def _check_tail(name: str, values: np.ndarray, path) -> None:
         raise MalformedSectionError(f"{path}: colors must be -1 or >= 1")
 
 
-def _read_native(src: _Lines, path) -> NativeMesh:
-    """The line parser: reads every file ``read_native`` accepts, one
-    line at a time, and names the first fault of one it rejects."""
-    header = src.next("the format header").split()
-    if len(header) != 2 or header[0] != FORMAT_NAME:
-        raise UnsupportedVersionError(
-            f"{path}: not a {FORMAT_NAME} file"
-        )
-    if header[1] != str(FORMAT_VERSION):
-        raise UnsupportedVersionError(
-            f"{path}: unsupported version {header[1]}"
-        )
-
-    name, counts = _section_header(src.next("VERTICES"), path)
-    if name != "VERTICES":
-        raise MalformedSectionError(f"{path}: expected VERTICES <n>")
-    parts = []
-    for lines in src.chunks(_body_length(name, counts, 0, path),
-                            "a vertex line"):
-        parts.append(_vertex_chunk(
-            lines, parts[0].shape[1] if parts else None, path))
-    coords = _finite(np.concatenate(parts), path)
-
-    name, counts = _section_header(src.next("ELEMENTS"), path)
-    if name != "ELEMENTS":
-        raise MalformedSectionError(f"{path}: expected ELEMENTS <n>")
-    parts = [_element_chunk(lines, path) for lines in src.chunks(
-        _body_length(name, counts, 0, path), "an element line")]
-    kinds = np.concatenate([p[0] for p in parts])
-    verts = np.concatenate([p[1] for p in parts])
-
-    def _ints(n, what):
-        return np.concatenate([np.empty(0, dtype=np.int64)] + [
-            _int_chunk(lines, what, path) for lines in src.chunks(n, what)
-        ])
-
-    # Counts that involve n_surfaces can only be checked once the
-    # surfaces exist, and the surfaces can only be built once
-    # PERMUTATIONS is known, so the trailing sections are read first.
-    ne = len(kinds)
-    tail: dict[str, np.ndarray] = {}
-    while True:
-        line = src.maybe_next()
-        if line is None:
-            break
-        name, counts = _section_header(line, path)
-        if tail and name.lstrip("-").isdigit():
-            raise MalformedSectionError(
-                f"{path}: {list(tail)[-1]} has more values than its "
-                f"header count"
-            )
-        if name not in _TAIL_SECTIONS or name in tail:
-            raise MalformedSectionError(
-                f"{path}: unexpected section {name!r}"
-            )
-        tail[name] = _ints(_body_length(name, counts, ne, path), name)
-        _check_tail(name, tail[name], path)
-    return _finish(path, coords, kinds, verts, tail)
-
-
 def _finish(path, coords: np.ndarray, kinds: np.ndarray, verts: np.ndarray,
             tail: dict[str, np.ndarray],
             vertex_text: bytes | None = None,
             element_text: bytes | None = None) -> NativeMesh:
-    """Assemble the mesh both parsers read and check the trailing
+    """Assemble the mesh ``_sections`` read and check the trailing
     sections against it."""
     ne = len(kinds)
     parents = tail.get("PARENTS")
@@ -932,7 +922,8 @@ def _finish(path, coords: np.ndarray, kinds: np.ndarray, verts: np.ndarray,
                 f"{path}: permutation is not a bijection"
             )
         # old element i is file element element_perm[i]
-        mesh = assemble(coords, kinds[element_perm], verts[element_perm])
+        mesh = assemble(coords, np.take(kinds, element_perm),
+                        np.take(verts, element_perm, axis=0))
     ns = mesh.n_surfaces
     if colors is not None and len(colors) != ns:
         raise MalformedSectionError(
@@ -978,39 +969,43 @@ def read_msh(path) -> Mesh:
     elements; types 1 and 15 (lines, points) are skipped; anything else
     is rejected.  Coordinates keep z only when tets are present.
     """
-    with open(path) as fh:
-        return _read_msh(_Lines(fh, path), path)
+    with open(path, "rb") as fh:
+        lines = chain.from_iterable(_content_lines(fh.read(), path))
 
+    def take(what: str) -> str:
+        line = next(lines, None)
+        if line is None:
+            raise MalformedSectionError(f"{path}: file ends before {what}")
+        return line
 
-def _read_msh(sc: _Lines, path) -> Mesh:
-    line = sc.next("$MeshFormat")
+    line = take("$MeshFormat")
     if line != "$MeshFormat":
         raise MalformedSectionError(f"{path}: expected $MeshFormat first")
-    parts = sc.next("the format line").split()
+    parts = take("the format line").split()
     if not parts or parts[0] != "2.2":
         version = parts[0] if parts else "?"
         raise UnsupportedVersionError(
             f"{path}: MSH version {version} is not supported, need 2.2"
         )
-    if sc.next("$EndMeshFormat") != "$EndMeshFormat":
+    if take("$EndMeshFormat") != "$EndMeshFormat":
         raise MalformedSectionError(f"{path}: unterminated $MeshFormat")
 
     nodes: dict[int, tuple[float, float, float]] = {}
     codes: list[int] = []
     node_ids: list[int] = []  # every element's node ids, one after another
     while True:
-        line = sc.maybe_next()
+        line = next(lines, None)
         if line is None:
             break
         if line == "$Nodes":
             try:
-                n = int(sc.next("the node count"))
+                n = int(take("the node count"))
             except ValueError:
                 raise MalformedSectionError(
                     f"{path}: bad node count"
                 ) from None
             for _ in range(n):
-                parts = sc.next("a node line").split()
+                parts = take("a node line").split()
                 if len(parts) != 4:
                     raise MalformedSectionError(
                         f"{path}: node lines need id x y z"
@@ -1027,19 +1022,19 @@ def _read_msh(sc: _Lines, path) -> Mesh:
                         f"{path}: node {nid} is listed twice"
                     )
                 nodes[nid] = xyz
-            if sc.next("$EndNodes") != "$EndNodes":
+            if take("$EndNodes") != "$EndNodes":
                 raise MalformedSectionError(
                     f"{path}: unterminated $Nodes"
                 )
         elif line == "$Elements":
             try:
-                n = int(sc.next("the element count"))
+                n = int(take("the element count"))
             except ValueError:
                 raise MalformedSectionError(
                     f"{path}: bad element count"
                 ) from None
             for _ in range(n):
-                parts = sc.next("an element line").split()
+                parts = take("an element line").split()
                 try:
                     etype = int(parts[1])
                     ntags = int(parts[2])
@@ -1062,14 +1057,14 @@ def _read_msh(sc: _Lines, path) -> Mesh:
                     )
                 codes.append(KIND_TO_CODE[kind])
                 node_ids += ids
-            if sc.next("$EndElements") != "$EndElements":
+            if take("$EndElements") != "$EndElements":
                 raise MalformedSectionError(
                     f"{path}: unterminated $Elements"
                 )
         elif line.startswith("$") and not line.startswith("$End"):
             end = "$End" + line[1:]
             while True:
-                skip = sc.next(end)
+                skip = take(end)
                 if skip == end:
                     break
         else:

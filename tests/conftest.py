@@ -7,7 +7,9 @@ to.
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ import pytest
 from meshchroma import (
     ElementFaultError,
     MalformedSectionError,
+    NativeMesh,
     SurfaceColoring,
+    UnsupportedVersionError,
     child_color,
 )
 from meshchroma.amr import check_parent_layout
-from meshchroma.mesh import MAX_ELEM_VERTS, assemble
+from meshchroma.mesh import MAX_ELEM_VERTS, assemble, relabel
 
 _SIDES = {
     "tri": ((0, 1), (1, 2), (2, 0)),
@@ -323,6 +327,213 @@ def reference_reconstruct(fine, parents, coloring):
             f"coloring was not produced by this refinement: fine surface "
             f"{s} of element {e} (parent {parents[e]}) has color {fc[s]}")
     return base, refined
+
+
+# The native format's names, restated from ``meshio``.
+_KINDS = {"tri": 0, "quad": 1, "tet": 2}
+_N_IDS = {"tri": 3, "quad": 4, "tet": 4}
+_TAIL = ("PARENTS", "COLORS", "PERMUTATIONS")
+_INT64 = np.iinfo(np.int64)
+
+
+def _content_lines(path):
+    """The lines of a UTF-8 text file with universal newlines, each cut
+    at ``#`` and stripped; blank lines are dropped."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                yield line
+
+
+def _ref_vertices(lines, path):
+    rows = []
+    width = None
+    for line in lines:
+        parts = line.split()
+        if width is None:
+            width = len(parts)
+            if width not in (2, 3):
+                raise MalformedSectionError(
+                    f"{path}: vertices must have 2 or 3 coordinates")
+        elif len(parts) != width:
+            raise MalformedSectionError(f"{path}: inconsistent vertex width")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise MalformedSectionError(
+                f"{path}: bad vertex line {' '.join(parts)!r}") from None
+    return np.array(rows, dtype=np.float64)
+
+
+def _ref_elements(lines, path):
+    verts = np.full((len(lines), MAX_ELEM_VERTS), -1, dtype=np.int64)
+    codes = np.empty(len(lines), dtype=np.int8)
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if parts[0] not in _KINDS:
+            raise MalformedSectionError(
+                f"{path}: unknown element kind {parts[0]!r}")
+        n = _N_IDS[parts[0]]
+        if len(parts) != 1 + n:
+            raise MalformedSectionError(
+                f"{path}: {parts[0]} element needs {n} vertex ids")
+        try:
+            vids = [int(p) for p in parts[1:]]
+            verts[i, :n] = vids
+        except (ValueError, OverflowError):
+            raise MalformedSectionError(f"{path}: bad element line") from None
+        codes[i] = _KINDS[parts[0]]
+    return codes, verts
+
+
+def _ref_ints(lines, what, path):
+    values = []
+    for tok in lines:
+        try:
+            value = int(tok)
+        except ValueError:
+            value = None
+        if value is None or not _INT64.min <= value <= _INT64.max:
+            raise MalformedSectionError(
+                f"{path}: bad integer {tok!r} in {what}")
+        values.append(value)
+    return np.array(values, dtype=np.int64)
+
+
+def _ref_body_length(name, counts, ne, path):
+    if name in ("VERTICES", "ELEMENTS"):
+        if len(counts) != 1:
+            raise MalformedSectionError(f"{path}: expected {name} <n>")
+        if counts[0] < 1:
+            raise MalformedSectionError(f"{path}: {name} count must be >= 1")
+    elif name == "PARENTS":
+        if counts != [ne]:
+            raise MalformedSectionError(
+                f"{path}: PARENTS count must equal n_elements")
+    elif name == "COLORS":
+        if len(counts) != 1 or counts[0] < 0:
+            raise MalformedSectionError(
+                f"{path}: expected COLORS <n_surfaces>")
+    elif len(counts) != 2 or counts[0] != ne or counts[1] < 0:
+        raise MalformedSectionError(
+            f"{path}: PERMUTATIONS counts must be <n_elements> <n_surfaces>")
+    return sum(counts)
+
+
+def reference_read_native(path):
+    """``read_native`` by the line parser it replaced: one content line
+    at a time, every token read by Python's ``int`` or ``float``, each
+    check made as its line is read, and the first fault named.
+
+    Returns a ``NativeMesh`` without body bytes, or raises what
+    ``read_native`` raises, with the same message.  It shares only
+    ``assemble`` and ``relabel`` with the library.
+    """
+    lines = _content_lines(path)
+
+    def take(what):
+        line = next(lines, None)
+        if line is None:
+            raise MalformedSectionError(f"{path}: file ends before {what}")
+        return line
+
+    def header(line):
+        name, *counts = line.split()
+        try:
+            return name, [int(c) for c in counts]
+        except ValueError:
+            raise MalformedSectionError(
+                f"{path}: bad section header {line!r}") from None
+
+    def body(n, what, decode):
+        # a bad line is reported before the missing ones
+        got = list(islice(lines, min(n, sys.maxsize)))
+        values = decode(got)
+        if len(got) < n:
+            raise MalformedSectionError(f"{path}: file ends before {what}")
+        return values
+
+    magic = take("the format header").split()
+    if len(magic) != 2 or magic[0] != "MESHCHROMA":
+        raise UnsupportedVersionError(f"{path}: not a MESHCHROMA file")
+    if magic[1] != "1":
+        raise UnsupportedVersionError(f"{path}: unsupported version {magic[1]}")
+    name, counts = header(take("VERTICES"))
+    if name != "VERTICES":
+        raise MalformedSectionError(f"{path}: expected VERTICES <n>")
+    coords = body(_ref_body_length(name, counts, 0, path), "a vertex line",
+                  lambda got: _ref_vertices(got, path))
+    if not np.isfinite(coords).all():
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+        raise MalformedSectionError(
+            f"{path}: non-finite coordinates at vertices {bad[:10].tolist()}")
+    name, counts = header(take("ELEMENTS"))
+    if name != "ELEMENTS":
+        raise MalformedSectionError(f"{path}: expected ELEMENTS <n>")
+    kinds, verts = body(_ref_body_length(name, counts, 0, path),
+                        "an element line", lambda got: _ref_elements(got, path))
+    ne = len(kinds)
+    tail = {}
+    for line in lines:
+        name, counts = header(line)
+        if tail and name.lstrip("-").isdigit():
+            raise MalformedSectionError(
+                f"{path}: {list(tail)[-1]} has more values than its "
+                f"header count")
+        if name not in _TAIL or name in tail:
+            raise MalformedSectionError(f"{path}: unexpected section {name!r}")
+        values = tail[name] = body(_ref_body_length(name, counts, ne, path),
+                                   name, lambda got: _ref_ints(got, name, path))
+        if name == "PARENTS" and (values < -1).any():
+            i = np.flatnonzero(values < -1)[0]
+            raise MalformedSectionError(
+                f"{path}: PARENTS value {values[i]} for element {i} is "
+                f"below -1")
+        if name == "COLORS" and ((values < -1) | (values == 0)).any():
+            raise MalformedSectionError(f"{path}: colors must be -1 or >= 1")
+
+    parents = tail.get("PARENTS")
+    colors = tail.get("COLORS")
+    perms = tail.get("PERMUTATIONS")
+    if perms is None:
+        mesh = assemble(coords, kinds, verts)
+    else:
+        element_perm, surface_perm = perms[:ne], perms[ne:]
+        if sorted(element_perm.tolist()) != list(range(ne)):
+            raise MalformedSectionError(
+                f"{path}: permutation is not a bijection")
+        # old element i is file element element_perm[i]
+        mesh = assemble(coords, kinds[element_perm], verts[element_perm])
+    ns = mesh.n_surfaces
+    if colors is not None and len(colors) != ns:
+        raise MalformedSectionError(
+            f"{path}: COLORS count {len(colors)} does not match {ns} "
+            f"surfaces")
+    if perms is not None:
+        if len(surface_perm) != ns:
+            raise MalformedSectionError(
+                f"{path}: PERMUTATIONS counts must be <n_elements> "
+                f"<n_surfaces>")
+        if sorted(surface_perm.tolist()) != list(range(ns)):
+            raise MalformedSectionError(
+                f"{path}: permutation is not a bijection")
+        mesh = relabel(mesh, element_perm, surface_perm)
+    refined = parents is not None and bool((parents >= 0).any())
+    if refined and set(mesh.elem_kind.tolist()) != {0}:
+        raise MalformedSectionError(
+            f"{path}: PARENTS has refined entries, but only triangle "
+            f"meshes refine")
+    coloring = None
+    if colors is not None:
+        palette = (3 if set(mesh.elem_kind.tolist()) == {0} else 4)
+        palette *= 1 + refined
+        if colors.max() > palette:
+            raise MalformedSectionError(
+                f"{path}: COLORS value {colors.max()} is above the palette "
+                f"of {palette} colors")
+        coloring = SurfaceColoring(colors.astype(np.int32), palette)
+    return NativeMesh(mesh, coloring, parents)
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from meshchroma import (
 )
 from meshchroma.cli import main
 from meshchroma.mesh import CODE_TO_KIND, KIND_TO_CODE, ElementKind, assemble
-from meshchroma.meshio import _CHUNK_LINES, _N_IDS, _int_lines
+from meshchroma.meshio import _BLOCK_CHARS, _N_IDS, _int_lines
 from conftest import assert_matches_assembly, hybrid_patch, traced_peak
 
 MESH_FIELDS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
@@ -326,6 +326,9 @@ def test_mixed_file_matches_percent_formatting(tmp_path):
 
 
 def test_sections_longer_than_one_chunk(tmp_path):
+    # each section is longer than the chunks a line-at-a-time reader
+    # takes them in
+    chunk_lines = 4096
     mesh = gen_tri_rect(70, 70)
     coloring, _ = color(mesh)
     plan = build_plan(mesh, coloring)
@@ -341,14 +344,22 @@ def test_sections_longer_than_one_chunk(tmp_path):
         if line[:1].isupper():
             name, *counts = line.split()
             sections[name] = (i + 1, sum(int(c) for c in counts))
-    assert min(n for _, n in sections.values()) > _CHUNK_LINES
+    assert min(n for _, n in sections.values()) > chunk_lines
 
     # a trailing comment on a chunk's last line, then a comment line and
     # a blank line where the next chunk starts
     edited = list(lines)
     for start, _ in sorted(sections.values(), reverse=True):
-        edited[start + _CHUNK_LINES - 1] += "  # end of a chunk"
-        edited[start + _CHUNK_LINES:start + _CHUNK_LINES] = ["# next", ""]
+        edited[start + chunk_lines - 1] += "  # end of a chunk"
+        edited[start + chunk_lines:start + chunk_lines] = ["# next", ""]
+    # and a comment from before the end of the first block of text the
+    # reader normalizes to past it
+    at = 0
+    for i, line in enumerate(edited):
+        if at + len(line) >= _BLOCK_CHARS:
+            edited[i - 1] += " # " + "c" * (_BLOCK_CHARS - at + 40)
+            break
+        at += len(line) + 1
     path.write_text("\n".join(edited))
     back = read_native(path)
     for name in MESH_FIELDS:
@@ -391,6 +402,13 @@ def test_read_native_memory_peak(tmp_path, reordered_60):
     path = tmp_path / "m.mesh"
     write_native(path, new_mesh, new_coloring)
     assert traced_peak(lambda: read_native(path)) <= 5.19
+    # the same file tab-spaced, with a comment and a CRLF ending every
+    # line: the line parser that read such files peaked at 3.09 on it,
+    # and this reader, which normalizes it first, at 2.49
+    edited = tmp_path / "e.mesh"
+    edited.write_bytes(path.read_bytes().replace(b" ", b"\t")
+                       .replace(b"\n", b"\t# note\r\n"))
+    assert traced_peak(lambda: read_native(edited)) <= 3.09
 
 
 def test_assemble_memory_peak(reordered_60):
@@ -474,7 +492,8 @@ def _jittered_tri(nx, ny):
     lambda: gen_quad_rect(4, 3),
     lambda: shuffle_elements(gen_tet_prism(2, 2, 2), 1),
     lambda: _jittered_tri(5, 4),
-], ids=["tri", "quad", "tet", "jittered"])
+    lambda: hybrid_patch(3, 3),
+], ids=["tri", "quad", "tet", "jittered", "mixed"])
 def test_writing_with_source_gives_the_same_bytes(tmp_path, build):
     mesh = build()
     coloring, _ = color(mesh)
@@ -790,6 +809,35 @@ def test_read_msh_rejects_a_repeated_node_id(tmp_path, capsys):
     assert main(["color", "-i", str(p), "-o", str(out)]) == 4
     assert "node 2 is listed twice" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["header", "comment"])
+@pytest.mark.parametrize("name", ["t.mesh", "t.msh"])
+def test_a_file_that_is_not_utf8_names_its_offset(tmp_path, capsys, name,
+                                                  where):
+    # one Latin-1 byte is an I/O fault, named by its offset in the file
+    if name == "t.msh":
+        text = MSH_TRI.encode()
+        text = text.replace(b"$Nodes", b"$Nod\xe9s" if where == "header"
+                            else b"# caf\xe9\n$Nodes")
+    else:
+        text = _tiny_text().encode()
+        text = text.replace(b"ELEMENTS", b"EL\xe9MENTS" if where == "header"
+                            else b"# caf\xe9\nELEMENTS")
+    path = tmp_path / name
+    path.write_bytes(text)
+    reader = read_msh if name == "t.msh" else read_native
+    with pytest.raises(MalformedSectionError) as err:
+        reader(path)
+    message = f"{path}: byte {text.index(0xe9)} is not UTF-8 text"
+    assert str(err.value) == message
+    assert main(["verify", "-i", str(path)]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _tiny_text():
+    return ("MESHCHROMA 1\nVERTICES 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+            "ELEMENTS 1\ntri 0 1 2\n")
 
 
 def test_write_report_stdout_and_file(tmp_path, capsys):

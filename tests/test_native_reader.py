@@ -1,11 +1,13 @@
-"""The bulk native reader against the line parser it stands in for.
+"""The native reader against the line parser it replaced.
 
-``read_native`` converts a file in the writer's form with array
-operations over its bytes and hands any other file to the line parser
-``_read_native``.  Whatever the bytes, both must agree: the same arrays
-and dtypes, or the same exception type and message.  The writer's
-fixed-notation encoder is checked here too, against ``%r`` and against
-the decoder that reads its text back.
+``read_native`` normalizes a file that is not in the writer's form into
+it, then converts every section with array operations over its bytes,
+and decodes a section those refuse with Python's ``int`` and ``float``.
+``reference_read_native`` in ``conftest.py`` is the line parser that
+read such files before.  Whatever the bytes, both must agree: the same
+arrays and dtypes, or the same exception type and message.  The
+writer's fixed-notation encoder is checked here too, against ``%r`` and
+against the decoder that reads its text back.
 """
 
 import re
@@ -31,9 +33,8 @@ from meshchroma import (
 )
 from meshchroma import meshio
 from meshchroma.cli import main
-from meshchroma.meshio import (_MAX_INT_CHARS, _bulk_sections,
-                                _fixed_lines, _fixed_values, _Lines,
-                                _read_native)
+from meshchroma.meshio import _MAX_INT_CHARS, _fixed_lines, _fixed_values
+from conftest import hybrid_patch, reference_read_native
 
 MESH_FIELDS = ("vertices", "elem_kind", "elem_verts", "elem_surfs",
                "surf_verts", "surf_elems")
@@ -45,7 +46,8 @@ def _written(tmp_path, kind, parents, colors, perms):
     with the chosen extras."""
     make = {"tri": lambda: gen_tri_rect(3, 2),
             "quad": lambda: gen_quad_rect(3, 2),
-            "tet": lambda: gen_tet_prism(1, 1, 2)}[kind]
+            "tet": lambda: gen_tet_prism(1, 1, 2),
+            "hybrid": lambda: hybrid_patch(3, 2)}[kind]
     mesh = shuffle_elements(make(), seed=2)
     coloring, _ = color(mesh)
     table = np.full(mesh.n_elements, -1, dtype=np.int64)
@@ -64,7 +66,7 @@ def _written(tmp_path, kind, parents, colors, perms):
     return path.read_text()
 
 
-_KEYS = [(kind, p, c, q) for kind in ("tri", "quad", "tet")
+_KEYS = [(kind, p, c, q) for kind in ("tri", "quad", "tet", "hybrid")
          for p in (False, True) for c in (False, True) for q in (False, True)]
 
 
@@ -79,11 +81,6 @@ def _outcome(read, path):
         return read(path)
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
-
-
-def _line_parser(path):
-    with open(path) as fh:
-        return _read_native(_Lines(fh, path), path)
 
 
 def assert_same(got, want):
@@ -136,6 +133,13 @@ def mutate(text, how, r):
         lines[i] = line.replace(" ", "\t", 1)
     elif how == "cr_line":
         lines[i] = line + "\r"
+    elif how == "lone_cr":  # ends the line in text mode
+        at = (r // 64) % (len(line) + 1)
+        lines[i] = line[:at] + "\r" + line[at:]
+    elif how == "unicode_space":  # white space to str.split
+        lines[i] = line.replace(" ", "\xa0\x1c"[(r // 64) % 2], 1)
+    elif how == "control_byte":  # not white space: it joins two tokens
+        lines[i] = line.replace(" ", "\x01", 1)
     elif how == "cr_file":
         return text.replace("\n", "\r\n")
     elif how == "comment":
@@ -185,7 +189,8 @@ def mutate(text, how, r):
 
 
 MUTATIONS = (
-    "none", "double_space", "tab", "cr_line", "cr_file", "comment",
+    "none", "double_space", "tab", "cr_line", "lone_cr", "unicode_space",
+    "control_byte", "cr_file", "comment",
     "comment_line", "blank_line", "trailing_space", "leading_space",
     "no_final_newline", "unterminated_tail", "move_token", "kind_mid_line",
     "kind_twice", "mixed_kinds", "truncate_section", "truncate_file",
@@ -195,17 +200,28 @@ MUTATIONS = (
 
 @pytest.mark.parametrize("key", _KEYS,
                          ids=["-".join(map(str, k)) for k in _KEYS])
-def test_writer_output_takes_the_bulk_path(bases, tmp_path, key):
+def test_writer_output_takes_the_bulk_path(bases, tmp_path, monkeypatch,
+                                           key):
     text = bases[key]
-    assert _bulk_sections(text.encode()) is not None
     path = tmp_path / "m.mesh"
     path.write_text(text)
-    assert_same(read_native(path), _line_parser(path))
+    want = reference_read_native(path)
+
+    def unused(*args):
+        raise AssertionError("normalized or token-decoded")
+
+    for name in ("_normalized", "_decode_vertices", "_decode_elements",
+                 "_decode_ints"):
+        monkeypatch.setattr(meshio, name, unused)
+    got = read_native(path)
+    assert got.vertex_text is not None and got.element_text is not None
+    assert_same(got, want)
 
 
 def _agree(path, text):
     path.write_bytes(text.encode())
-    assert_same(_outcome(read_native, path), _outcome(_line_parser, path))
+    assert_same(_outcome(read_native, path),
+                _outcome(reference_read_native, path))
 
 
 @pytest.mark.parametrize("how", MUTATIONS)
@@ -237,8 +253,22 @@ def _tiny(tmp_path, elements="tri 0 1 2\n", tail=""):
     return path
 
 
+@pytest.mark.parametrize("rows, fault", [
+    (["0.0", "1.0", "0.5"], "vertices must have 2 or 3 coordinates"),
+    (["0.0 0.0 0.0 0.0"] * 3, "vertices must have 2 or 3 coordinates"),
+    (["0.0 0.0", "1.0 0.0 0.0", "0.0 1.0"], "inconsistent vertex width"),
+], ids=["one", "four", "mixed"])
+def test_vertex_lines_hold_two_or_three_coordinates(tmp_path, rows, fault):
+    path = tmp_path / "t.mesh"
+    path.write_text("MESHCHROMA 1\nVERTICES 3\n" + "\n".join(rows)
+                    + "\nELEMENTS 1\ntri 0 1 2\n")
+    want = _outcome(reference_read_native, path)
+    assert want == (MalformedSectionError, f"{path}: {fault}")
+    assert _outcome(read_native, path) == want
+
+
 def test_twenty_digit_vertex_id_is_a_bad_element_line(tmp_path, capsys):
-    # 20 digits overflow an int64, so the line parser names the line
+    # 20 digits overflow an int64, so the token decoder names the line
     path = _tiny(tmp_path, "tri 0 1 99999999999999999999\n")
     with pytest.raises(MalformedSectionError) as err:
         read_native(path)
@@ -257,17 +287,39 @@ def test_twenty_digit_color_is_a_bad_integer(tmp_path, capsys):
     assert "bad integer" in capsys.readouterr().err
 
 
-def test_longest_integers_the_bulk_path_takes(tmp_path):
-    # 18 characters convert in bulk; 19 go to the line parser, which
+def test_longest_integers_the_bulk_path_takes(tmp_path, monkeypatch):
+    # 18 characters convert in bulk; 19 go to the token decoder, which
     # reads them as well while they fit an int64
+    decoded = []
+    token_decoder = meshio._decode_ints
+    monkeypatch.setattr(meshio, "_decode_ints", lambda *args: (
+        decoded.append(args), token_decoder(*args))[1])
     for tail, bulk in (("COLORS 3\n1\n2\n-00000000000000003\n", True),
                        ("COLORS 3\n1\n2\n000000000000000003\n", True),
                        ("COLORS 3\n1\n2\n0000000000000000003\n", False)):
         path = _tiny(tmp_path, tail=tail)
-        assert (_bulk_sections(path.read_bytes()) is not None) == bulk
-        assert_same(_outcome(read_native, path), _outcome(_line_parser, path))
+        decoded.clear()
+        got = _outcome(read_native, path)
+        assert_same(got, _outcome(reference_read_native, path))
+        assert (not decoded) == bulk
+        # a token-decoded section keeps no body bytes
+        if not isinstance(got, tuple):
+            assert (got.vertex_text is not None) == bulk
     path = _tiny(tmp_path, tail="COLORS 3\n1\n2\n0000000000000000003\n")
     assert read_native(path).coloring.colors.tolist() == [1, 2, 3]
+
+
+def test_a_normalized_file_quotes_its_lines_as_written(tmp_path):
+    # the tokens are read from the normalized text, but a quoted line is
+    # the one the file holds, cut at '#' and stripped
+    for tail, quote in (("COLORS\t3x # c\n", "bad section header "
+                         "'COLORS\\t3x'"),
+                        ("COLORS 3\n1\n2\t 3\r\n", "bad integer '2\\t 3' in "
+                         "COLORS")):
+        path = _tiny(tmp_path, tail=tail)
+        want = _outcome(reference_read_native, path)
+        assert want == (MalformedSectionError, f"{path}: {quote}")
+        assert _outcome(read_native, path) == want
 
 
 @st.composite
@@ -291,9 +343,9 @@ def test_parents_of_every_width_take_the_bulk_path(bases, tmp_path_factory,
     text += f"PARENTS {ne}\n" + "".join(f"{t}\n" for _, t in drawn)
     path = tmp_path_factory.mktemp("p") / "m.mesh"
     path.write_text(text)
-    assert _bulk_sections(text.encode()) is not None
     got = read_native(path)
-    assert_same(got, _line_parser(path))
+    assert got.vertex_text is not None
+    assert_same(got, reference_read_native(path))
     assert got.parents.tolist() == [v for v, _ in drawn]
 
 
@@ -452,6 +504,7 @@ def test_vertex_tokens_keep_their_verdicts(tmp_path, capsys, token):
     else:
         y = read_native(path).mesh.vertices[1, 1]
         assert y == want and np.signbit(y) == np.signbit(want)
-    assert_same(_outcome(read_native, path), _outcome(_line_parser, path))
+    assert_same(_outcome(read_native, path),
+                _outcome(reference_read_native, path))
     assert main(["verify", "-i", str(path)]) == code
     capsys.readouterr()
