@@ -577,6 +577,22 @@ def test_source_rows_must_match_bit_for_bit(tmp_path):
         assert b"quad 0 1 4 3\n" in got.read_bytes()
 
 
+def test_hand_written_ids_pass_through_in_a_hybrid_file(tmp_path):
+    # a file of two kinds keeps its ELEMENTS bytes as a file of one kind
+    # does, so color writes an id such as 001 back as it was read
+    path = tmp_path / "in.mesh"
+    write_native(path, hybrid_patch(2, 2))
+    text = path.read_text().replace("quad ", "quad 00")
+    path.write_text(text)
+    assert read_native(path).element_text is not None
+    out = tmp_path / "c.mesh"
+    assert main(["color", "-i", str(path), "-o", str(out)]) == 0
+    got = out.read_text()
+    assert "quad 00" in got
+    assert got[got.index("ELEMENTS"):got.index("COLORS")] == (
+        text[text.index("ELEMENTS"):])
+
+
 @pytest.mark.parametrize("rows", [
     ["0.00 0.0", "0.50 00.0", "1.000 0.0", "0.0 0.50", "0.5 0.500",
      "001.0 0.50"],
@@ -833,6 +849,23 @@ def test_a_file_that_is_not_utf8_names_its_offset(tmp_path, capsys, name,
     assert str(err.value) == message
     assert main(["verify", "-i", str(path)]) == 4
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_late_bad_byte_is_named_before_an_earlier_fault(tmp_path):
+    # a file is normalized whole before its sections are parsed, so a
+    # Latin-1 byte past the first block is named ahead of a bad header
+    text = (_tiny_text().replace("VERTICES 3", "VERTICES x").encode()
+            + b"# padding\n" * (_BLOCK_CHARS // 10) + b"# caf\xe9\n")
+    path = tmp_path / "t.mesh"
+    path.write_bytes(text)
+    with pytest.raises(MalformedSectionError) as err:
+        read_native(path)
+    assert str(err.value) == (
+        f"{path}: byte {text.index(0xe9)} is not UTF-8 text")
+    path.write_bytes(text.replace(b"\xe9", b"e"))
+    with pytest.raises(MalformedSectionError,
+                       match="bad section header 'VERTICES x'"):
+        read_native(path)
 
 
 def _tiny_text():
